@@ -98,35 +98,6 @@ void BM_SchedulerCancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerCancelHeavy)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_ParallelDispatch(benchmark::State& state) {
-  // The parallel dispatch loop on its ideal input: waves of same-timestamp
-  // events with pairwise-disjoint spatial footprints (every batch splits
-  // into singleton groups).  Arg = worker count; Arg 1 measures the
-  // sequential baseline through the same Simulation::run entry, so the
-  // ratio is the dispatch overhead + scaling, nothing else.  On a 1-core
-  // host the >1 arms measure pure overhead — the CI gate only pins Arg 1.
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kEventsPerWave = 1024;
-  constexpr std::size_t kWaves = 16;
-  sim::Simulation sim{7};
-  sim.set_threads(threads);
-  AllocCounter allocs{state};
-  for (auto _ : state) {
-    for (std::size_t w = 0; w < kWaves; ++w) {
-      const auto at = sim.now() + sim::Duration::ms(static_cast<double>(w + 1));
-      for (std::size_t i = 0; i < kEventsPerWave; ++i) {
-        // 10 m apart with 1 m discs: no pair conflicts, maximal group count.
-        sim.at(at, [] {},
-               sim::Footprint::disc(static_cast<double>(i) * 10.0, 0.0, 1.0));
-      }
-    }
-    benchmark::DoNotOptimize(sim.run());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kEventsPerWave * kWaves));
-}
-BENCHMARK(BM_ParallelDispatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
-
 void BM_RngExponential(benchmark::State& state) {
   sim::Rng rng{42};
   for (auto _ : state) {

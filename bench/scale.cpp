@@ -13,16 +13,6 @@
 ///  * allocs/run     — global operator-new count for the run (counted by the
 ///                     bench_common.hpp overrides).
 ///
-/// SPMS_BENCH_THREADS="1 2 4 8" adds the intra-run thread-scaling axis:
-/// each size is run once per listed worker count (--sim-threads semantics;
-/// results are byte-identical at any count, which the bench asserts via the
-/// executed-event totals) and every row reports events/sec plus its speedup
-/// over that size's threads=1 row.  The default is "1" — one sequential row
-/// per size, the historical behaviour — so the CI scale-smoke wall budget is
-/// unaffected.  Thread-axis runs bypass the result store: rows would
-/// otherwise be cache hits (the thread count never enters the config key)
-/// and the timings meaningless.
-///
 /// Wired through the shared store/rollup plumbing like every other bench:
 /// SPMS_BENCH_STORE=DIR caches results by config key (wall-clock and RSS are
 /// then meaningless for cached rows — the `cached` column says so) and
@@ -33,33 +23,11 @@
 #include <cstddef>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #define SPMS_BENCH_COUNT_ALLOCS
 #include "bench_common.hpp"
-
-namespace {
-
-std::vector<std::size_t> thread_axis() {
-  std::vector<std::size_t> out;
-  if (const char* env = std::getenv("SPMS_BENCH_THREADS")) {
-    std::string spec{env};
-    for (char& c : spec) {
-      if (c == ',') c = ' ';
-    }
-    std::istringstream in{spec};
-    std::size_t v = 0;
-    while (in >> v) {
-      if (v > 0) out.push_back(v);
-    }
-  }
-  if (out.empty()) out.push_back(1);
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace spms;
@@ -68,70 +36,43 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) sizes.emplace_back(argv[i]);
   if (sizes.empty()) sizes = {"1k", "10k", "100k"};
 
-  const std::vector<std::size_t> threads = thread_axis();
-  const bool thread_sweep = threads.size() > 1 || threads[0] != 1;
-
   bench::print_header("scale", "events/sec, peak RSS and bytes-per-node vs network size",
                       "throughput harness, not a paper figure (EXPERIMENTS.md \"Scaling\")");
 
-  exp::Table t({"scenario", "nodes", "threads", "events", "wall s", "events/s", "speedup",
-                "peak RSS MB", "bytes/node", "allocs/run", "delivery", "cached"});
-  bool determinism_ok = true;
+  exp::Table t({"scenario", "nodes", "events", "wall s", "events/s", "peak RSS MB",
+                "bytes/node", "allocs/run", "delivery", "cached"});
   for (const auto& size : sizes) {
     const auto spec = bench::make_spec("scale-" + size);
 
-    double base_eps = 0.0;       // events/s of this size's threads=1 row
-    std::size_t base_events = 0; // executed events at threads=1 (byte-identity proxy)
-    for (const std::size_t n_threads : threads) {
-      exp::set_sim_threads(n_threads);
-
-      exp::BatchOptions options;
-      options.jobs = 1;  // one job per scenario anyway; keep timing honest
-      // A thread sweep times the same config repeatedly; the store would
-      // turn every row after the first into a cache hit (the thread count
-      // deliberately never enters the config key).
-      options.store = thread_sweep ? nullptr : bench::bench_store();
-      if (const char* prefix = std::getenv("SPMS_BENCH_ROLLUP")) {
-        options.rollup_out = std::string{prefix} + "-" + spec.name + ".jsonl";
-      }
-
-      const auto allocs_before = bench::alloc_count();
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto batch = exp::BatchRunner{options}.run(spec);
-      const auto t1 = std::chrono::steady_clock::now();
-      const auto allocs = bench::alloc_count() - allocs_before;
-
-      const double wall_s = std::chrono::duration<double>(t1 - t0).count();
-      std::size_t events = 0;
-      double delivery = 0.0;
-      for (const auto& r : batch.runs()) {
-        events += r.events_executed;
-        delivery = r.delivery_ratio;
-      }
-      const double eps = static_cast<double>(events) / wall_s;
-      if (n_threads == threads.front()) {
-        base_eps = eps;
-        base_events = events;
-      } else if (events != base_events) {
-        // The determinism contract in one number: a diverging event count
-        // means the parallel dispatch changed behaviour, not just speed.
-        std::cerr << "scale: " << spec.name << " executed " << events << " events at "
-                  << n_threads << " threads vs " << base_events << " at "
-                  << threads.front() << " — NOT deterministic\n";
-        determinism_ok = false;
-      }
-      const std::size_t rss = bench::peak_rss_bytes();
-      const std::size_t nodes = spec.base.node_count;
-      t.add_row({spec.name, std::to_string(nodes), std::to_string(n_threads),
-                 std::to_string(events), exp::fmt(wall_s, 2), exp::fmt(eps, 0),
-                 base_eps > 0.0 ? exp::fmt(eps / base_eps, 2) : "-",
-                 exp::fmt(static_cast<double>(rss) / (1024.0 * 1024.0), 1),
-                 exp::fmt(static_cast<double>(rss) / static_cast<double>(nodes), 0),
-                 std::to_string(allocs), exp::fmt_pct(delivery),
-                 std::to_string(batch.cached())});
+    exp::BatchOptions options;
+    options.jobs = 1;  // one job per scenario anyway; keep timing honest
+    options.store = bench::bench_store();
+    if (const char* prefix = std::getenv("SPMS_BENCH_ROLLUP")) {
+      options.rollup_out = std::string{prefix} + "-" + spec.name + ".jsonl";
     }
+
+    const auto allocs_before = bench::alloc_count();
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto batch = exp::BatchRunner{options}.run(spec);
+    const auto t1 = std::chrono::steady_clock::now();
+    const auto allocs = bench::alloc_count() - allocs_before;
+
+    const double wall_s = std::chrono::duration<double>(t1 - t0).count();
+    std::size_t events = 0;
+    double delivery = 0.0;
+    for (const auto& r : batch.runs()) {
+      events += r.events_executed;
+      delivery = r.delivery_ratio;
+    }
+    const std::size_t rss = bench::peak_rss_bytes();
+    const std::size_t nodes = spec.base.node_count;
+    t.add_row({spec.name, std::to_string(nodes), std::to_string(events),
+               exp::fmt(wall_s, 2), exp::fmt(static_cast<double>(events) / wall_s, 0),
+               exp::fmt(static_cast<double>(rss) / (1024.0 * 1024.0), 1),
+               exp::fmt(static_cast<double>(rss) / static_cast<double>(nodes), 0),
+               std::to_string(allocs), exp::fmt_pct(delivery),
+               std::to_string(batch.cached())});
   }
-  exp::set_sim_threads(0);
   t.print(std::cout);
-  return determinism_ok ? 0 : 3;
+  return 0;
 }

@@ -13,6 +13,7 @@
 #include "core/collector.hpp"
 #include "core/spms.hpp"
 #include "net/network.hpp"
+#include "obs/event_trace.hpp"
 #include "routing/bellman_ford.hpp"
 #include "sim/simulation.hpp"
 
@@ -37,11 +38,13 @@ int main() {
 
   const char* names[] = {"A ", "r1", "r2", "C "};
   bool crash_armed = true;
-  sim.trace().set_sink([&](const sim::TraceEvent& e) {
-    std::cout << "  [" << std::setw(7) << std::fixed << std::setprecision(3) << e.at.to_ms()
-              << " ms] " << e.message << "\n";
+  sim.events().set_sink([&](const obs::TraceRecord& r) {
+    const auto line = obs::format_legacy(r);
+    if (!line) return;
+    std::cout << "  [" << std::setw(7) << std::fixed << std::setprecision(3) << r.at.to_ms()
+              << " ms] " << line->message << "\n";
     // Crash r2 as soon as C's direct REQ to it is in the air (failure case 2).
-    if (crash_armed && e.message.rfind("req-direct n3 n0#0 to n2", 0) == 0) {
+    if (crash_armed && line->message.rfind("req-direct n3 n0#0 to n2", 0) == 0) {
       crash_armed = false;
       sim.after(sim::Duration::ms(0.05), [&] {
         std::cout << "  >>> r2 crashes (transient failure) <<<\n";

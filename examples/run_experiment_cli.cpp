@@ -57,7 +57,6 @@ using namespace spms;
   std::cerr
       << "usage: " << argv0 << " --scenario NAME [--seeds K] [--jobs N]\n"
          "       [--store DIR] [--no-cache] [--shard I/N] [--max-events N]\n"
-         "       [--sim-threads N]\n"
          "       [--format table|csv|json|gnuplot] [--plot-x COL] [--plot-y COL]\n"
          "       [--per-seed] [--quiet] [--rollup-out FILE]\n"
          "   or: " << argv0 << " --list\n"
@@ -478,7 +477,7 @@ int main(int argc, char** argv) {
         arg != "--quiet" && arg != "--csv" && arg != "--help" && arg != "--store" &&
         arg != "--no-cache" && arg != "--shard" && arg != "--max-events" &&
         arg != "--plot-x" && arg != "--plot-y" && arg != "--rollup-out" &&
-        arg != "--sim-threads" && single_flag.empty()) {
+        single_flag.empty()) {
       single_flag = arg;
     }
     const auto next = [&]() -> const char* {
@@ -524,13 +523,6 @@ int main(int argc, char** argv) {
       if (v == 0) usage(argv[0]);
       cfg.max_events = v;
       sopt.max_events = v;
-    } else if (arg == "--sim-threads") {
-      // Valid in both modes: intra-run worker pool for the event dispatch.
-      // Results are byte-identical at any value, so it never enters the
-      // config (or the store's cache key); overrides SPMS_SIM_THREADS.
-      const std::size_t v = parse_size(next(), argv[0]);
-      if (v == 0) usage(argv[0]);
-      exp::set_sim_threads(v);
     } else if (arg == "--protocol") {
       const std::string p = next();
       if (p == "spms") {

@@ -1,7 +1,7 @@
 #pragma once
 
-#include <atomic>
-#include <cstdint>
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <string_view>
 
@@ -56,6 +56,15 @@ struct ProtocolParams {
   int timer_defer_limit = 4000;
 };
 
+/// Quiet window for a gated timer's deferral number `deferrals` (see
+/// ProtocolParams::timer_defer_limit): grows geometrically — doubles every 8
+/// deferrals, capped at 256x `base` — so a requester stuck behind a long
+/// congested phase wakes O(log) times instead of polling every tout_dat.
+[[nodiscard]] inline sim::Duration defer_window(sim::Duration base, int deferrals) {
+  const double growth = std::min(std::pow(2.0, static_cast<double>(deferrals) / 8.0), 256.0);
+  return base * growth;
+}
+
 /// Invoked exactly once per (interested node, item) when the data arrives.
 using DeliveryCallback =
     std::function<void(net::NodeId node, net::DataId item, sim::TimePoint at)>;
@@ -81,21 +90,17 @@ class DisseminationProtocol {
 
   /// Count of (node, item) acquisitions abandoned after max_retries; used by
   /// the failure experiments to report residual losses.
-  [[nodiscard]] std::uint64_t given_up() const {
-    return given_up_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t given_up() const { return given_up_; }
 
  protected:
   void notify_delivered(net::NodeId node, net::DataId item, sim::TimePoint at) const {
     if (deliver_) deliver_(node, item, at);
   }
-  /// Relaxed atomic: give-ups on spatially-disjoint nodes may be counted
-  /// concurrently by parallel event groups; the sum is order-independent.
-  void count_give_up() { given_up_.fetch_add(1, std::memory_order_relaxed); }
+  void count_give_up() { ++given_up_; }
 
  private:
   DeliveryCallback deliver_;
-  std::atomic<std::uint64_t> given_up_{0};
+  std::uint64_t given_up_ = 0;
 };
 
 }  // namespace spms::core

@@ -8,18 +8,6 @@
 
 namespace spms::core {
 
-namespace {
-
-/// Quiet-window for the deferral with index `deferrals`; grows geometrically
-/// (doubles every 8 deferrals, capped at 256x) so a requester stuck behind a
-/// long congested phase wakes O(log) times instead of polling every tout_dat.
-sim::Duration defer_window(sim::Duration base, int deferrals) {
-  const double growth = std::min(std::pow(2.0, static_cast<double>(deferrals) / 8.0), 256.0);
-  return base * growth;
-}
-
-}  // namespace
-
 SpinProtocol::SpinProtocol(sim::Simulation& sim, net::Network& net, const Interest& interest,
                            ProtocolParams params)
     : sim_(sim), net_(net), interest_(interest), params_(params) {

@@ -9,18 +9,6 @@
 
 namespace spms::core {
 
-namespace {
-
-/// Quiet-window for the deferral with index `deferrals`: grows geometrically
-/// so a pair stuck behind a long congested phase wakes O(log) times instead
-/// of polling every tout_dat (doubles every 8 deferrals, capped at 256x).
-sim::Duration defer_window(sim::Duration base, int deferrals) {
-  const double growth = std::min(std::pow(2.0, static_cast<double>(deferrals) / 8.0), 256.0);
-  return base * growth;
-}
-
-}  // namespace
-
 SpmsProtocol::SpmsProtocol(sim::Simulation& sim, net::Network& net,
                            routing::RoutingService& routing, const Interest& interest,
                            ProtocolParams params, SpmsExtensions ext)
@@ -450,7 +438,7 @@ void SpmsProtocol::forward_req(net::NodeId self, net::Packet req) {
     if (net_.distance_between(self, req.target) <= net_.radio().max_range()) {
       next = req.target;
     } else {
-      unroutable_.fetch_add(1, std::memory_order_relaxed);
+      ++unroutable_;
       return;
     }
   }

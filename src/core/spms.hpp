@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <vector>
 
 #include "core/interest.hpp"
@@ -72,9 +71,7 @@ class SpmsProtocol final : public DisseminationProtocol {
 
   /// Drops of multi-hop frames at relays that had no route to the target
   /// (rare geometric corner; the requester's tau_DAT recovers).
-  [[nodiscard]] std::uint64_t unroutable_forwards() const {
-    return unroutable_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t unroutable_forwards() const { return unroutable_; }
 
  private:
   /// Per (node, item) acquisition state machine.
@@ -183,8 +180,7 @@ class SpmsProtocol final : public DisseminationProtocol {
   SpmsExtensions ext_;
   StateArena arena_;  ///< backs every agent's maps; must outlive agents_
   std::vector<NodeAgent> agents_;
-  /// Relaxed atomic: disjoint event groups may count concurrently.
-  std::atomic<std::uint64_t> unroutable_{0};
+  std::uint64_t unroutable_ = 0;
 };
 
 }  // namespace spms::core

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -39,12 +38,8 @@
 
 namespace spms::core {
 
-/// Geometric slab bump allocator.  One arena backs every agent of a
-/// protocol instance, so during parallel batch execution (scheduler
-/// worker pool) spatially-disjoint event groups can allocate concurrently:
-/// a spinlock serializes the bump.  Which worker gets which address is
-/// scheduling-dependent, but addresses never feed back into behaviour (the
-/// determinism contract below), so results stay byte-identical.
+/// Geometric slab bump allocator.  Not thread-safe (one per protocol
+/// instance, and runs are single-threaded by design).
 class StateArena {
  public:
   explicit StateArena(std::size_t first_slab_bytes = 4096)
@@ -57,7 +52,6 @@ class StateArena {
   /// requests get a dedicated slab, so no request can fail by slab size.
   void* allocate(std::size_t bytes, std::size_t align) {
     assert((align & (align - 1)) == 0);
-    while (lock_.test_and_set(std::memory_order_acquire)) {}
     std::size_t off = (offset_ + align - 1) & ~(align - 1);
     if (slabs_.empty() || off + bytes > slabs_.back().size) {
       new_slab(bytes + align);
@@ -65,9 +59,7 @@ class StateArena {
     }
     offset_ = off + bytes;
     used_ += bytes;
-    void* p = slabs_.back().mem.get() + off;
-    lock_.clear(std::memory_order_release);
-    return p;
+    return slabs_.back().mem.get() + off;
   }
 
   /// Individual frees are no-ops (see file comment); everything is released
@@ -98,7 +90,6 @@ class StateArena {
   }
 
   static constexpr std::size_t kMaxSlabBytes = std::size_t{1} << 20;  // 1 MiB
-  std::atomic_flag lock_ = ATOMIC_FLAG_INIT;  ///< guards the bump (uncontended when sequential)
   std::vector<Slab> slabs_;
   std::size_t offset_ = 0;
   std::size_t used_ = 0;

@@ -32,28 +32,15 @@ void TrafficGenerator::start() {
       t = t + node_rng.exponential(params_.mean_interarrival);
       const net::DataId item{node, static_cast<std::uint32_t>(k)};
       if (t > last_publish_) last_publish_ = t;
-      // The publish event runs protocol code on `node` synchronously, so its
-      // conflict footprint is the node's agent disc.  Mobility after start()
-      // is covered by the scheduler's spatial-epoch invalidation.
       sim_.at(t, [this, node, item] {
         const std::size_t expected = interest_.expected_count(item);
-        if (sim_.in_parallel_phase()) {
-          // Collector sketches are order-sensitive; replay the record in
-          // canonical batch order.  (The typed trace disables parallel
-          // dispatch, so the emit branch below cannot be live here.)
-          const sim::TimePoint at = sim_.now();
-          sim_.defer_serial([this, item, at, expected] {
-            collector_.record_publish(item, at, expected);
-          });
-        } else {
-          collector_.record_publish(item, sim_.now(), expected);
-          if (sim_.events().enabled()) {
-            sim_.events().emit({.at = sim_.now(), .kind = obs::TraceKind::kPublish, .node = node,
-                                .item = item, .value = static_cast<double>(expected)});
-          }
+        collector_.record_publish(item, sim_.now(), expected);
+        if (sim_.events().enabled()) {
+          sim_.events().emit({.at = sim_.now(), .kind = obs::TraceKind::kPublish, .node = node,
+                              .item = item, .value = static_cast<double>(expected)});
         }
         proto_.publish(node, item);
-      }, net_.agent_footprint(node));
+      });
     }
   }
 }

@@ -1,26 +1,8 @@
 #include "exp/runner.hpp"
 
-#include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
-#include "exp/batch.hpp"
-#include "sim/scheduler.hpp"
-
 namespace spms::exp {
-
-namespace {
-std::size_t g_sim_threads = 0;  ///< 0 = unset; see set_sim_threads
-}  // namespace
-
-void set_sim_threads(std::size_t threads) { g_sim_threads = threads; }
-
-std::size_t effective_sim_threads() {
-  std::size_t t = g_sim_threads;
-  if (t == 0) t = parse_jobs_env(std::getenv("SPMS_SIM_THREADS"));
-  if (t == 0) t = 1;
-  return std::min(t, sim::Scheduler::kMaxWorkers);
-}
 
 RunResult run_experiment(const ExperimentConfig& config) {
   return run_experiment(config, TelemetryOptions{});
@@ -28,10 +10,6 @@ RunResult run_experiment(const ExperimentConfig& config) {
 
 RunResult run_experiment(const ExperimentConfig& config, const TelemetryOptions& telemetry) {
   Scenario s{config};
-  // Intra-run parallelism is an execution detail: byte-identical results at
-  // any thread count, so it is set here — after construction, outside the
-  // config and its store key.
-  s.simulation().set_threads(effective_sim_threads());
   // Attached before start() so the very first event is observed; inert (and
   // cost-free on the hot path) when every option is off.
   TelemetrySession session{s, telemetry};

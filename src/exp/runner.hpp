@@ -88,16 +88,6 @@ struct RunResult {
   std::vector<double> node_energy_uj;
 };
 
-/// Process-wide intra-run worker count for the simulator's parallel event
-/// dispatch (sim::Simulation::set_threads).  Deliberately OUTSIDE
-/// ExperimentConfig: like --jobs it is an execution detail — results are
-/// byte-identical at any setting — so it must never reach the result
-/// store's config key.  0 means "unset": fall back to SPMS_SIM_THREADS
-/// (parse_jobs_env syntax), then to 1 (sequential).
-void set_sim_threads(std::size_t threads);
-/// The worker count run_experiment will hand each Simulation.
-[[nodiscard]] std::size_t effective_sim_threads();
-
 /// Builds, runs and summarizes one experiment.
 [[nodiscard]] RunResult run_experiment(const ExperimentConfig& config);
 

@@ -88,17 +88,6 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
   protocol_->set_delivery_callback(
       [sim = sim_.get(), collector = collector_.get(), faults = faults_.get()](
           net::NodeId node, net::DataId item, sim::TimePoint at) {
-        if (sim->in_parallel_phase()) {
-          // Collector percentile sketches and fault bookkeeping are
-          // order-sensitive; replay in canonical batch order during the
-          // commit phase.  (The typed trace disables parallel dispatch
-          // entirely, so the emit branch below is unreachable here.)
-          sim->defer_serial([collector, faults, node, item, at] {
-            collector->record_delivery(node, item, at);
-            if (faults != nullptr) faults->record_delivery(node, at);
-          });
-          return;
-        }
         const double delay_ms = collector->record_delivery(node, item, at);
         if (sim->events().enabled()) {
           sim->events().emit({.at = at, .kind = obs::TraceKind::kDelivery, .node = node,

@@ -59,10 +59,6 @@ Network::Network(sim::Simulation& sim, RadioTable radio, MacParams mac, EnergyMo
   // order).
   use_grid_ = n >= kGridMinNodes;
   grid_.reset(zone_radius_m, n);
-  // One context per possible dispatch worker, allocated up front so the
-  // parallel phase indexes a stable vector (the contexts themselves stay
-  // empty until a worker first touches them).
-  worker_ctx_.resize(sim::Scheduler::kMaxWorkers);
   // Heterogeneous charges come from a dedicated sub-stream in ascending node
   // id, so the draw sequence is a pure function of (seed, capacity, h).
   auto init_rng = sim_.rng().fork(kBatteryInitStream);
@@ -142,14 +138,14 @@ bool Network::send(NodeId from, Packet packet, double coverage_m, EnergyUse use)
   if (battery_state_[v].depleted()) {
     // A drained node cannot key its radio, even before the fault layer has
     // processed the (zero-delay) depletion notification.
-    ++ctr().dropped_battery_dead;
+    ++counters_.dropped_battery_dead;
     if (sim_.events().enabled()) {
       emit_drop(sim_, obs::DropCause::kBatteryDead, from, packet.dst, packet.item);
     }
     return false;
   }
   if (up_[v] == 0) {
-    ++ctr().dropped_sender_down;
+    ++counters_.dropped_sender_down;
     if (sim_.events().enabled()) {
       emit_drop(sim_, obs::DropCause::kSenderDown, from, packet.dst, packet.item);
     }
@@ -162,7 +158,7 @@ bool Network::send(NodeId from, Packet packet, double coverage_m, EnergyUse use)
   coverage_m += 1e-6;
   const auto lvl = radio_.cheapest_level_for(coverage_m);
   if (!lvl) {
-    ++ctr().dropped_out_of_range;
+    ++counters_.dropped_out_of_range;
     if (sim_.events().enabled()) {
       emit_drop(sim_, obs::DropCause::kOutOfRange, from, packet.dst, packet.item, coverage_m);
     }
@@ -179,25 +175,15 @@ bool Network::send(NodeId from, Packet packet, double coverage_m, EnergyUse use)
   return true;
 }
 
-sim::Duration Network::contention_delay(std::uint32_t v, const OutgoingFrame& f) const {
-  if (mac_.contention_g_ms <= 0.0) return sim::Duration::zero();
-  // Analysis-style explicit contention term (Section 4.1's T_csma = G n^2).
-  // Computed before the backoff draw the scheduler adds on top; contention
-  // counting never draws, so hoisting it ahead of the draw leaves the RNG
-  // sequence untouched.
-  const std::size_t contenders = contention_count(NodeId{v}, f.coverage_m);
-  return sim::Duration::ms(mac_.contention_g_ms * static_cast<double>(contenders) *
-                           static_cast<double>(contenders));
-}
-
-sim::Footprint Network::event_footprint(std::uint32_t v, double coverage_m) const {
-  if (!spatial_tags_) return sim::Footprint::global();
-  // coverage bounds the hearer set and carrier stamps; + zone bounds every
-  // synchronous query a receiving agent can issue (its sends and contention
-  // scans reach at most one zone from a hearer).  The pad absorbs rounding
-  // in the conflict test's squared-distance comparison.
-  const Point p = pos_[v];
-  return sim::Footprint::disc(p.x, p.y, coverage_m + zone_radius_m_ + 1e-6);
+sim::Duration Network::access_delay(std::uint32_t v, const OutgoingFrame& f) {
+  sim::Duration wait = draw_backoff();
+  if (mac_.contention_g_ms > 0.0) {
+    // Analysis-style explicit contention term (Section 4.1's T_csma = G n^2).
+    const std::size_t contenders = contention_count(NodeId{v}, f.coverage_m);
+    wait += sim::Duration::ms(mac_.contention_g_ms * static_cast<double>(contenders) *
+                              static_cast<double>(contenders));
+  }
+  return wait;
 }
 
 void Network::send_unqueued(std::uint32_t v, OutgoingFrame frame) {
@@ -205,13 +191,12 @@ void Network::send_unqueued(std::uint32_t v, OutgoingFrame frame) {
   // nor occupies the channel; it simply takes access-delay + airtime.  The
   // frame rides a pooled context so both events capture three words.
   const NodeId id{v};
-  const sim::Duration extra = contention_delay(v, frame);
-  const double coverage = frame.coverage_m;
+  const sim::Duration delay = access_delay(v, frame);
   FrameCtx* ctx = acquire_frame_ctx();
   ctx->frame = std::move(frame);
-  sim_.at_backoff(sim_.now(), extra, mac_.slot_time, mac_.num_slots, [this, id, ctx] {
+  sim_.after(delay, [this, id, ctx] {
     if (battery_state_[id.v].depleted()) {
-      ++ctr().dropped_battery_dead;  // drained during the backoff
+      ++counters_.dropped_battery_dead;  // drained during the backoff
       if (sim_.events().enabled()) {
         emit_drop(sim_, obs::DropCause::kBatteryDead, id, ctx->frame.packet.dst,
                   ctx->frame.packet.item);
@@ -220,7 +205,7 @@ void Network::send_unqueued(std::uint32_t v, OutgoingFrame frame) {
       return;
     }
     if (up_[id.v] == 0) {
-      ++ctr().dropped_sender_down;  // crashed during the backoff
+      ++counters_.dropped_sender_down;  // crashed during the backoff
       if (sim_.events().enabled()) {
         emit_drop(sim_, obs::DropCause::kSenderDown, id, ctx->frame.packet.dst,
                   ctx->frame.packet.item);
@@ -234,8 +219,8 @@ void Network::send_unqueued(std::uint32_t v, OutgoingFrame frame) {
     sim_.after(airtime(f.packet.size_bytes), [this, id, ctx] {
       deliver_frame(id.v, ctx->frame);
       release_frame_ctx(ctx);
-    }, event_footprint(id.v, f.coverage_m));
-  }, event_footprint(v, coverage));
+    });
+  });
 }
 
 bool Network::send_to(NodeId from, Packet packet, NodeId to, EnergyUse use) {
@@ -243,13 +228,16 @@ bool Network::send_to(NodeId from, Packet packet, NodeId to, EnergyUse use) {
   return send(from, std::move(packet), distance_between(from, to), use);
 }
 
+sim::Duration Network::draw_backoff() {
+  if (mac_.num_slots <= 1) return sim::Duration::zero();
+  return mac_.slot_time * sim_.rng().uniform_int(0, mac_.num_slots - 1);
+}
+
 void Network::mac_start_access(std::uint32_t v) {
   assert(!mac_queue_[v].empty());
   mac_busy_[v] = 1;
-  const OutgoingFrame& f = mac_queue_[v].front();
-  mac_event_[v] = sim_.at_backoff(sim_.now(), contention_delay(v, f), mac_.slot_time,
-                                  mac_.num_slots, [this, v] { mac_try_send(v); },
-                                  event_footprint(v, f.coverage_m));
+  mac_event_[v] = sim_.after(access_delay(v, mac_queue_[v].front()),
+                             [this, v] { mac_try_send(v); });
 }
 
 void Network::mac_try_send(std::uint32_t v) {
@@ -257,11 +245,8 @@ void Network::mac_try_send(std::uint32_t v) {
   if (mac_.carrier_sense && sim_.now() < channel_busy_until_[v]) {
     // Channel busy: defer to the end of the busy period plus a fresh backoff
     // (CSMA/CA without collision modelling; see DESIGN.md).
-    const OutgoingFrame& f = mac_queue_[v].front();
-    mac_event_[v] = sim_.at_backoff(channel_busy_until_[v], sim::Duration::zero(),
-                                    mac_.slot_time, mac_.num_slots,
-                                    [this, v] { mac_try_send(v); },
-                                    event_footprint(v, f.coverage_m));
+    const auto retry_at = channel_busy_until_[v] + draw_backoff();
+    mac_event_[v] = sim_.at(retry_at, [this, v] { mac_try_send(v); });
     return;
   }
   mac_begin_tx(v);
@@ -271,7 +256,7 @@ void Network::mac_begin_tx(std::uint32_t v) {
   assert(mac_busy_[v] != 0 && !mac_queue_[v].empty());
   if (battery_state_[v].depleted()) {
     // Drained while waiting for the channel: the queue dies with the radio.
-    ctr().dropped_battery_dead += mac_queue_[v].size();
+    counters_.dropped_battery_dead += mac_queue_[v].size();
     if (sim_.events().enabled()) {
       // One aggregate record; value carries how many queued frames died.
       emit_drop(sim_, obs::DropCause::kBatteryDead, NodeId{v}, NodeId{}, DataId{},
@@ -308,50 +293,35 @@ void Network::mac_begin_tx(std::uint32_t v) {
       });
     }
   }
-  mac_event_[v] = sim_.at(end, [this, v] { mac_complete_tx(v); },
-                          event_footprint(v, f.coverage_m));
+  mac_event_[v] = sim_.at(end, [this, v] { mac_complete_tx(v); });
 }
 
 Network::DeliveryCtx* Network::acquire_delivery_ctx() {
-  // Worker-aware: during parallel group execution each worker draws from a
-  // private pool so acquisitions never race.  A context released on a
-  // different thread than it was acquired on simply migrates pools — both
-  // store and free-list entries are plain pointers into stable unique_ptrs.
-  const int w = sim::current_worker();
-  auto& store = w < 0 ? delivery_store_ : worker_ctx_[w].delivery_store;
-  auto& free_list = w < 0 ? delivery_free_ : worker_ctx_[w].delivery_free;
-  if (free_list.empty()) {
-    store.push_back(std::make_unique<DeliveryCtx>());
-    return store.back().get();
+  if (delivery_free_.empty()) {
+    delivery_store_.push_back(std::make_unique<DeliveryCtx>());
+    return delivery_store_.back().get();
   }
-  DeliveryCtx* ctx = free_list.back();
-  free_list.pop_back();
+  DeliveryCtx* ctx = delivery_free_.back();
+  delivery_free_.pop_back();
   return ctx;
 }
 
 void Network::release_delivery_ctx(DeliveryCtx* ctx) {
-  const int w = sim::current_worker();
   ctx->processors.clear();
-  (w < 0 ? delivery_free_ : worker_ctx_[w].delivery_free).push_back(ctx);
+  delivery_free_.push_back(ctx);
 }
 
 Network::FrameCtx* Network::acquire_frame_ctx() {
-  const int w = sim::current_worker();
-  auto& store = w < 0 ? frame_store_ : worker_ctx_[w].frame_store;
-  auto& free_list = w < 0 ? frame_free_ : worker_ctx_[w].frame_free;
-  if (free_list.empty()) {
-    store.push_back(std::make_unique<FrameCtx>());
-    return store.back().get();
+  if (frame_free_.empty()) {
+    frame_store_.push_back(std::make_unique<FrameCtx>());
+    return frame_store_.back().get();
   }
-  FrameCtx* ctx = free_list.back();
-  free_list.pop_back();
+  FrameCtx* ctx = frame_free_.back();
+  frame_free_.pop_back();
   return ctx;
 }
 
-void Network::release_frame_ctx(FrameCtx* ctx) {
-  const int w = sim::current_worker();
-  (w < 0 ? frame_free_ : worker_ctx_[w].frame_free).push_back(ctx);
-}
+void Network::release_frame_ctx(FrameCtx* ctx) { frame_free_.push_back(ctx); }
 
 void Network::deliver_frame(std::uint32_t sender, const OutgoingFrame& frame) {
   // Every alive node inside the engineered disc hears the frame.  The
@@ -359,18 +329,17 @@ void Network::deliver_frame(std::uint32_t sender, const OutgoingFrame& frame) {
   // nests) and the receiver list comes from the vector pool, so a settled
   // run delivers without allocating.
   const NodeId sender_id{sender};
-  std::vector<NodeId>& hearers = hearer_scratch();
-  neighbors_within(sender_id, frame.coverage_m, /*include_down=*/false, hearers);
+  neighbors_within(sender_id, frame.coverage_m, /*include_down=*/false, scratch_hearers_);
   const Packet& p = frame.packet;
   DeliveryCtx* ctx = acquire_delivery_ctx();
   std::vector<NodeId>& processors = ctx->processors;
-  processors.reserve(hearers.size());
-  for (NodeId h : hearers) {
+  processors.reserve(scratch_hearers_.size());
+  for (NodeId h : scratch_hearers_) {
     if (battery_state_[h.v].depleted()) {
       // A drained receiver cannot decode: no rx charge, no processing, and
       // no link-fault draw (keeping the fault stream's draw sequence a
       // function of the *live* hearer set).
-      ++ctr().dropped_battery_dead;
+      ++counters_.dropped_battery_dead;
       if (sim_.events().enabled()) {
         emit_drop(sim_, obs::DropCause::kBatteryDead, h, sender_id, p.item);
       }
@@ -380,7 +349,7 @@ void Network::deliver_frame(std::uint32_t sender, const OutgoingFrame& frame) {
       // Faded below the decode threshold for this receiver: no rx charge,
       // no processing (ascending-id hearer order keeps the draws
       // deterministic).
-      ++ctr().dropped_link_fault;
+      ++counters_.dropped_link_fault;
       if (sim_.events().enabled()) {
         emit_drop(sim_, obs::DropCause::kLinkFault, h, sender_id, p.item);
       }
@@ -404,26 +373,26 @@ void Network::deliver_frame(std::uint32_t sender, const OutgoingFrame& frame) {
   sim_.after(mac_.t_proc, [this, ctx] {
     for (NodeId h : ctx->processors) {
       if (battery_state_[h.v].depleted()) {
-        ++ctr().dropped_battery_dead;  // drained between rx and t_proc
+        ++counters_.dropped_battery_dead;  // drained between rx and t_proc
         if (sim_.events().enabled()) {
           emit_drop(sim_, obs::DropCause::kBatteryDead, h, ctx->pkt.src, ctx->pkt.item);
         }
         continue;
       }
       if (up_[h.v] == 0) {
-        ++ctr().dropped_receiver_down;
+        ++counters_.dropped_receiver_down;
         if (sim_.events().enabled()) {
           emit_drop(sim_, obs::DropCause::kReceiverDown, h, ctx->pkt.src, ctx->pkt.item);
         }
         continue;
       }
       if (agent_[h.v] != nullptr) {
-        ++ctr().deliveries;
+        ++counters_.deliveries;
         agent_[h.v]->on_receive(ctx->pkt);
       }
     }
     release_delivery_ctx(ctx);
-  }, event_footprint(sender, frame.coverage_m));
+  });
 }
 
 void Network::mac_complete_tx(std::uint32_t v) {
@@ -463,8 +432,8 @@ void Network::charge_tx(NodeId id, std::size_t bytes, double coverage_m, EnergyU
   const auto lvl = radio_.cheapest_level_for(coverage_m);
   if (!lvl) return;
   charge_node_tx(id.v, tx_energy_uj(bytes, *lvl), use);
-  ctr().tx_bytes += bytes;
-  ++ctr().tx_route;
+  counters_.tx_bytes += bytes;
+  ++counters_.tx_route;
 }
 
 void Network::charge_rx(NodeId id, std::size_t bytes, EnergyUse use) {
@@ -608,37 +577,14 @@ EnergyBreakdown Network::energy() const {
   return total;
 }
 
-const NetCounters& Network::counters() const {
-  // Fold per-worker deltas into the master copy.  Every field is a u64 sum,
-  // so folding commutes and the result is independent of which worker
-  // incremented what.  Zeroing each delta keeps the fold idempotent.
-  for (WorkerCtx& ctx : worker_ctx_) {
-    NetCounters& d = ctx.counters;
-    counters_.tx_adv += d.tx_adv;
-    counters_.tx_req += d.tx_req;
-    counters_.tx_data += d.tx_data;
-    counters_.tx_route += d.tx_route;
-    counters_.tx_bytes += d.tx_bytes;
-    counters_.deliveries += d.deliveries;
-    counters_.dropped_sender_down += d.dropped_sender_down;
-    counters_.dropped_out_of_range += d.dropped_out_of_range;
-    counters_.dropped_receiver_down += d.dropped_receiver_down;
-    counters_.dropped_link_fault += d.dropped_link_fault;
-    counters_.dropped_battery_dead += d.dropped_battery_dead;
-    d = NetCounters{};
-  }
-  return counters_;
-}
-
 void Network::count_tx(const Packet& p) {
-  NetCounters& c = ctr();
   switch (p.type) {
-    case PacketType::kAdv: ++c.tx_adv; break;
-    case PacketType::kReq: ++c.tx_req; break;
-    case PacketType::kData: ++c.tx_data; break;
-    case PacketType::kRouteUpdate: ++c.tx_route; break;
+    case PacketType::kAdv: ++counters_.tx_adv; break;
+    case PacketType::kReq: ++counters_.tx_req; break;
+    case PacketType::kData: ++counters_.tx_data; break;
+    case PacketType::kRouteUpdate: ++counters_.tx_route; break;
   }
-  c.tx_bytes += p.size_bytes;
+  counters_.tx_bytes += p.size_bytes;
 }
 
 }  // namespace spms::net

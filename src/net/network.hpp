@@ -41,17 +41,6 @@
 /// the historical per-object layout — same inclusive d^2 <= r^2 test,
 /// ascending-id order — so RNG draw sequences and run results stay
 /// byte-identical.
-///
-/// Parallel dispatch: MAC and delivery events are tagged with a spatial
-/// conflict footprint of radius coverage + zone around the sender — a
-/// conservative bound on everything the event chain touches (carrier stamps
-/// and hearers within coverage; a receiving agent's synchronous sends and
-/// contention scans within one zone of a hearer).  The scheduler uses the
-/// tags to run provably-independent same-time events concurrently
-/// (scheduler.hpp); per-worker scratch buffers, context pools and counter
-/// deltas keep those executions disjoint, and footprint tagging shuts off
-/// (kGlobal, i.e. serialize) when a link-fault hook is installed, because
-/// link faults draw from an order-sensitive RNG stream inside delivery.
 
 namespace spms::net {
 
@@ -153,15 +142,9 @@ class Network {
   /// Per-reception fault draw (link degradation): consulted once per hearer
   /// of every delivered frame; returning true fades that reception — no
   /// receive energy is charged and no agent sees the packet (counted in
-  /// NetCounters::dropped_link_fault).  Pass nullptr to detach.  Installing
-  /// a hook disables spatial footprint tagging: the fault draws consume an
-  /// order-sensitive RNG stream inside delivery, so those events must stay
-  /// on the sequential path.
+  /// NetCounters::dropped_link_fault).  Pass nullptr to detach.
   using LinkFaultFn = std::function<bool(NodeId from, NodeId to)>;
-  void set_link_fault(LinkFaultFn fn) {
-    link_fault_ = std::move(fn);
-    spatial_tags_ = !static_cast<bool>(link_fault_);
-  }
+  void set_link_fault(LinkFaultFn fn) { link_fault_ = std::move(fn); }
 
   /// Invoked (via a zero-delay event, so never from inside MAC bookkeeping)
   /// when a node's finite battery runs dry.  The energy-driven death model
@@ -181,29 +164,16 @@ class Network {
   /// disc to exactly the current sender-receiver distance.
   bool send_to(NodeId from, Packet packet, NodeId to, EnergyUse use = EnergyUse::kProtocol);
 
-  /// Conflict footprint for an event that runs protocol code on `id`
-  /// synchronously: everything such code touches (sends, contention scans,
-  /// neighbor queries) stays within one zone of the node, so a disc of two
-  /// zone radii around it covers the event plus everything its sends reach.
-  /// kGlobal while spatial tagging is off (link-fault hook installed).
-  [[nodiscard]] sim::Footprint agent_footprint(NodeId id) const {
-    return event_footprint(id.v, zone_radius_m_);
-  }
-
   // --- failures & mobility -----------------------------------------------------
   /// Crashes or repairs a node, firing the agent hooks.  Idempotent.
   void set_up(NodeId id, bool up);
 
   /// Teleports a node (mobility model), keeping the spatial index coherent;
-  /// routing rebuild is the caller's job.  Every pending spatial footprint
-  /// was computed from pre-move positions, so the move invalidates them all
-  /// (they degrade to global until they fire — always sound, merely less
-  /// parallel).
+  /// routing rebuild is the caller's job.
   void set_position(NodeId id, Point p) {
     Point& pos = pos_.at(id.v);
     grid_.move(id.v, pos, p);
     pos = p;
-    sim_.scheduler().invalidate_spatial_footprints();
   }
 
   // --- direct energy charging (used by the routing layer's DBF accounting) ----
@@ -229,10 +199,7 @@ class Network {
 
   // --- accounting --------------------------------------------------------------
   [[nodiscard]] EnergyBreakdown energy() const;
-  /// Aggregate counters; folds per-worker deltas accumulated by parallel
-  /// batches into the master copy first (all-u64 sums, so the fold order is
-  /// irrelevant).  Must not be called during parallel group execution.
-  [[nodiscard]] const NetCounters& counters() const;
+  [[nodiscard]] const NetCounters& counters() const { return counters_; }
   [[nodiscard]] double node_energy_uj(NodeId id) const {
     return battery_state_.at(id.v).spent_uj();
   }
@@ -250,14 +217,9 @@ class Network {
   /// RX energy (uJ) for `bytes`.
   [[nodiscard]] double rx_energy_uj(std::size_t bytes) const;
 
-  /// The deterministic G*n^2 contention term of the access delay; the
-  /// random slotted backoff is added by Simulation::at_backoff so the draw
-  /// can be deferred to the canonical commit phase under parallel dispatch.
-  [[nodiscard]] sim::Duration contention_delay(std::uint32_t v, const OutgoingFrame& f) const;
-  /// Conflict footprint for a MAC/delivery event of node `v`: a disc of
-  /// coverage + zone (+ a rounding pad) around the sender, or kGlobal while
-  /// spatial tagging is off (link-fault hook installed).
-  [[nodiscard]] sim::Footprint event_footprint(std::uint32_t v, double coverage_m) const;
+  /// Contention + backoff delay for a frame sent by node `v` (the G*n^2
+  /// term plus a random slotted backoff).
+  [[nodiscard]] sim::Duration access_delay(std::uint32_t v, const OutgoingFrame& f);
   /// Paper-style independent transmission (infinite_parallelism mode).
   void send_unqueued(std::uint32_t v, OutgoingFrame frame);
   /// Delivers a finished transmission to every alive node in its disc.
@@ -271,6 +233,9 @@ class Network {
   void mac_begin_tx(std::uint32_t v);
   /// Airtime elapsed: deliver to the coverage disc, advance the queue.
   void mac_complete_tx(std::uint32_t v);
+  /// A fresh random backoff duration.
+  [[nodiscard]] sim::Duration draw_backoff();
+
   void count_tx(const Packet& p);
 
   /// Clamped battery charges.  Each checks for a fresh depletion and, when
@@ -313,32 +278,6 @@ class Network {
   [[nodiscard]] FrameCtx* acquire_frame_ctx();
   void release_frame_ctx(FrameCtx* ctx);
 
-  /// Per-worker execution state for parallel dispatch: scratch buffers,
-  /// context pools and a counter delta, so concurrently-executing events
-  /// never share mutable Network plumbing.  Contexts acquired by one worker
-  /// may be released into another's free list (ownership stays with the
-  /// acquiring store's unique_ptr, so pointers remain stable); counter
-  /// deltas fold into counters_ on read — u64 sums commute, so totals are
-  /// independent of which worker counted what.
-  struct WorkerCtx {
-    std::vector<NodeId> scratch_hearers;
-    std::vector<std::unique_ptr<DeliveryCtx>> delivery_store;
-    std::vector<DeliveryCtx*> delivery_free;
-    std::vector<std::unique_ptr<FrameCtx>> frame_store;
-    std::vector<FrameCtx*> frame_free;
-    NetCounters counters;
-  };
-  /// Counter sink for the current thread: the per-worker delta during
-  /// parallel group execution, the master copy otherwise.
-  [[nodiscard]] NetCounters& ctr() {
-    const int w = sim::current_worker();
-    return w < 0 ? counters_ : worker_ctx_[static_cast<std::size_t>(w)].counters;
-  }
-  [[nodiscard]] std::vector<NodeId>& hearer_scratch() const {
-    const int w = sim::current_worker();
-    return w < 0 ? scratch_hearers_ : worker_ctx_[static_cast<std::size_t>(w)].scratch_hearers;
-  }
-
   sim::Simulation& sim_;
   RadioTable radio_;
   MacParams mac_;
@@ -378,13 +317,7 @@ class Network {
   std::vector<DeliveryCtx*> delivery_free_;
   std::vector<std::unique_ptr<FrameCtx>> frame_store_;
   std::vector<FrameCtx*> frame_free_;
-  mutable NetCounters counters_;  ///< mutable: counters() folds worker deltas
-  /// Indexed by sim::current_worker(); sized for the scheduler's worker
-  /// ceiling up front so parallel phases never resize it.
-  mutable std::vector<WorkerCtx> worker_ctx_;
-  /// False once a link-fault hook is installed: those runs must not tag
-  /// spatial footprints (order-sensitive draws inside delivery).
-  bool spatial_tags_ = true;
+  NetCounters counters_;
   StateChangeFn on_state_change_;
   LinkFaultFn link_fault_;
   DepletionFn on_depleted_;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <unordered_map>
@@ -57,9 +56,7 @@ class SpatialGrid {
   /// the file comment.
   template <typename Visit>
   void visit_disc(Point center, double radius_m, Visit&& visit) const {
-    // Relaxed: a pure statistics counter, queried only between runs.  The
-    // atomic makes concurrent disc queries from parallel event groups safe.
-    queries_.fetch_add(1, std::memory_order_relaxed);
+    ++queries_;
     const std::int64_t cx0 = coord(center.x - radius_m);
     const std::int64_t cx1 = coord(center.x + radius_m);
     const std::int64_t cy0 = coord(center.y - radius_m);
@@ -76,9 +73,7 @@ class SpatialGrid {
   [[nodiscard]] double cell_size() const { return cell_; }
 
   /// Cumulative visit_disc() calls (observability gauge; reset() clears it).
-  [[nodiscard]] std::uint64_t query_count() const {
-    return queries_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t query_count() const { return queries_; }
 
  private:
   [[nodiscard]] std::int64_t coord(double v) const {
@@ -92,7 +87,7 @@ class SpatialGrid {
 
   double cell_ = 1.0;
   double inv_cell_ = 1.0;
-  mutable std::atomic<std::uint64_t> queries_{0};
+  mutable std::uint64_t queries_ = 0;
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> cells_;
 };
 

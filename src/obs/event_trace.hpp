@@ -18,10 +18,8 @@
 ///
 ///  * a bounded ring buffer keeps the last N records in memory (post-mortem
 ///    of long runs without unbounded growth);
-///  * a telemetry sink streams records (e.g. to a JSONL file);
-///  * a legacy sink receives the records that have a string-era rendering,
-///    formatted on demand by format_legacy() — this is what keeps the old
-///    `sim::Trace` string API alive as a thin adapter.
+///  * a sink streams records (e.g. to a JSONL file, or through
+///    format_legacy() for the string-era rendering).
 ///
 /// When no consumer is installed, enabled() is false and every emit site is
 /// a single branch — records are never even constructed.  Emission never
@@ -40,7 +38,7 @@ enum class TraceKind : std::uint8_t {
   kFaultTransition,       ///< node went down / was repaired / died; cause = FaultPhase
   kBatteryThreshold,      ///< residual crossed a bucket; cause = BatteryBucket
   kRouteChange,           ///< DBF rebuild changed `value` entries at `node`
-  // Protocol verbs (the records behind the legacy string trace).
+  // Protocol verbs (the records format_legacy renders).
   kSpmsAdv,               ///< zone-wide ADV of `item` by `node`
   kSpmsReqDirect,         ///< REQ to `peer` (single hop)
   kSpmsReqMultihop,       ///< REQ to `peer` via `via`
@@ -127,8 +125,8 @@ struct LegacyLine {
 /// Appends the single-line JSON rendering of `r` (no trailing newline).
 void append_record_json(const TraceRecord& r, std::string& out);
 
-/// The typed trace hub.  At most one telemetry sink, one legacy sink and
-/// one optional ring buffer; enabled() is true when any consumer exists.
+/// The typed trace hub.  At most one sink and one optional ring buffer;
+/// enabled() is true when either exists.
 class EventTrace {
  public:
   using Sink = std::function<void(const TraceRecord&)>;
@@ -136,12 +134,6 @@ class EventTrace {
   /// Installs (or clears, with nullptr) the telemetry sink.
   void set_sink(Sink sink) {
     sink_ = std::move(sink);
-    refresh_enabled();
-  }
-
-  /// Installs (or clears) the legacy-adapter sink (see sim::Trace).
-  void set_legacy_sink(Sink sink) {
-    legacy_sink_ = std::move(sink);
     refresh_enabled();
   }
 
@@ -160,7 +152,7 @@ class EventTrace {
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Records `r`: appends to the ring (evicting the oldest when full) and
-  /// forwards to both sinks.  No-op when nothing is installed.
+  /// forwards to the sink.  No-op when nothing is installed.
   void emit(const TraceRecord& r) {
     if (!enabled_) return;
     ++emitted_;
@@ -174,7 +166,6 @@ class EventTrace {
       }
     }
     if (sink_) sink_(r);
-    if (legacy_sink_) legacy_sink_(r);
   }
 
   /// Records currently retained, oldest first.
@@ -187,11 +178,10 @@ class EventTrace {
 
  private:
   void refresh_enabled() {
-    enabled_ = static_cast<bool>(sink_) || static_cast<bool>(legacy_sink_) || ring_capacity_ > 0;
+    enabled_ = static_cast<bool>(sink_) || ring_capacity_ > 0;
   }
 
   Sink sink_;
-  Sink legacy_sink_;
   std::vector<TraceRecord> ring_;
   std::size_t ring_capacity_ = 0;
   std::size_t ring_head_ = 0;

@@ -4,19 +4,7 @@
 #include <cassert>
 #include <utility>
 
-#include "sim/random.hpp"
-
 namespace spms::sim {
-
-namespace detail {
-// Worker index of the current thread during parallel group execution; -1
-// everywhere else.  One scheduler runs a parallel phase at a time per
-// process (Simulation::run is not reentrant), so a plain thread_local int is
-// enough to route model code to its per-worker scratch.
-thread_local int t_worker = -1;
-}  // namespace detail
-
-int current_worker() { return detail::t_worker; }
 
 std::uint32_t Scheduler::acquire_slot() {
   if (free_head_ != kNoSlot) {
@@ -88,45 +76,25 @@ void Scheduler::remove_heap_at(std::uint32_t pos) {
   }
 }
 
-void Scheduler::push_heap_entry(TimePoint at, std::uint64_t seq, std::uint32_t s) {
-  heap_.push_back(HeapEntry{at, seq, s});
-  slots_[s].heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
-  sift_up(slots_[s].heap_pos);
-}
-
-EventHandle Scheduler::schedule_at(TimePoint at, EventFn fn, const Footprint& fp) {
+EventHandle Scheduler::schedule_at(TimePoint at, EventFn fn) {
   assert(fn);
   if (at < now_) at = now_;
-  if (deferred_) return schedule_deferred(at, Duration::zero(), 0, std::move(fn), fp);
   const std::uint32_t s = acquire_slot();
   Slot& slot = slots_[s];
   slot.fn = std::move(fn);
-  slot.fp = fp;
-  slot.fp_epoch = spatial_epoch_;
-  push_heap_entry(at, next_seq_++, s);
+  heap_.push_back(HeapEntry{at, next_seq_++, s});
+  slot.heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
+  sift_up(slot.heap_pos);
   return EventHandle{(static_cast<std::uint64_t>(slot.gen) << 32) | (s + 1)};
 }
 
-EventHandle Scheduler::schedule_after(Duration d, EventFn fn, const Footprint& fp) {
+EventHandle Scheduler::schedule_after(Duration d, EventFn fn) {
   if (d < Duration::zero()) d = Duration::zero();
-  return schedule_at(now_ + d, std::move(fn), fp);
-}
-
-EventHandle Scheduler::schedule_backoff(TimePoint base, Duration extra, Duration unit,
-                                        int slots, Rng& rng, EventFn fn, const Footprint& fp) {
-  TimePoint at = base + extra;
-  if (at < now_) at = now_;
-  if (deferred_) return schedule_deferred(at, unit, slots, std::move(fn), fp);
-  if (slots > 1) at = at + unit * rng.uniform_int(0, slots - 1);
-  return schedule_at(at, std::move(fn), fp);
+  return schedule_at(now_ + d, std::move(fn));
 }
 
 void Scheduler::cancel(EventHandle h) {
   if (!h.valid()) return;
-  if (deferred_) {
-    cancel_deferred(h);
-    return;
-  }
   const std::uint32_t s = static_cast<std::uint32_t>(h.id & 0xffffffffu) - 1;
   if (s >= slots_.size()) return;
   Slot& slot = slots_[s];
@@ -134,32 +102,10 @@ void Scheduler::cancel(EventHandle h) {
   // recycled for a newer event): strictly a no-op.
   if (slot.gen != static_cast<std::uint32_t>(h.id >> 32)) return;
   const std::uint32_t pos = slot.heap_pos;
-  if ((pos & kPosTagMask) == kPosBatch) {
-    // Target sits in the popped batch being executed directly and has not
-    // fired yet (its seq is later than the cancelling event's).  Marking it
-    // dead replicates the sequential "cancel removes it before it runs".
-    batch_[pos & ~kPosTagMask].dead = 1;
-    slot.fn.reset();
-    release_slot(s);
-    ++cancelled_;
-    return;
-  }
   slot.fn.reset();
   release_slot(s);
   remove_heap_at(pos);
   ++cancelled_;
-}
-
-void Scheduler::run_serial(EventFn fn) {
-  if (!deferred_) {
-    fn();
-    return;
-  }
-  WorkerJournal& j = journals_[static_cast<std::uint32_t>(detail::t_worker)];
-  DeferredOp op;
-  op.kind = DeferredOp::Kind::kSerial;
-  op.fn = std::move(fn);
-  j.ops.push_back(std::move(op));
 }
 
 bool Scheduler::run_one() {

@@ -2,11 +2,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <vector>
 
 #include "sim/callback.hpp"
-#include "sim/footprint.hpp"
 #include "sim/time.hpp"
 
 /// \file scheduler.hpp
@@ -36,31 +34,12 @@
 ///  * pending() == heap_.size() — O(1), no side tables: cancellation is
 ///    true removal, so there are no dead entries to discount (the seed's
 ///    lazy-cancel live_/cancelled_ hash sets are gone).
-///
-/// Parallel dispatch (run_parallel, implemented in parallel.cpp): the full
-/// batch of events sharing the earliest timestamp is popped at once,
-/// partitioned into spatially-independent groups by footprint (see
-/// footprint.hpp), the groups execute concurrently on a WorkerPool, and all
-/// side effects that feed the deterministic order — new schedules (their seq
-/// numbers and backoff draws), cancellations of queued events, serial
-/// closures — are journaled per worker and committed in canonical batch
-/// order afterwards.  The committed sequence of seq assignments, RNG draws
-/// and serial calls is exactly the one the sequential loop produces, so runs
-/// are byte-identical at any thread count.
 
 namespace spms::sim {
-
-class Rng;
-class WorkerPool;
 
 /// Callback invoked when an event fires (small-buffer-optimized; see
 /// callback.hpp — typical closures schedule without allocating).
 using EventFn = InlineFn;
-
-/// Index of the parallel-dispatch worker executing on this thread, or -1
-/// outside parallel group execution (sequential mode, commit phase, and all
-/// non-worker threads).  Model code uses this to select per-worker scratch.
-[[nodiscard]] int current_worker();
 
 /// Opaque handle to a scheduled event; used only for cancellation.
 /// A default-constructed handle is invalid and safe to cancel (a no-op).
@@ -86,43 +65,15 @@ class Scheduler {
 
   /// Schedules `fn` at absolute time `at`.  Scheduling in the past is a
   /// programming error and is clamped to `now()` (the event still runs).
-  /// The footprint overloads declare the event's conflict region for
-  /// parallel dispatch; the plain overloads tag kGlobal (always safe).
-  EventHandle schedule_at(TimePoint at, EventFn fn) {
-    return schedule_at(at, std::move(fn), Footprint::global());
-  }
-  EventHandle schedule_at(TimePoint at, EventFn fn, const Footprint& fp);
+  EventHandle schedule_at(TimePoint at, EventFn fn);
 
   /// Schedules `fn` after delay `d` from now.  Negative delays clamp to 0.
-  EventHandle schedule_after(Duration d, EventFn fn) {
-    return schedule_after(d, std::move(fn), Footprint::global());
-  }
-  EventHandle schedule_after(Duration d, EventFn fn, const Footprint& fp);
-
-  /// Schedules `fn` at `base + extra + unit * U[0, slots-1]`, drawing the
-  /// uniform backoff slot from `rng`.  `slots <= 1` draws nothing (the event
-  /// fires at base + extra).  In sequential mode the draw happens here, in
-  /// the caller's program order; during parallel group execution the draw is
-  /// journaled and resolved at commit time in canonical batch order — which
-  /// is exactly the order the sequential loop would have drawn in, because
-  /// backoff values only parametrize a future firing time and are never
-  /// needed before the batch completes.
-  EventHandle schedule_backoff(TimePoint base, Duration extra, Duration unit, int slots,
-                               Rng& rng, EventFn fn, const Footprint& fp);
+  EventHandle schedule_after(Duration d, EventFn fn);
 
   /// Cancels a pending event: O(log n) true removal from the heap.
   /// Cancelling an already-fired, already-cancelled, or invalid handle is a
   /// harmless no-op (the generation check rejects stale handles).
   void cancel(EventHandle h);
-
-  /// Journals `fn` for execution in the canonical commit phase when called
-  /// during parallel group execution; calls it immediately otherwise.
-  /// Order-sensitive observers (collector records, fault bookkeeping) route
-  /// through this so their call sequence matches the sequential run.
-  void run_serial(EventFn fn);
-
-  /// True while parallel group execution is in flight on some worker.
-  [[nodiscard]] bool in_parallel_phase() const { return deferred_; }
 
   /// Runs the next pending event.  Returns false if the queue is empty.
   bool run_one();
@@ -136,13 +87,6 @@ class Scheduler {
   /// stops the loop (callers treat this as a failed run).
   std::size_t run(std::size_t max_events = kDefaultMaxEvents);
 
-  /// Parallel dispatch loop (parallel.cpp): same contract and results as
-  /// run(), executing conflict-free same-time batches on `pool`.  `rng` is
-  /// the root generator backoff draws resolve against at commit.  The caller
-  /// guarantees no dispatch hook is set and the typed trace is disabled
-  /// (Simulation::run enforces both and falls back to run() otherwise).
-  std::size_t run_parallel(std::size_t max_events, WorkerPool& pool, Rng& rng);
-
   /// Number of pending events — O(1) off the heap size.
   [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
@@ -151,24 +95,6 @@ class Scheduler {
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
   [[nodiscard]] std::uint64_t events_cancelled() const { return cancelled_; }
 
-  /// Parallel-dispatch observability: batches popped, batches that actually
-  /// ran multi-group on the pool, events inside those batches, and groups
-  /// dispatched.  All zero in sequential runs.
-  struct ParallelStats {
-    std::uint64_t batches = 0;           ///< same-time batches popped (size >= 1)
-    std::uint64_t parallel_batches = 0;  ///< batches executed on the pool
-    std::uint64_t parallel_events = 0;   ///< events inside pool batches
-    std::uint64_t parallel_groups = 0;   ///< independent groups dispatched
-  };
-  [[nodiscard]] const ParallelStats& parallel_stats() const { return pstats_; }
-
-  /// Invalidates every spatial footprint tagged so far (and, transitively,
-  /// the soundness of grouping decisions derived from stale positions).
-  /// Network::set_position calls this on every mobility teleport: events
-  /// tagged before the move are treated as global until they fire, and
-  /// events tagged afterwards see the new positions.
-  void invalidate_spatial_footprints() { ++spatial_epoch_; }
-
   /// Observation hook called after each executed event, at the event's
   /// firing time.  Strictly read-only with respect to the event stream: the
   /// hook must not schedule, cancel, or draw randomness (the telemetry
@@ -176,7 +102,6 @@ class Scheduler {
   /// is a single branch per event.
   using DispatchHook = std::function<void(TimePoint)>;
   void set_dispatch_hook(DispatchHook hook) { dispatch_hook_ = std::move(hook); }
-  [[nodiscard]] bool has_dispatch_hook() const { return static_cast<bool>(dispatch_hook_); }
 
   /// True if the guard in run() ever tripped (sticky across run() calls: a
   /// poisoned run stays poisoned even if a later drain succeeds).
@@ -184,26 +109,8 @@ class Scheduler {
 
   static constexpr std::size_t kDefaultMaxEvents = 500'000'000;
 
-  /// Worker-count ceiling for parallel dispatch (the journal locator packs
-  /// the worker index into 6 bits; see kPosJournal).
-  static constexpr std::size_t kMaxWorkers = 64;
-
  private:
-  friend class SchedulerBatchTestPeer;  // white-box batch-equivalence tests
-
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
-  // heap_pos tag bits.  An untagged value (< 2^30) is a real heap position
-  // or, for free slots, the next-free link.  While a slot's event sits in a
-  // popped batch its heap_pos becomes kPosBatch | batch-index; while its
-  // schedule is journaled (deferred, not yet committed) it becomes
-  // kPosJournal | worker << 24 | op-index, so cancel() can find and kill the
-  // pending op in O(1).
-  static constexpr std::uint32_t kPosTagMask = 0xc0000000u;
-  static constexpr std::uint32_t kPosBatch = 0x80000000u;
-  static constexpr std::uint32_t kPosJournal = 0x40000000u;
-  static constexpr std::uint32_t kJournalWorkerShift = 24;
-  static constexpr std::uint32_t kJournalOpMask = (1u << kJournalWorkerShift) - 1;
 
   /// One heap entry: the ordering key plus the index of its slot.  Sift
   /// operations move these 24-byte PODs; the callback never moves.
@@ -219,44 +126,6 @@ class Scheduler {
     EventFn fn;
     std::uint32_t gen = 1;
     std::uint32_t heap_pos = 0;
-    Footprint fp;
-    std::uint32_t fp_epoch = 0;  ///< spatial_epoch_ at tagging time
-  };
-
-  /// One member of a popped same-time batch.  `fn` stays in the slot until
-  /// execution; ops_{worker,begin,end} locate the member's journaled side
-  /// effects for the commit walk.
-  struct BatchItem {
-    std::uint32_t slot = 0;
-    std::uint64_t seq = 0;
-    Footprint fp;  ///< kGlobal here also encodes a stale spatial epoch
-    std::uint32_t ops_worker = 0;
-    std::uint32_t ops_begin = 0;
-    std::uint32_t ops_end = 0;
-    std::uint8_t dead = 0;      ///< cancelled by an earlier same-batch event
-    std::uint8_t executed = 0;
-  };
-
-  /// A journaled side effect of a parallel-executing event, committed in
-  /// canonical order.  kSchedule ops pre-acquired their slot (so the handle
-  /// could be returned immediately) but consume their seq number — and any
-  /// backoff draw — only at commit, in exactly the sequential order.
-  struct DeferredOp {
-    enum class Kind : std::uint8_t { kSchedule, kCancel, kSerial };
-    Kind kind = Kind::kSchedule;
-    std::uint8_t dead = 0;        ///< schedule cancelled before commit: burn seq + draw
-    std::int32_t draw_slots = 0;  ///< > 1: uniform backoff draw at commit
-    TimePoint at;                 ///< schedule: base firing time (clamped)
-    Duration unit;                ///< backoff slot width
-    std::uint32_t slot = 0;       ///< schedule: pre-acquired slot index
-    EventHandle target;           ///< cancel
-    EventFn fn;                   ///< schedule / serial payload
-    Footprint fp;
-    std::uint32_t fp_epoch = 0;
-  };
-
-  struct WorkerJournal {
-    std::vector<DeferredOp> ops;
   };
 
   [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) {
@@ -275,27 +144,6 @@ class Scheduler {
   /// Removes the entry at heap position `pos` (swap-with-last + re-sift).
   void remove_heap_at(std::uint32_t pos);
 
-  /// Inserts an already-slotted event into the heap (shared by the direct
-  /// schedule path and the commit walk).
-  void push_heap_entry(TimePoint at, std::uint64_t seq, std::uint32_t s);
-
-  // --- parallel dispatch internals (parallel.cpp) ---------------------------
-  EventHandle schedule_deferred(TimePoint at, Duration unit, int slots, EventFn fn,
-                                const Footprint& fp);
-  void cancel_deferred(EventHandle h);
-  /// Pops every event sharing the earliest timestamp (at most `max_n`) into
-  /// batch_, advancing now() to that timestamp.
-  void pop_batch(std::size_t max_n);
-  /// Executes the popped batch sequentially, side effects applied inline
-  /// (the degenerate path: byte-identical to repeated run_one()).
-  std::size_t run_batch_direct();
-  /// Partitions batch_ into independent groups by footprint; returns the
-  /// group count.  group_of_/groups_ reused across batches.
-  std::size_t build_groups();
-  /// Executes the grouped batch on the pool, then commits journals.
-  std::size_t run_batch_parallel(WorkerPool& pool, Rng& rng);
-  void commit_batch(Rng& rng);
-
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
@@ -305,20 +153,6 @@ class Scheduler {
   std::uint64_t cancelled_ = 0;
   DispatchHook dispatch_hook_;
   bool limit_hit_ = false;
-
-  // --- parallel dispatch state ----------------------------------------------
-  bool deferred_ = false;  ///< workers journal side effects while true
-  std::uint32_t spatial_epoch_ = 0;
-  std::mutex slots_mutex_;  ///< guards slots_/free list during the parallel phase
-  std::vector<BatchItem> batch_;
-  std::vector<WorkerJournal> journals_;
-  ParallelStats pstats_;
-  // Grouping scratch (union-find over batch indices + cell buckets).
-  std::vector<std::uint32_t> uf_parent_;
-  std::vector<std::uint32_t> group_of_;
-  std::vector<std::vector<std::uint32_t>> groups_;
-  std::size_t n_groups_ = 0;  ///< groups_[0..n_groups_) valid for this batch
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> cell_entries_;
 };
 
 }  // namespace spms::sim

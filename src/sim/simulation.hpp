@@ -1,16 +1,12 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <utility>
 
 #include "obs/event_trace.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
-#include "sim/worker_pool.hpp"
 
 /// \file simulation.hpp
 /// The simulation context: clock + event queue + seeded randomness + trace.
@@ -33,8 +29,6 @@ class Simulation {
   [[nodiscard]] Scheduler& scheduler() { return sched_; }
   [[nodiscard]] const Scheduler& scheduler() const { return sched_; }
   [[nodiscard]] Rng& rng() { return rng_; }
-  [[nodiscard]] Trace& trace() { return trace_; }
-  [[nodiscard]] const Trace& trace() const { return trace_; }
   /// The typed event trace; emit sites guard on events().enabled().
   [[nodiscard]] obs::EventTrace& events() { return events_; }
   [[nodiscard]] const obs::EventTrace& events() const { return events_; }
@@ -42,71 +36,25 @@ class Simulation {
   /// Current simulated time.
   [[nodiscard]] TimePoint now() const { return sched_.now(); }
 
-  /// Schedules `fn` at absolute time `t`.  The footprint overloads declare
-  /// the event's conflict region for parallel dispatch (footprint.hpp); the
-  /// plain overloads tag kGlobal, which is always safe.
+  /// Schedules `fn` at absolute time `t`.
   EventHandle at(TimePoint t, EventFn fn) { return sched_.schedule_at(t, std::move(fn)); }
-  EventHandle at(TimePoint t, EventFn fn, const Footprint& fp) {
-    return sched_.schedule_at(t, std::move(fn), fp);
-  }
 
   /// Schedules `fn` after `d` from now.
   EventHandle after(Duration d, EventFn fn) { return sched_.schedule_after(d, std::move(fn)); }
-  EventHandle after(Duration d, EventFn fn, const Footprint& fp) {
-    return sched_.schedule_after(d, std::move(fn), fp);
-  }
-
-  /// Schedules `fn` at `base + extra + unit * U[0, slots-1]` with the slot
-  /// drawn from the root RNG — in program order when sequential, in
-  /// canonical commit order during parallel batches (see scheduler.hpp).
-  EventHandle at_backoff(TimePoint base, Duration extra, Duration unit, int slots, EventFn fn,
-                         const Footprint& fp) {
-    return sched_.schedule_backoff(base, extra, unit, slots, rng_, std::move(fn), fp);
-  }
 
   /// Cancels a pending event (no-op on invalid/fired handles).
   void cancel(EventHandle h) { sched_.cancel(h); }
 
-  /// Runs `fn` now (sequential mode) or in the canonical commit phase of
-  /// the current batch (parallel group execution).  Order-sensitive
-  /// observers — collector records, fault bookkeeping — route through this.
-  void defer_serial(EventFn fn) { sched_.run_serial(std::move(fn)); }
+  /// Runs to quiescence; returns number of events executed.
+  std::size_t run(std::size_t max_events = Scheduler::kDefaultMaxEvents) { return sched_.run(max_events); }
 
-  /// True while parallel group execution is in flight; observer wiring uses
-  /// this to decide between a direct call and defer_serial.
-  [[nodiscard]] bool in_parallel_phase() const { return sched_.in_parallel_phase(); }
-
-  /// Worker threads for the dispatch loop.  Purely an execution detail —
-  /// results are byte-identical at any setting — so it lives outside
-  /// ExperimentConfig and the store's config key, like --jobs.  0 and 1 both
-  /// mean sequential; values clamp to Scheduler::kMaxWorkers.
-  void set_threads(std::size_t threads) {
-    threads_ = std::min(threads, Scheduler::kMaxWorkers);
-  }
-  [[nodiscard]] std::size_t threads() const { return threads_; }
-
-  /// Runs to quiescence; returns number of events executed.  Dispatches to
-  /// the parallel loop when threads() > 1 and nothing requires per-event
-  /// sequential observation (typed trace, dispatch hook) — both paths
-  /// produce byte-identical results; the sequential one is the baseline.
-  std::size_t run(std::size_t max_events = Scheduler::kDefaultMaxEvents) {
-    if (threads_ <= 1 || events_.enabled() || sched_.has_dispatch_hook()) {
-      return sched_.run(max_events);
-    }
-    if (!pool_ || pool_->size() != threads_) pool_ = std::make_unique<WorkerPool>(threads_);
-    return sched_.run_parallel(max_events, *pool_, rng_);
-  }
-
-  /// Runs all events up to and including time `until` (always sequential).
+  /// Runs all events up to and including time `until`.
   std::size_t run_until(TimePoint until) { return sched_.run_until(until); }
 
  private:
   Scheduler sched_;
   Rng rng_;
   obs::EventTrace events_;
-  Trace trace_{events_};  ///< legacy string adapter over events_
-  std::size_t threads_ = 1;
-  std::unique_ptr<WorkerPool> pool_;
 };
 
 }  // namespace spms::sim

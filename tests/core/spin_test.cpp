@@ -7,6 +7,7 @@
 
 #include "core/collector.hpp"
 #include "net/topology.hpp"
+#include "obs/event_trace.hpp"
 #include "sim/simulation.hpp"
 
 namespace spms::core {
@@ -29,7 +30,9 @@ struct Rig {
       collector.record_delivery(node, item, at);
       delivered.push_back(node);
     });
-    sim.trace().set_sink([this](const sim::TraceEvent& e) { trace.push_back(e); });
+    sim.events().set_sink([this](const obs::TraceRecord& r) {
+      if (auto line = obs::format_legacy(r)) trace.push_back(*line);
+    });
   }
 
   net::DataId publish(net::NodeId source) {
@@ -53,7 +56,7 @@ struct Rig {
   SpinProtocol proto;
   Collector collector;
   std::vector<net::NodeId> delivered;
-  std::vector<sim::TraceEvent> trace;
+  std::vector<obs::LegacyLine> trace;
 };
 
 constexpr net::NodeId kA{0}, kB{1}, kC{2};

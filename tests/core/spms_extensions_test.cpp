@@ -6,6 +6,7 @@
 #include "core/collector.hpp"
 #include "core/spms.hpp"
 #include "net/topology.hpp"
+#include "obs/event_trace.hpp"
 #include "sim/simulation.hpp"
 
 /// Tests for the paper's flagged extensions (Sections 3.4 and 6): multiple
@@ -32,9 +33,11 @@ struct Rig {
       collector.record_delivery(node, item, at);
       delivered.push_back(node);
     });
-    sim.trace().set_sink([this](const sim::TraceEvent& e) {
-      trace.push_back(e);
-      if (on_trace) on_trace(e);
+    sim.events().set_sink([this](const obs::TraceRecord& r) {
+      if (auto line = obs::format_legacy(r)) {
+        trace.push_back(*line);
+        if (on_trace) on_trace(*line);
+      }
     });
   }
 
@@ -64,8 +67,8 @@ struct Rig {
   SpmsProtocol proto;
   Collector collector;
   std::vector<net::NodeId> delivered;
-  std::vector<sim::TraceEvent> trace;
-  std::function<void(const sim::TraceEvent&)> on_trace;
+  std::vector<obs::LegacyLine> trace;
+  std::function<void(const obs::LegacyLine&)> on_trace;
 };
 
 // A -- r1 -- r2 -- r3 -- C in a line, 5 m pitch, one shared 21 m zone.
@@ -82,7 +85,7 @@ TEST(SpmsMultiScone, LadderWalksAllRememberedOriginators) {
   SpmsExtensions ext;
   ext.num_scones = 2;
   Rig rig(five_line(), 21.0, ext);
-  rig.on_trace = [&](const sim::TraceEvent& e) {
+  rig.on_trace = [&](const obs::LegacyLine& e) {
     // Crash each relay right after C's REQ to it goes out.
     if (e.message.rfind("req-direct n4 n0#0 to n3", 0) == 0 && rig.net.is_up(kR3)) {
       rig.sim.after(sim::Duration::ms(0.05), [&] { rig.net.set_up(kR3, false); });
@@ -106,7 +109,7 @@ TEST(SpmsMultiScone, SingleSconeFallsBackToSourceInstead) {
   SpmsExtensions ext;
   ext.num_scones = 1;
   Rig rig(five_line(), 21.0, ext);
-  rig.on_trace = [&](const sim::TraceEvent& e) {
+  rig.on_trace = [&](const obs::LegacyLine& e) {
     if (e.message.rfind("req-direct n4 n0#0 to n3", 0) == 0 && rig.net.is_up(kR3)) {
       rig.sim.after(sim::Duration::ms(0.05), [&] { rig.net.set_up(kR3, false); });
     }
@@ -169,8 +172,11 @@ TEST(SpmsRelayCaching, UninterestedRelayCachesOnlyWithExtension) {
     ext.relay_caching = caching;
     SpmsProtocol proto(sim, net, routing, interest, ProtocolParams{}, ext);
     std::size_t relay_advs = 0;
-    sim.trace().set_sink([&](const sim::TraceEvent& e) {
-      if (e.category == "spms" && e.message.rfind("adv n1", 0) == 0) ++relay_advs;
+    sim.events().set_sink([&](const obs::TraceRecord& r) {
+      const auto line = obs::format_legacy(r);
+      if (line && line->category == "spms" && line->message.rfind("adv n1", 0) == 0) {
+        ++relay_advs;
+      }
     });
     proto.publish(net::NodeId{0}, {net::NodeId{0}, 0});
     sim.run();
@@ -221,9 +227,11 @@ struct CrossZoneRig {
     proto.set_delivery_callback([this](net::NodeId node, net::DataId item, sim::TimePoint at) {
       collector.record_delivery(node, item, at);
     });
-    sim.trace().set_sink([this](const sim::TraceEvent& e) {
-      trace.push_back(e);
-      if (on_trace) on_trace(e);
+    sim.events().set_sink([this](const obs::TraceRecord& r) {
+      if (auto line = obs::format_legacy(r)) {
+        trace.push_back(*line);
+        if (on_trace) on_trace(*line);
+      }
     });
   }
   static std::vector<net::Point> line9() {
@@ -249,8 +257,8 @@ struct CrossZoneRig {
   FarEndOnly interest;
   SpmsProtocol proto;
   Collector collector;
-  std::vector<sim::TraceEvent> trace;
-  std::function<void(const sim::TraceEvent&)> on_trace;
+  std::vector<obs::LegacyLine> trace;
+  std::function<void(const obs::LegacyLine&)> on_trace;
 };
 
 TEST(SpmsCrossZone, PublishedProtocolCannotReachSeparateZones) {
@@ -292,7 +300,7 @@ TEST(SpmsCrossZone, SurvivesTransientRelayFailureOnTheRequestPath) {
   // moment the far node's first REQ goes out; it recovers 30 ms later and
   // the requester's bounded re-send along the same trail completes the pull.
   bool crashed = false;
-  rig.on_trace = [&](const sim::TraceEvent& e) {
+  rig.on_trace = [&](const obs::LegacyLine& e) {
     if (!crashed && e.message.rfind("req-crosszone n8", 0) == 0) {
       crashed = true;
       rig.net.set_up(net::NodeId{4}, false);

@@ -9,6 +9,7 @@
 
 #include "core/collector.hpp"
 #include "net/topology.hpp"
+#include "obs/event_trace.hpp"
 #include "sim/simulation.hpp"
 
 /// SPMS protocol-conformance tests.  The scenarios mirror the paper's worked
@@ -56,9 +57,11 @@ struct Rig {
       collector.record_delivery(node, item, at);
       delivered.emplace_back(node, item);
     });
-    sim.trace().set_sink([this](const sim::TraceEvent& e) {
-      trace.push_back(e);
-      if (on_trace) on_trace(e);
+    sim.events().set_sink([this](const obs::TraceRecord& r) {
+      if (auto line = obs::format_legacy(r)) {
+        trace.push_back(*line);
+        if (on_trace) on_trace(*line);
+      }
     });
   }
 
@@ -96,8 +99,8 @@ struct Rig {
   SpmsProtocol proto;
   Collector collector;
   std::vector<std::pair<net::NodeId, net::DataId>> delivered;
-  std::vector<sim::TraceEvent> trace;
-  std::function<void(const sim::TraceEvent&)> on_trace;
+  std::vector<obs::LegacyLine> trace;
+  std::function<void(const obs::LegacyLine&)> on_trace;
 };
 
 constexpr net::NodeId kA{0}, kB{1}, kC{2};
@@ -180,7 +183,7 @@ TEST(SpmsPaperExamples, FailureCase2_RelayDiesAfterAdvertising) {
   Rig rig(ar1r2c_line(), 16.0, std::make_unique<AllToAllInterest>(4));
   // Crash r2 the moment C's direct REQ to it is in flight: r2's ADV is out,
   // but the REQ will land on a dead node.
-  rig.on_trace = [&](const sim::TraceEvent& e) {
+  rig.on_trace = [&](const obs::LegacyLine& e) {
     if (e.category == "spms" && e.message.rfind("req-direct n3 n0#0 to n2", 0) == 0 &&
         rig.net.is_up(kR2)) {
       rig.sim.after(sim::Duration::ms(0.05), [&] { rig.net.set_up(kR2, false); });
@@ -203,7 +206,7 @@ TEST(SpmsClaims, SourceFailureAfterFirstDeliveryStillDisseminates) {
   // Claim 1: "Failure of the source node after its data has been received by
   // any of its zone neighbor nodes" is tolerated.
   Rig rig(abc_line(), 12.0, std::make_unique<AllToAllInterest>(3));
-  rig.on_trace = [&](const sim::TraceEvent& e) {
+  rig.on_trace = [&](const obs::LegacyLine& e) {
     if (e.category == "spms" && e.message.rfind("data n1", 0) == 0 && rig.net.is_up(kA)) {
       rig.sim.after(sim::Duration::ms(0.01), [&] { rig.net.set_up(kA, false); });
     }
@@ -220,7 +223,7 @@ TEST(SpmsClaims, IntermediateFailureDuringRelayingIsTolerated) {
   // Kill r2 while it is relaying C's multi-hop REQ.
   Rig rig(ar1r2c_line(), 16.0,
           std::make_unique<FixedInterest>(std::vector<net::NodeId>{kC4}));
-  rig.on_trace = [&](const sim::TraceEvent& e) {
+  rig.on_trace = [&](const obs::LegacyLine& e) {
     if (e.category == "spms" && e.message.rfind("relay-req n2", 0) == 0 && rig.net.is_up(kR2)) {
       rig.net.set_up(kR2, false);  // queue (with the forwarded REQ) is wiped
     }

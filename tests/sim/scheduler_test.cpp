@@ -213,22 +213,5 @@ TEST(SimulationTest, FacadeWiresSchedulerAndRng) {
   EXPECT_EQ(sim.rng().next(), sim2.rng().next());
 }
 
-TEST(SimulationTest, TraceSinkReceivesEvents) {
-  Simulation sim{1};
-  std::vector<TraceEvent> got;
-  sim.trace().set_sink([&](const TraceEvent& e) { got.push_back(e); });
-  EXPECT_TRUE(sim.trace().enabled());
-  sim.trace().emit(sim.now(), "test", "hello");
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].category, "test");
-  EXPECT_EQ(got[0].message, "hello");
-}
-
-TEST(SimulationTest, TraceDisabledByDefault) {
-  Simulation sim{1};
-  EXPECT_FALSE(sim.trace().enabled());
-  sim.trace().emit(sim.now(), "x", "y");  // must not crash
-}
-
 }  // namespace
 }  // namespace spms::sim
