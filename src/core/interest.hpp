@@ -72,10 +72,16 @@ class SinkInterest final : public Interest {
 /// Cluster-based hierarchical interest: the head of the origin's cluster
 /// always wants the item; other nodes inside the origin's zone want it with
 /// probability `p_other` (hash-derived, deterministic).
+///
+/// Heads, head assignment and expected_count() search the network's spatial
+/// grid instead of scanning the field: the grid supplies candidates, and the
+/// same exact distance tests and tie-breaks as a full scan decide.
 class ClusterInterest final : public Interest {
  public:
-  /// Chooses cluster heads on a grid of `head_spacing_m` cells (the node
-  /// nearest each cell centre) and assigns every node to its nearest head.
+  /// Chooses cluster heads on a grid of `head_spacing_m` (> 0) cells: the
+  /// node nearest each cell centre, lowest id on a tie, centres in raster
+  /// order (rows outer).  Every node joins its nearest head, the head chosen
+  /// first on a tie.
   ClusterInterest(const net::Network& net, double head_spacing_m, double p_other,
                   std::uint64_t seed);
 
@@ -93,7 +99,6 @@ class ClusterInterest final : public Interest {
   std::uint64_t seed_;
   std::vector<net::NodeId> heads_;
   std::vector<net::NodeId> head_of_;  ///< per node: its cluster head
-  std::vector<bool> is_head_;
 };
 
 }  // namespace spms::core

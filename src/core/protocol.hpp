@@ -1,6 +1,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <cmath>
 #include <functional>
 #include <string_view>
@@ -56,13 +58,33 @@ struct ProtocolParams {
   int timer_defer_limit = 4000;
 };
 
+namespace detail {
+/// min(2^(d/8), 256) for d = 0..63, computed once by the same std::pow call
+/// the formula makes at run time (the volatile exponent keeps the compiler
+/// from folding it into a differently rounded constant).
+inline const std::array<double, 64> kDeferGrowth = [] {
+  std::array<double, 64> growth{};
+  for (std::size_t d = 0; d < growth.size(); ++d) {
+    volatile double exponent = static_cast<double>(d) / 8.0;
+    growth[d] = std::min(std::pow(2.0, exponent), 256.0);
+  }
+  return growth;
+}();
+}  // namespace detail
+
+/// Growth factor of the quiet window after `deferrals` (>= 0) deferrals:
+/// min(2^(deferrals/8), 256), which reaches its cap at 64.
+[[nodiscard]] inline double defer_growth(int deferrals) {
+  assert(deferrals >= 0);
+  return deferrals < 64 ? detail::kDeferGrowth[static_cast<std::size_t>(deferrals)] : 256.0;
+}
+
 /// Quiet window for a gated timer's deferral number `deferrals` (see
 /// ProtocolParams::timer_defer_limit): grows geometrically — doubles every 8
 /// deferrals, capped at 256x `base` — so a requester stuck behind a long
 /// congested phase wakes O(log) times instead of polling every tout_dat.
 [[nodiscard]] inline sim::Duration defer_window(sim::Duration base, int deferrals) {
-  const double growth = std::min(std::pow(2.0, static_cast<double>(deferrals) / 8.0), 256.0);
-  return base * growth;
+  return base * defer_growth(deferrals);
 }
 
 /// Invoked exactly once per (interested node, item) when the data arrives.

@@ -137,9 +137,9 @@ BatchResult::BatchResult(std::vector<SweepJob> jobs, std::vector<RunResult> runs
   // Group the flat results by grid point, first-seen order (== grid order,
   // since expansion emits each point's jobs before the next point's; shard
   // slices preserve that order and may simply skip points entirely).
-  std::unordered_map<std::size_t, std::size_t> slot_of_point;
+  std::unordered_map<std::size_t, std::size_t> point_slot;
   for (const auto& job : jobs_) {
-    const auto [it, fresh] = slot_of_point.try_emplace(job.point, points_.size());
+    const auto [it, fresh] = point_slot.try_emplace(job.point, points_.size());
     if (fresh) {
       auto& p = points_.emplace_back();
       p.protocol = job.protocol;

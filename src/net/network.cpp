@@ -53,17 +53,15 @@ Network::Network(sim::Simulation& sim, RadioTable radio, MacParams mac, EnergyMo
   // The grid's cell edge is the zone radius: the dominant disc query (a
   // zone) then overlaps at most a 3x3 cell block.  Below kGridMinNodes the
   // linear scan over the contiguous position array is cheaper than the
-  // grid's cell-block hash lookups, so tiny deployments keep the
-  // brute-force path (the grid stays coherent either way — the cutover is
-  // query-side only and both paths produce identical results in identical
-  // order).
+  // grid's cell-block walk, so tiny deployments keep the brute-force path
+  // (the grid stays coherent either way — the cutover is query-side only and
+  // both paths produce identical results in identical order).
   use_grid_ = n >= kGridMinNodes;
-  grid_.reset(zone_radius_m, n);
+  grid_.reset(zone_radius_m, pos_);
   // Heterogeneous charges come from a dedicated sub-stream in ascending node
   // id, so the draw sequence is a pure function of (seed, capacity, h).
   auto init_rng = sim_.rng().fork(kBatteryInitStream);
   for (std::size_t i = 0; i < n; ++i) {
-    grid_.insert(static_cast<std::uint32_t>(i), pos_[i]);
     if (battery_.finite) {
       double charge = battery_.capacity_uj;
       if (battery_.heterogeneity > 0.0) {
@@ -82,7 +80,7 @@ void Network::neighbors_within(NodeId center, double radius_m, bool include_down
   const double r2 = radius_m * radius_m;
   if (!use_grid_) {
     // Tiny deployment: a linear pass over the contiguous position array
-    // beats the grid's hash lookups, and it yields ascending ids for free.
+    // beats the grid's cell walk, and it yields ascending ids for free.
     for (std::uint32_t v = 0; v < pos_.size(); ++v) {
       if (v == center.v) continue;
       if (!include_down && up_[v] == 0) continue;
@@ -90,7 +88,7 @@ void Network::neighbors_within(NodeId center, double radius_m, bool include_down
     }
     return;
   }
-  grid_.visit_disc(c, radius_m, [&](std::uint32_t v) {
+  grid_disc(c, radius_m, [&](std::uint32_t v) {
     if (v == center.v) return;
     if (!include_down && up_[v] == 0) return;
     // The exact inclusion test matches the historical brute-force scan
@@ -113,7 +111,7 @@ std::size_t Network::contention_count(NodeId center, double radius_m) const {
     }
     return count;
   }
-  grid_.visit_disc(c, radius_m, [&](std::uint32_t v) {
+  grid_disc(c, radius_m, [&](std::uint32_t v) {
     if (v == center.v || up_[v] == 0) return;
     if (distance_sq(pos_[v], c) <= r2) ++count;
   });
@@ -285,7 +283,7 @@ void Network::mac_begin_tx(std::uint32_t v) {
         }
       }
     } else {
-      grid_.visit_disc(sender_pos, f.coverage_m, [&](std::uint32_t o) {
+      grid_disc(sender_pos, f.coverage_m, [&](std::uint32_t o) {
         if (o == v) return;
         if (distance_sq(pos_[o], sender_pos) <= r2 && end > channel_busy_until_[o]) {
           channel_busy_until_[o] = end;

@@ -108,6 +108,15 @@ class Network {
   /// the contention count n of the MAC model.
   [[nodiscard]] std::size_t contention_count(NodeId center, double radius_m) const;
 
+  /// Calls `visit(id)` for a superset of the nodes, up or down, within
+  /// `radius_m` of `center`, in unspecified order; callers apply their own
+  /// exact test.  For indexes built beside the medium (the cluster
+  /// interest), so it does not count toward grid_queries().
+  template <typename Visit>
+  void visit_near(Point center, double radius_m, Visit&& visit) const {
+    grid_.visit_disc(center, radius_m, visit);
+  }
+
   /// Euclidean distance between two nodes, metres.
   [[nodiscard]] double distance_between(NodeId a, NodeId b) const {
     return distance(position(a), position(b));
@@ -203,9 +212,9 @@ class Network {
   [[nodiscard]] double node_energy_uj(NodeId id) const {
     return battery_state_.at(id.v).spent_uj();
   }
-  /// Cumulative spatial-grid disc queries (observability gauge; stays at 0
-  /// for deployments below the grid cutover).
-  [[nodiscard]] std::uint64_t grid_queries() const { return grid_.query_count(); }
+  /// Cumulative spatial-grid disc queries of the medium (observability
+  /// gauge; stays at 0 for deployments below the grid cutover).
+  [[nodiscard]] std::uint64_t grid_queries() const { return grid_queries_; }
   /// Deepest MAC queue across nodes right now (observability gauge).
   [[nodiscard]] std::size_t max_mac_queue_depth() const;
 
@@ -235,6 +244,12 @@ class Network {
   void mac_complete_tx(std::uint32_t v);
   /// A fresh random backoff duration.
   [[nodiscard]] sim::Duration draw_backoff();
+  /// A medium disc query on the grid, counted in grid_queries().
+  template <typename Visit>
+  void grid_disc(Point center, double radius_m, Visit&& visit) const {
+    ++grid_queries_;
+    grid_.visit_disc(center, radius_m, visit);
+  }
 
   void count_tx(const Packet& p);
 
@@ -305,10 +320,11 @@ class Network {
   /// filter liveness — and set_position keeps it coherent.
   SpatialGrid grid_;
   /// Query-side cutover: deployments below this size answer disc queries by
-  /// scanning the contiguous position array (cheaper than cell hashing,
+  /// scanning the contiguous position array (cheaper than the cell walk,
   /// same results in the same order).  The grid is maintained regardless.
   static constexpr std::size_t kGridMinNodes = 64;
   bool use_grid_ = true;
+  mutable std::uint64_t grid_queries_ = 0;  ///< medium disc queries on the grid
   /// Scratch hearer list reused by every deliver_frame call.  Safe because
   /// delivery is non-reentrant: nothing inside the hearer loop queries
   /// neighbors (agents only run later, on the t_proc event).

@@ -1,6 +1,5 @@
 #include "routing/bellman_ford.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -14,12 +13,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
-
-/// Above this node count the dense per-node destination index (n ids per
-/// node, so O(n^2) memory total) is skipped in favour of binary search over
-/// the sorted destination list.
-constexpr std::size_t kDenseIndexMaxNodes = 4096;
+/// Marks a destination the relaxing node does not hold in the slot index.
+constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
 
 /// Advertised distance-vector state of one node during the DBF run.
 ///
@@ -28,23 +23,17 @@ constexpr std::size_t kDenseIndexMaxNodes = 4096;
 /// instead of a hash map the vector is a sorted destination list with a
 /// parallel (cost, hops) array.  The destination list never changes across
 /// rounds, so only `val` is double-buffered and the per-round state copy is
-/// a flat memcpy that reuses capacity, instead of rebuilding node-count
-/// hash maps (which used to dominate the rebuild's allocation count).
-/// Entry order is sorted by id rather than hash order; every
-/// per-destination relaxation is independent, so results are unchanged.
+/// a flat memcpy that reuses capacity.
 struct NodeVec {
   std::vector<net::NodeId> dests;           ///< sorted; includes the node itself
-  std::vector<std::size_t> slot_of;         ///< dense: slot_of[dest.v] or kNoEntry
   std::vector<std::pair<double, int>> val;  ///< (cost, hops), parallel to dests
-
-  /// Index of `dest` or kNoEntry when the node does not advertise it.
-  [[nodiscard]] std::size_t find(net::NodeId dest) const {
-    if (!slot_of.empty()) return slot_of[dest.v];
-    const auto it = std::lower_bound(dests.begin(), dests.end(), dest);
-    if (it == dests.end() || *it != dest) return kNoEntry;
-    return static_cast<std::size_t>(it - dests.begin());
-  }
 };
+
+/// Strict order of candidate routes: cost, then hops, then first hop.
+bool route_less(const Route& a, const Route& b) {
+  return a.cost < b.cost ||
+         (a.cost == b.cost && (a.hops < b.hops || (a.hops == b.hops && a.next_hop < b.next_hop)));
+}
 
 }  // namespace
 
@@ -78,7 +67,7 @@ DbfStats RoutingService::rebuild() {
 
   // Initial vectors: self at cost 0; every zone neighbor via the direct link.
   // The zone list is sorted ascending, so splicing the node's own id into it
-  // keeps `dests` sorted for binary-search lookup.
+  // keeps `dests` sorted.
   std::vector<NodeVec> vec(n);
   for (std::size_t u = 0; u < n; ++u) {
     const net::NodeId uid{static_cast<std::uint32_t>(u)};
@@ -100,18 +89,20 @@ DbfStats RoutingService::rebuild() {
       nv.dests.push_back(uid);
       nv.val.emplace_back(0.0, 0);
     }
-    if (n <= kDenseIndexMaxNodes) {
-      nv.slot_of.assign(n, kNoEntry);
-      for (std::size_t i = 0; i < nv.dests.size(); ++i) nv.slot_of[nv.dests[i].v] = i;
-    }
   }
 
   DbfStats stats;
   const double energy_before = net_.energy().routing_uj();
 
+  // One n-entry index shared by every node: while node u relaxes,
+  // slot[dest.v] is dest's position in u's own vector (kNoSlot elsewhere).
+  // Each node scatters its neighbors' vectors through it, so a lookup is one
+  // array read and the build holds no per-node index.
+  std::vector<std::uint32_t> slot(n, kNoSlot);
+
   bool changed = true;
-  // Next-round values only: dests/slot_of never change, so the round copy is
-  // a capacity-reusing memcpy of the (cost, hops) arrays.
+  // Next-round values only: dests never change, so the round copy is a
+  // capacity-reusing memcpy of the (cost, hops) arrays.
   std::vector<std::vector<std::pair<double, int>>> next_val(n);
   while (changed && stats.rounds < params_.max_rounds) {
     ++stats.rounds;
@@ -134,35 +125,34 @@ DbfStats RoutingService::rebuild() {
       stats.messages += n;
     }
 
-    // Synchronous relaxation against the previous round's vectors.
+    // Synchronous relaxation against the previous round's vectors.  Each of
+    // u's entries keeps the lexicographic minimum of (cost, hops) over its
+    // own value and every neighbor's offer, which does not depend on the
+    // order the neighbors are visited in.  A node's route to itself stays
+    // (0, 0): its own id gets no slot.
     for (std::size_t u = 0; u < n; ++u) {
-      const net::NodeId uid{static_cast<std::uint32_t>(u)};
-      const auto& zone = zones_->zone(uid);
       const NodeVec& cu = vec[u];
-      next_val[u] = cu.val;
-      for (std::size_t di = 0; di < cu.dests.size(); ++di) {
-        const net::NodeId dest = cu.dests[di];
-        if (dest == uid) continue;
-        auto& entry = next_val[u][di];
-        double best = entry.first;
-        int best_hops = entry.second;
-        for (std::size_t j = 0; j < zone.size(); ++j) {
-          const net::NodeId v = zone[j];
-          const std::size_t vi = vec[v.v].find(dest);
-          if (vi == kNoEntry) continue;  // v does not advertise dest
-          const double cand = weight[u][j] + vec[v.v].val[vi].first;
-          const int cand_hops = vec[v.v].val[vi].second + 1;
-          // Tie-break on hop count then on neighbor id for determinism.
-          if (cand < best || (cand == best && cand_hops < best_hops)) {
-            best = cand;
-            best_hops = cand_hops;
+      auto& next = next_val[u];
+      next = cu.val;
+      for (std::size_t i = 0; i < cu.dests.size(); ++i) {
+        if (cu.dests[i].v != u) slot[cu.dests[i].v] = static_cast<std::uint32_t>(i);
+      }
+      const auto& zone = zones_->zone(net::NodeId{static_cast<std::uint32_t>(u)});
+      for (std::size_t j = 0; j < zone.size(); ++j) {
+        const NodeVec& cv = vec[zone[j].v];
+        for (std::size_t k = 0; k < cv.dests.size(); ++k) {
+          const std::uint32_t s = slot[cv.dests[k].v];
+          if (s == kNoSlot) continue;  // u does not hold that destination
+          const double cand = weight[u][j] + cv.val[k].first;
+          const int cand_hops = cv.val[k].second + 1;
+          auto& entry = next[s];
+          if (cand < entry.first || (cand == entry.first && cand_hops < entry.second)) {
+            entry = {cand, cand_hops};
+            changed = true;
           }
         }
-        if (best < entry.first || (best == entry.first && best_hops < entry.second)) {
-          entry = {best, best_hops};
-          changed = true;
-        }
       }
+      for (const net::NodeId dest : cu.dests) slot[dest.v] = kNoSlot;
     }
     for (std::size_t u = 0; u < n; ++u) std::swap(vec[u].val, next_val[u]);
   }
@@ -171,33 +161,33 @@ DbfStats RoutingService::rebuild() {
   // Final tables: best and second-best (distinct first hop) per destination,
   // derived from the converged neighbor vectors — exactly the "cost of going
   // to the destination through each of its neighbors" the paper stores.
+  // The same scatter fills them: each destination keeps the top two offers
+  // by route_less, and every neighbor offers at most once (distinct first
+  // hops), so the neighbor order does not matter either.
+  std::vector<RouteEntry> entries;
   for (std::size_t u = 0; u < n; ++u) {
-    const net::NodeId uid{static_cast<std::uint32_t>(u)};
-    const auto& zone = zones_->zone(uid);
-    tables_[u].reserve(zone.size());
-    for (const net::NodeId dest : zone) {
-      Route best, second;
-      for (std::size_t j = 0; j < zone.size(); ++j) {
-        const net::NodeId v = zone[j];
-        const std::size_t vi = vec[v.v].find(dest);
-        if (vi == static_cast<std::size_t>(-1)) continue;
-        Route cand{v, weight[u][j] + vec[v.v].val[vi].first, vec[v.v].val[vi].second + 1};
-        const bool better_than_best =
-            cand.cost < best.cost ||
-            (cand.cost == best.cost && (cand.hops < best.hops ||
-                                        (cand.hops == best.hops && cand.next_hop < best.next_hop)));
-        if (better_than_best) {
-          second = best;
-          best = cand;
-        } else {
-          const bool better_than_second =
-              cand.cost < second.cost ||
-              (cand.cost == second.cost && (cand.hops < second.hops ||
-                                            (cand.hops == second.hops && cand.next_hop < second.next_hop)));
-          if (better_than_second) second = cand;
+    const auto& zone = zones_->zone(net::NodeId{static_cast<std::uint32_t>(u)});
+    entries.assign(zone.size(), RouteEntry{});
+    for (std::size_t i = 0; i < zone.size(); ++i) slot[zone[i].v] = static_cast<std::uint32_t>(i);
+    for (std::size_t j = 0; j < zone.size(); ++j) {
+      const NodeVec& cv = vec[zone[j].v];
+      for (std::size_t k = 0; k < cv.dests.size(); ++k) {
+        const std::uint32_t s = slot[cv.dests[k].v];
+        if (s == kNoSlot) continue;
+        const Route cand{zone[j], weight[u][j] + cv.val[k].first, cv.val[k].second + 1};
+        RouteEntry& entry = entries[s];
+        if (route_less(cand, entry.best)) {
+          entry.second = entry.best;
+          entry.best = cand;
+        } else if (route_less(cand, entry.second)) {
+          entry.second = cand;
         }
       }
-      tables_[u].set(dest, RouteEntry{best, second});
+    }
+    tables_[u].reserve(zone.size());
+    for (std::size_t i = 0; i < zone.size(); ++i) {
+      slot[zone[i].v] = kNoSlot;
+      tables_[u].set(zone[i], entries[i]);
     }
   }
 

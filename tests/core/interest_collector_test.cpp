@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/collector.hpp"
 #include "core/interest.hpp"
 #include "net/topology.hpp"
@@ -94,6 +96,11 @@ TEST_F(ClusterInterestTest, ExpectedCountMatchesWants) {
     }
     EXPECT_EQ(interest.expected_count(item), count);
   }
+}
+
+TEST_F(ClusterInterestTest, RejectsNonPositiveHeadSpacing) {
+  EXPECT_THROW(ClusterInterest(net, 0.0, 0.05, 99), std::invalid_argument);
+  EXPECT_THROW(ClusterInterest(net, -5.0, 0.05, 99), std::invalid_argument);
 }
 
 TEST(CollectorTest, TracksPublishAndDelivery) {

@@ -28,13 +28,10 @@ namespace {
 TEST(SpatialGridTest, VisitDiscCoversAllMembers) {
   std::mt19937_64 gen(42);
   std::uniform_real_distribution<double> coord(-50.0, 150.0);
-  SpatialGrid grid;
-  grid.reset(/*cell_size_m=*/20.0, /*expected_nodes=*/200);
   std::vector<Point> pts;
-  for (std::uint32_t i = 0; i < 200; ++i) {
-    pts.push_back({coord(gen), coord(gen)});
-    grid.insert(i, pts.back());
-  }
+  for (std::uint32_t i = 0; i < 200; ++i) pts.push_back({coord(gen), coord(gen)});
+  SpatialGrid grid;
+  grid.reset(/*cell_size_m=*/20.0, pts);
   for (int q = 0; q < 50; ++q) {
     const Point c{coord(gen), coord(gen)};
     const double r = std::uniform_real_distribution<double>(0.0, 60.0)(gen);
@@ -49,11 +46,12 @@ TEST(SpatialGridTest, VisitDiscCoversAllMembers) {
 }
 
 TEST(SpatialGridTest, VisitDiscIsExactlyOncePerId) {
-  SpatialGrid grid;
-  grid.reset(10.0, 16);
+  std::vector<Point> pts;
   for (std::uint32_t i = 0; i < 16; ++i) {
-    grid.insert(i, {static_cast<double>(i % 4) * 5.0, static_cast<double>(i / 4) * 5.0});
+    pts.push_back({static_cast<double>(i % 4) * 5.0, static_cast<double>(i / 4) * 5.0});
   }
+  SpatialGrid grid;
+  grid.reset(10.0, pts);
   std::vector<std::uint32_t> visited;
   grid.visit_disc({7.5, 7.5}, 100.0, [&](std::uint32_t id) { visited.push_back(id); });
   std::sort(visited.begin(), visited.end());
@@ -64,9 +62,7 @@ TEST(SpatialGridTest, VisitDiscIsExactlyOncePerId) {
 
 TEST(SpatialGridTest, MoveRelocatesAcrossCells) {
   SpatialGrid grid;
-  grid.reset(10.0, 4);
-  grid.insert(0, {5.0, 5.0});
-  grid.insert(1, {5.0, 6.0});
+  grid.reset(10.0, {{5.0, 5.0}, {5.0, 6.0}});
   grid.move(0, {5.0, 5.0}, {95.0, 95.0});
   std::vector<std::uint32_t> near_old;
   grid.visit_disc({5.0, 5.0}, 2.0, [&](std::uint32_t id) { near_old.push_back(id); });
@@ -78,8 +74,7 @@ TEST(SpatialGridTest, MoveRelocatesAcrossCells) {
 
 TEST(SpatialGridTest, SameCellMoveKeepsMembership) {
   SpatialGrid grid;
-  grid.reset(10.0, 1);
-  grid.insert(0, {1.0, 1.0});
+  grid.reset(10.0, {{1.0, 1.0}});
   grid.move(0, {1.0, 1.0}, {2.0, 2.0});  // same cell: early-return path
   int seen = 0;
   grid.visit_disc({2.0, 2.0}, 1.0, [&](std::uint32_t) { ++seen; });
@@ -87,18 +82,54 @@ TEST(SpatialGridTest, SameCellMoveKeepsMembership) {
 }
 
 TEST(SpatialGridTest, NegativeCoordinatesHashDistinctCells) {
-  // key() packs truncated 32-bit cell coords; (-1, 0) and (0, -1) style
-  // collisions would merge distant cells.  Place points around the origin
-  // and check disc queries stay local.
+  // Cells at negative coordinates must stay distinct from their mirror
+  // images.  Place points around the origin and check disc queries stay
+  // local.
   SpatialGrid grid;
-  grid.reset(10.0, 4);
-  grid.insert(0, {-5.0, -5.0});
-  grid.insert(1, {5.0, 5.0});
-  grid.insert(2, {-5.0, 5.0});
-  grid.insert(3, {5.0, -5.0});
+  grid.reset(10.0, {{-5.0, -5.0}, {5.0, 5.0}, {-5.0, 5.0}, {5.0, -5.0}});
   std::vector<std::uint32_t> hits;
   grid.visit_disc({-5.0, -5.0}, 1.0, [&](std::uint32_t id) { hits.push_back(id); });
   EXPECT_EQ(hits, (std::vector<std::uint32_t>{0}));
+}
+
+TEST(SpatialGridTest, MovesLeavingTheInitialBoxKeepTheContract) {
+  // The cell array covers the deployment's bounding box; teleports far out
+  // of it, to negative coordinates included, grow the box.  After every
+  // batch of moves each disc query must still visit each id at most once
+  // and cover the brute-force disc, and a field-wide disc every id once.
+  std::mt19937_64 gen(7);
+  std::uniform_real_distribution<double> inside(0.0, 50.0);
+  std::uniform_real_distribution<double> outside(-300.0, 400.0);
+  std::vector<Point> pts;
+  for (std::uint32_t i = 0; i < 100; ++i) pts.push_back({inside(gen), inside(gen)});
+  SpatialGrid grid;
+  grid.reset(10.0, pts);
+  std::uniform_int_distribution<std::uint32_t> pick(0, 99);
+  std::vector<std::uint32_t> count(pts.size());
+  for (int batch = 0; batch < 20; ++batch) {
+    for (int m = 0; m < 10; ++m) {
+      const std::uint32_t id = pick(gen);
+      const Point to = batch % 2 == 0 ? Point{outside(gen), outside(gen)}
+                                      : Point{inside(gen), inside(gen)};
+      grid.move(id, pts[id], to);
+      pts[id] = to;
+    }
+    for (int q = 0; q < 20; ++q) {
+      const Point c{outside(gen), outside(gen)};
+      const double r = std::uniform_real_distribution<double>(0.0, 120.0)(gen);
+      std::fill(count.begin(), count.end(), 0);
+      grid.visit_disc(c, r, [&](std::uint32_t id) { ++count[id]; });
+      for (std::uint32_t i = 0; i < pts.size(); ++i) {
+        ASSERT_LE(count[i], 1u) << "batch " << batch << ": id " << i << " visited twice";
+        if (distance_sq(pts[i], c) <= r * r) {
+          ASSERT_EQ(count[i], 1u) << "batch " << batch << ": id " << i << " inside, not visited";
+        }
+      }
+    }
+    std::fill(count.begin(), count.end(), 0);
+    grid.visit_disc({50.0, 50.0}, 1000.0, [&](std::uint32_t id) { ++count[id]; });
+    ASSERT_EQ(std::count(count.begin(), count.end(), 1u), 100) << "batch " << batch;
+  }
 }
 
 // --- Network vs brute force --------------------------------------------------
