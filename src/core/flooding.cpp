@@ -8,30 +8,18 @@ namespace spms::core {
 
 FloodingProtocol::FloodingProtocol(sim::Simulation& sim, net::Network& net,
                                    const Interest& interest, ProtocolParams params)
-    : sim_(sim), net_(net), interest_(interest), params_(params) {
-  agents_.reserve(net_.size());
-  for (std::size_t i = 0; i < net_.size(); ++i) {
-    const net::NodeId id{static_cast<std::uint32_t>(i)};
-    agents_.emplace_back(*this, id, arena_);
-    net_.set_agent(id, &agents_.back());
-  }
-}
-
-FloodingProtocol::~FloodingProtocol() {
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    net_.set_agent(net::NodeId{static_cast<std::uint32_t>(i)}, nullptr);
-  }
-}
+    : DisseminationProtocol(sim, net, interest, params), items_(net.size(), arena_) {}
 
 void FloodingProtocol::publish(net::NodeId source, net::DataId item) {
   assert(item.origin == source);
-  agents_[source.v].seen.insert(item);
+  items_(source, item).seen = true;
   flood(source, item);
 }
 
 void FloodingProtocol::flood(net::NodeId self, net::DataId item) {
-  auto& agent = agents_[self.v];
-  if (!agent.rebroadcast.insert(item).second) return;  // flooded already
+  bool& rebroadcast = items_(self, item).rebroadcast;
+  if (rebroadcast) return;  // flooded already
+  rebroadcast = true;
   net::Packet data;
   data.type = net::PacketType::kData;
   data.item = item;
@@ -40,10 +28,11 @@ void FloodingProtocol::flood(net::NodeId self, net::DataId item) {
   net_.send(self, data, net_.zone_radius());
 }
 
-void FloodingProtocol::handle_receive(net::NodeId self, const net::Packet& p) {
+void FloodingProtocol::on_receive(net::NodeId self, const net::Packet& p) {
   if (p.type != net::PacketType::kData) return;
-  auto& agent = agents_[self.v];
-  if (!agent.seen.insert(p.item).second) return;  // implosion duplicate
+  bool& seen = items_(self, p.item).seen;
+  if (seen) return;  // implosion duplicate
+  seen = true;
   if (sim_.events().enabled()) {
     // Emitted before the delivery record so the span's causal parent exists
     // by the time kDelivery closes it.

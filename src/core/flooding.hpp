@@ -1,12 +1,6 @@
 #pragma once
 
-#include <vector>
-
-#include "core/interest.hpp"
 #include "core/protocol.hpp"
-#include "core/state_arena.hpp"
-#include "net/network.hpp"
-#include "sim/simulation.hpp"
 
 /// \file flooding.hpp
 /// Classic flooding — the paper's Section 1 baseline: "each node retransmits
@@ -25,38 +19,20 @@ class FloodingProtocol final : public DisseminationProtocol {
  public:
   FloodingProtocol(sim::Simulation& sim, net::Network& net, const Interest& interest,
                    ProtocolParams params);
-  ~FloodingProtocol() override;
 
   [[nodiscard]] std::string_view name() const override { return "FLOOD"; }
   void publish(net::NodeId source, net::DataId item) override;
 
  private:
-  class NodeAgent final : public net::Agent {
-   public:
-    NodeAgent(FloodingProtocol& proto, net::NodeId self, StateArena& arena)
-        : seen(ArenaSet<net::DataId>::allocator_type{arena}),
-          rebroadcast(ArenaSet<net::DataId>::allocator_type{arena}),
-          proto_(proto),
-          self_(self) {}
-    void on_receive(const net::Packet& p) override { proto_.handle_receive(self_, p); }
-
-    ArenaSet<net::DataId> seen;        ///< items received
-    ArenaSet<net::DataId> rebroadcast; ///< items already re-flooded
-
-   private:
-    FloodingProtocol& proto_;
-    net::NodeId self_;
+  struct ItemFlags {
+    bool seen = false;         ///< item received (or published here)
+    bool rebroadcast = false;  ///< item already re-flooded
   };
 
-  void handle_receive(net::NodeId self, const net::Packet& p);
+  void on_receive(net::NodeId self, const net::Packet& p) override;
   void flood(net::NodeId self, net::DataId item);
 
-  sim::Simulation& sim_;
-  net::Network& net_;
-  const Interest& interest_;
-  ProtocolParams params_;
-  StateArena arena_;  ///< backs every agent's sets; must outlive agents_
-  std::vector<NodeAgent> agents_;
+  ItemTable<ItemFlags> items_;
 };
 
 }  // namespace spms::core

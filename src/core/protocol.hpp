@@ -4,16 +4,20 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <string_view>
 
-#include "net/ids.hpp"
-#include "sim/time.hpp"
+#include "core/interest.hpp"
+#include "core/state_arena.hpp"
+#include "net/network.hpp"
+#include "obs/event_trace.hpp"
+#include "sim/simulation.hpp"
 
 /// \file protocol.hpp
-/// Common interface of the data-dissemination protocols (SPMS, SPIN,
-/// flooding).  A protocol owns one agent per node, reacts to traffic
-/// injected via publish(), and reports deliveries through a callback.
+/// Common core of the data-dissemination protocols (SPMS, SPIN, flooding).
+/// A protocol is the net::Agent of every node, reacts to traffic injected
+/// via publish(), and reports deliveries through a callback.
 
 namespace spms::core {
 
@@ -91,10 +95,21 @@ inline const std::array<double, 64> kDeferGrowth = [] {
 using DeliveryCallback =
     std::function<void(net::NodeId node, net::DataId item, sim::TimePoint at)>;
 
-/// Base class for dissemination protocols.
-class DisseminationProtocol {
+/// Base class for dissemination protocols.  The constructor installs the
+/// protocol as the agent of every node of the network and the destructor
+/// detaches it.  The base holds what the protocols share: the run's
+/// simulation, network, interest and parameters, the one StateArena behind
+/// every ItemTable and the service map, and one definition each of the
+/// advertise-once broadcast, the retry backoff, the channel-gated timer
+/// deferral, the holder-side service guard and the give-up tally.
+class DisseminationProtocol : public net::Agent {
  public:
-  virtual ~DisseminationProtocol() = default;
+  DisseminationProtocol(sim::Simulation& sim, net::Network& net, const Interest& interest,
+                        ProtocolParams params);
+  ~DisseminationProtocol() override;
+
+  DisseminationProtocol(const DisseminationProtocol&) = delete;
+  DisseminationProtocol& operator=(const DisseminationProtocol&) = delete;
 
   /// Protocol name for reports ("SPMS", "SPIN", ...).
   [[nodiscard]] virtual std::string_view name() const = 0;
@@ -118,11 +133,78 @@ class DisseminationProtocol {
   void notify_delivered(net::NodeId node, net::DataId item, sim::TimePoint at) const {
     if (deliver_) deliver_(node, item, at);
   }
-  void count_give_up() { ++given_up_; }
+
+  /// Broadcasts `item`'s ADV from `self` unless `advertised` is set: each
+  /// node advertises an item once.  The ADV goes out at the zone radius (the
+  /// node's maximum power) so the whole zone hears it; `advertised` is set,
+  /// and `kind` traced, only once the MAC accepted the frame.
+  void advertise_once(net::NodeId self, net::DataId item, bool& advertised, obs::TraceKind kind);
+
+  /// How long a requester waits for DATA after its `attempts`-th REQ:
+  /// tout_dat * retry_backoff^min(attempts - 1, max_backoff_exp).  A
+  /// spuriously short wait would re-request data whose reply is merely
+  /// queued behind other frames.
+  [[nodiscard]] sim::Duration retry_wait(int attempts) const;
+
+  /// Channel-gated timer deferral (ProtocolParams::timer_defer_limit).  Call
+  /// it when a gated timer of `self` expires.  While `self` has heard the
+  /// channel busy within the window of deferral number `deferrals`, and the
+  /// limit is not reached, it increments `deferrals`, re-arms `timer` to
+  /// call `wake` when the grown window has been quiet, and returns true: the
+  /// reply is plainly queued behind audible traffic, not lost.  Otherwise it
+  /// returns false and the caller acts on the expiry.  Checking with the
+  /// current window and waking with the grown one lets a quiet channel fire
+  /// the timer on schedule.
+  template <class Fn>
+  [[nodiscard]] bool defer_while_audible(net::NodeId self, int& deferrals,
+                                         sim::EventHandle& timer, Fn&& wake) {
+    if (net_.channel_quiet_at(self, defer_window(params_.tout_dat, deferrals)) <= sim_.now() ||
+        deferrals >= params_.timer_defer_limit) {
+      return false;
+    }
+    ++deferrals;
+    timer = sim_.at(net_.channel_quiet_at(self, defer_window(params_.tout_dat, deferrals)),
+                    std::forward<Fn>(wake));
+    return true;
+  }
+
+  /// Holder-side service guard: `holder` serves (`item`, `requester`) at
+  /// most once per service_guard window.  Returns true, and records the
+  /// service, when the pair may be served now.  Suppresses a duplicate DATA
+  /// when a retry races a reply that is still queued at the holder.
+  [[nodiscard]] bool admit_service(net::NodeId holder, net::DataId item, net::NodeId requester);
+
+  /// Give-up tally: true when `attempts` has reached max_retries.  The first
+  /// such verdict for a (node, item) pair, tracked by `gave_up`, counts the
+  /// give-up and traces it.
+  [[nodiscard]] bool out_of_retries(net::NodeId self, net::DataId item, int attempts,
+                                    bool& gave_up);
+
+  sim::Simulation& sim_;
+  net::Network& net_;
+  const Interest& interest_;
+  ProtocolParams params_;
+  StateArena arena_;  ///< backs every ItemTable and the service map
 
  private:
+  /// One service record: `holder` last served `item` to `requester`.
+  struct ServiceKey {
+    net::NodeId holder;
+    net::DataId item;
+    net::NodeId requester;
+    bool operator==(const ServiceKey&) const = default;
+  };
+  struct ServiceKeyHash {
+    std::size_t operator()(const ServiceKey& k) const noexcept {
+      const std::uint64_t pair = (std::uint64_t{k.holder.v} << 32) | k.requester.v;
+      return std::hash<net::DataId>{}(k.item) ^ (pair * 0x9e3779b97f4a7c15ull);
+    }
+  };
+
   DeliveryCallback deliver_;
   std::uint64_t given_up_ = 0;
+  /// Only looked up, never iterated, so its hash cannot reach the output.
+  ArenaMap<ServiceKey, sim::TimePoint, ServiceKeyHash> served_;
 };
 
 }  // namespace spms::core

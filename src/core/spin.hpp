@@ -1,12 +1,6 @@
 #pragma once
 
-#include <vector>
-
-#include "core/interest.hpp"
 #include "core/protocol.hpp"
-#include "core/state_arena.hpp"
-#include "net/network.hpp"
-#include "sim/simulation.hpp"
 
 /// \file spin.hpp
 /// SPIN-PP baseline (Heinzelman/Kulik/Balakrishnan, as summarized in the
@@ -35,7 +29,6 @@ class SpinProtocol final : public DisseminationProtocol {
  public:
   SpinProtocol(sim::Simulation& sim, net::Network& net, const Interest& interest,
                ProtocolParams params);
-  ~SpinProtocol() override;
 
   [[nodiscard]] std::string_view name() const override { return "SPIN"; }
   void publish(net::NodeId source, net::DataId item) override;
@@ -53,52 +46,17 @@ class SpinProtocol final : public DisseminationProtocol {
     int deferrals = 0;           ///< timer expiries deferred by channel activity
   };
 
-  /// Thin per-node adapter implementing net::Agent.
-  class NodeAgent final : public net::Agent {
-   public:
-    NodeAgent(SpinProtocol& proto, net::NodeId self, StateArena& arena)
-        : items(ArenaMap<net::DataId, ItemState>::allocator_type{arena}),
-          served(ArenaMap2<net::DataId, net::NodeId, sim::TimePoint>::allocator_type{
-              ArenaAllocator<std::byte>{arena}}),
-          proto_(proto),
-          self_(self) {}
-    void on_receive(const net::Packet& p) override { proto_.handle_receive(self_, p); }
-    void on_down() override { proto_.handle_down(self_); }
-    void on_up() override { proto_.handle_up(self_); }
-
-    ArenaMap<net::DataId, ItemState> items;
-    /// Holder-side duplicate suppression: when each (item, requester) pair
-    /// was last served.  Retries inside the service-guard window are dropped
-    /// (their DATA is still queued here); later ones are served again.
-    ArenaMap2<net::DataId, net::NodeId, sim::TimePoint> served;
-
-   private:
-    SpinProtocol& proto_;
-    net::NodeId self_;
-  };
-
-  void handle_receive(net::NodeId self, const net::Packet& p);
+  void on_receive(net::NodeId self, const net::Packet& p) override;
   void handle_adv(net::NodeId self, const net::Packet& p);
   void handle_req(net::NodeId self, const net::Packet& p);
   void handle_data(net::NodeId self, const net::Packet& p);
-  void handle_down(net::NodeId self);
-  void handle_up(net::NodeId self);
+  void on_down(net::NodeId self) override;
+  void on_up(net::NodeId self) override;
 
-  void broadcast_adv(net::NodeId self, net::DataId item);
   void send_req(net::NodeId self, net::DataId item, net::NodeId to);
-  void arm_retry(net::NodeId self, net::DataId item);
   void on_retry_timeout(net::NodeId self, net::DataId item);
 
-  [[nodiscard]] ItemState& state(net::NodeId node, net::DataId item) {
-    return agents_[node.v].items[item];
-  }
-
-  sim::Simulation& sim_;
-  net::Network& net_;
-  const Interest& interest_;
-  ProtocolParams params_;
-  StateArena arena_;  ///< backs every agent's maps; must outlive agents_
-  std::vector<NodeAgent> agents_;
+  ItemTable<ItemState> items_;
 };
 
 }  // namespace spms::core

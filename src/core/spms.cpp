@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 
 #include "obs/event_trace.hpp"
@@ -12,27 +11,10 @@ namespace spms::core {
 SpmsProtocol::SpmsProtocol(sim::Simulation& sim, net::Network& net,
                            routing::RoutingService& routing, const Interest& interest,
                            ProtocolParams params, SpmsExtensions ext)
-    : sim_(sim),
-      net_(net),
+    : DisseminationProtocol(sim, net, interest, params),
       routing_(routing),
-      interest_(interest),
-      params_(params),
-      ext_(ext) {
-  // Agents live by value in one reserved vector (stable addresses — the
-  // network keeps raw pointers) and their maps share the protocol arena.
-  agents_.reserve(net_.size());
-  for (std::size_t i = 0; i < net_.size(); ++i) {
-    const net::NodeId id{static_cast<std::uint32_t>(i)};
-    agents_.emplace_back(*this, id, arena_);
-    net_.set_agent(id, &agents_.back());
-  }
-}
-
-SpmsProtocol::~SpmsProtocol() {
-  for (std::size_t i = 0; i < agents_.size(); ++i) {
-    net_.set_agent(net::NodeId{static_cast<std::uint32_t>(i)}, nullptr);
-  }
-}
+      ext_(ext),
+      items_(net.size(), arena_) {}
 
 double SpmsProtocol::route_cost(net::NodeId self, net::NodeId dest) const {
   const auto r = routing_.route(self, dest);
@@ -41,36 +23,16 @@ double SpmsProtocol::route_cost(net::NodeId self, net::NodeId dest) const {
 
 void SpmsProtocol::publish(net::NodeId source, net::DataId item) {
   assert(item.origin == source);
-  ItemState& st = state(source, item);
+  ItemState& st = items_(source, item);
   st.has = true;
-  broadcast_adv(source, item);
-}
-
-void SpmsProtocol::broadcast_adv(net::NodeId self, net::DataId item) {
-  ItemState& st = state(self, item);
-  if (st.advertised) return;  // each node advertises an item once
-  net::Packet adv;
-  adv.type = net::PacketType::kAdv;
-  adv.item = item;
-  adv.size_bytes = params_.adv_bytes;
-  // The ADV must reach the whole zone, so it goes out at the zone radius
-  // (the node's maximum power) — the only SPMS frame that always does.
-  if (net_.send(self, adv, net_.zone_radius())) {
-    st.advertised = true;
-    if (sim_.events().enabled()) {
-      sim_.events().emit({.at = sim_.now(), .kind = obs::TraceKind::kSpmsAdv, .node = self, .item = item});
-    }
-  }
+  advertise_once(source, item, st.advertised, obs::TraceKind::kSpmsAdv);
 }
 
 void SpmsProtocol::arm_dat_timer(net::NodeId self, net::DataId item) {
-  ItemState& st = state(self, item);
+  ItemState& st = items_(self, item);
   sim_.cancel(st.dat_timer);
-  // Exponential backoff across retries: a spuriously short wait would
-  // re-request data whose reply is merely queued behind other frames.
-  const int exp = std::min(std::max(st.attempts - 1, 0), params_.max_backoff_exp);
-  const auto wait = params_.tout_dat * std::pow(params_.retry_backoff, exp);
-  st.dat_timer = sim_.after(wait, [this, self, item] { on_dat_timeout(self, item); });
+  st.dat_timer =
+      sim_.after(retry_wait(st.attempts), [this, self, item] { on_dat_timeout(self, item); });
   st.awaiting = true;
 }
 
@@ -88,11 +50,10 @@ void SpmsProtocol::send_req_via_route(net::NodeId self, net::DataId item, net::N
   req.requester = self;
   req.target = target;
   req.direct = false;
-  req.dst = next;
   req.size_bytes = params_.req_bytes;
-  ItemState& st = state(self, item);
+  ItemState& st = items_(self, item);
   req.attempt = static_cast<std::uint16_t>(st.attempts + 1);
-  const bool sent = net_.send(self, req, net_.distance_between(self, next));
+  const bool sent = net_.send_to(self, std::move(req), next);
   if (sent && sim_.events().enabled()) {
     sim_.events().emit({.at = sim_.now(), .kind = obs::TraceKind::kSpmsReqMultihop, .node = self,
                         .peer = target, .via = next, .item = item});
@@ -103,7 +64,6 @@ void SpmsProtocol::send_req_via_route(net::NodeId self, net::DataId item, net::N
   // Arm tau_DAT even when the send failed (e.g. the hop moved out of range):
   // the timeout drives the escalation ladder to another originator.
   arm_dat_timer(self, item);
-  (void)sent;
 }
 
 void SpmsProtocol::send_req_direct(net::NodeId self, net::DataId item, net::NodeId target) {
@@ -113,11 +73,10 @@ void SpmsProtocol::send_req_direct(net::NodeId self, net::DataId item, net::Node
   req.requester = self;
   req.target = target;
   req.direct = true;
-  req.dst = target;
   req.size_bytes = params_.req_bytes;
-  ItemState& st = state(self, item);
+  ItemState& st = items_(self, item);
   req.attempt = static_cast<std::uint16_t>(st.attempts + 1);
-  const bool sent = net_.send(self, req, net_.distance_between(self, target));
+  const bool sent = net_.send_to(self, std::move(req), target);
   if (sent && sim_.events().enabled()) {
     sim_.events().emit({.at = sim_.now(), .kind = obs::TraceKind::kSpmsReqDirect, .node = self,
                         .peer = target, .item = item});
@@ -128,10 +87,9 @@ void SpmsProtocol::send_req_direct(net::NodeId self, net::DataId item, net::Node
   // A failed send (target out of range after mobility) still arms tau_DAT so
   // the escalation ladder can move on instead of stranding the item.
   arm_dat_timer(self, item);
-  (void)sent;
 }
 
-void SpmsProtocol::handle_receive(net::NodeId self, const net::Packet& p) {
+void SpmsProtocol::on_receive(net::NodeId self, const net::Packet& p) {
   switch (p.type) {
     case net::PacketType::kAdv: handle_adv(self, p); break;
     case net::PacketType::kReq: handle_req(self, p); break;
@@ -153,7 +111,7 @@ void SpmsProtocol::handle_adv(net::NodeId self, const net::Packet& p) {
     return;
   }
 
-  ItemState& st = state(self, p.item);
+  ItemState& st = items_(self, p.item);
   if (st.has) return;
 
   // PRONE/SCONE bookkeeping.  The first ADV initializes both to its sender
@@ -202,19 +160,13 @@ void SpmsProtocol::handle_adv(net::NodeId self, const net::Packet& p) {
 }
 
 void SpmsProtocol::on_adv_timeout(net::NodeId self, net::DataId item) {
-  ItemState& st = state(self, item);
+  ItemState& st = items_(self, item);
   st.adv_timer = sim::EventHandle{};
   if (st.has || st.awaiting) return;  // raced with a delivery or a request
   // Audible traffic means relays are still working through their queues;
   // defer the verdict instead of prematurely pulling from a distant PRONE.
-  // The proceed-condition uses the window this wake was scheduled with;
-  // the next wake is scheduled with the (grown) next window, so a quiet
-  // channel always lets the timer fire at its scheduled instant.
-  if (net_.channel_quiet_at(self, defer_window(params_.tout_dat, st.deferrals)) > sim_.now() &&
-      st.deferrals < params_.timer_defer_limit) {
-    ++st.deferrals;
-    const auto wake = net_.channel_quiet_at(self, defer_window(params_.tout_dat, st.deferrals));
-    st.adv_timer = sim_.at(wake, [this, self, item] { on_adv_timeout(self, item); });
+  if (defer_while_audible(self, st.deferrals, st.adv_timer,
+                          [this, self, item] { on_adv_timeout(self, item); })) {
     return;
   }
   // No relay re-advertised in time: request from the PRONE through the
@@ -223,35 +175,20 @@ void SpmsProtocol::on_adv_timeout(net::NodeId self, net::DataId item) {
 }
 
 void SpmsProtocol::on_dat_timeout(net::NodeId self, net::DataId item) {
-  ItemState& st = state(self, item);
+  ItemState& st = items_(self, item);
   st.dat_timer = sim::EventHandle{};
   if (st.has) {
     st.awaiting = false;
     return;
   }
   // The reply is plainly queued behind traffic we can hear; keep waiting.
-  // (Same window discipline as on_adv_timeout: check with the current
-  // window, schedule the next wake with the grown one.)
-  if (net_.channel_quiet_at(self, defer_window(params_.tout_dat, st.deferrals)) > sim_.now() &&
-      st.deferrals < params_.timer_defer_limit) {
-    ++st.deferrals;
-    const auto wake = net_.channel_quiet_at(self, defer_window(params_.tout_dat, st.deferrals));
-    st.dat_timer = sim_.at(wake, [this, self, item] { on_dat_timeout(self, item); });
+  // tau_ADV and tau_DAT share the item's deferral count.
+  if (defer_while_audible(self, st.deferrals, st.dat_timer,
+                          [this, self, item] { on_dat_timeout(self, item); })) {
     return;
   }
   st.awaiting = false;
-
-  if (st.attempts >= params_.max_retries) {
-    if (!st.gave_up) {
-      st.gave_up = true;
-      count_give_up();
-      if (sim_.events().enabled()) {
-        sim_.events().emit({.at = sim_.now(), .kind = obs::TraceKind::kGiveUp, .node = self,
-                            .item = item, .value = static_cast<double>(st.attempts)});
-      }
-    }
-    return;
-  }
+  if (out_of_retries(self, item, st.attempts, st.gave_up)) return;
 
   // Cross-zone acquisitions have no in-zone originators to escalate to; the
   // recovery is a bounded re-send along the same courier route (the holder
@@ -300,7 +237,7 @@ void SpmsProtocol::on_dat_timeout(net::NodeId self, net::DataId item) {
 void SpmsProtocol::handle_forwarded_adv(net::NodeId self, const net::Packet& p) {
   const net::NodeId holder = p.target;
   if (self == holder || self == p.item.origin) return;
-  ItemState& st = state(self, p.item);
+  ItemState& st = items_(self, p.item);
   if (st.has) return;
 
   if (interest_.wants(self, p.item)) {
@@ -324,7 +261,7 @@ void SpmsProtocol::handle_forwarded_adv(net::NodeId self, const net::Packet& p) 
 void SpmsProtocol::maybe_forward_metadata(net::NodeId self, const net::Packet& p,
                                           net::NodeId holder) {
   if (ext_.cross_zone_ttl == 0) return;
-  ItemState& st = state(self, p.item);
+  ItemState& st = items_(self, p.item);
   if (st.has || st.adv_forwarded) return;
   if (p.route.size() >= ext_.cross_zone_ttl) return;  // courier budget spent
   // Only border nodes courier: forwarding from deep inside the sender's
@@ -355,19 +292,19 @@ void SpmsProtocol::send_req_cross_zone(net::NodeId self, net::DataId item,
   req.requester = self;
   req.target = plan.empty() ? first_hop : plan.back();
   req.direct = false;
-  req.dst = first_hop;
   req.source_route = plan;
   req.size_bytes = params_.req_bytes + 4 * plan.size();
-  ItemState& st = state(self, item);
+  ItemState& st = items_(self, item);
   req.attempt = static_cast<std::uint16_t>(st.attempts + 1);
-  const bool sent = net_.send(self, req, net_.distance_between(self, first_hop));
+  const net::NodeId target = req.target;
+  const bool sent = net_.send_to(self, std::move(req), first_hop);
   if (sent && sim_.events().enabled()) {
     sim_.events().emit({.at = sim_.now(), .kind = obs::TraceKind::kSpmsReqCrosszone, .node = self,
-                        .peer = req.target, .via = first_hop, .item = item});
+                        .peer = target, .via = first_hop, .item = item});
   }
   ++st.attempts;
   st.last_direct = false;
-  st.last_target = req.target;
+  st.last_target = target;
   st.cross_first_hop = first_hop;
   st.cross_plan = std::move(plan);
   arm_dat_timer(self, item);
@@ -375,19 +312,9 @@ void SpmsProtocol::send_req_cross_zone(net::NodeId self, net::DataId item,
 
 void SpmsProtocol::handle_req(net::NodeId self, const net::Packet& p) {
   if (p.target == self) {
-    ItemState& st = state(self, p.item);
-    if (st.has) {
-      // Rate-limit service per requester; a retry whose DATA is still queued
-      // here must not enqueue another copy.
-      auto& served = agents_[self.v].served[p.item];
-      const auto it = served.find(p.requester);
-      if (it == served.end() || sim_.now() - it->second >= params_.service_guard) {
-        served[p.requester] = sim_.now();
-        answer_req(self, p);
-      }
-    }
-    // else: stale request (we never had the data, or a crash wiped the
-    // advertisement race); the requester's tau_DAT recovers.
+    // A stale request (we never had the data, or a crash wiped the
+    // advertisement race) is left to the requester's tau_DAT.
+    if (items_(self, p.item).has && admit_service(self, p.item, p.requester)) answer_req(self, p);
     return;
   }
   forward_req(self, p);
@@ -403,8 +330,7 @@ void SpmsProtocol::answer_req(net::NodeId self, const net::Packet& req) {
   if (req.direct) {
     // "r1 … sends the data as direct transmission because that was the
     // route followed by the REQ packet."
-    data.dst = req.requester;
-    net_.send(self, data, net_.distance_between(self, req.requester));
+    net_.send_to(self, std::move(data), req.requester);
     return;
   }
   // Multi-hop: send the data back along the reverse of the REQ's relay
@@ -412,8 +338,7 @@ void SpmsProtocol::answer_req(net::NodeId self, const net::Packet& req) {
   // request").
   data.route.assign(req.route.rbegin(), req.route.rend());
   const net::NodeId first = data.route.empty() ? req.requester : data.route.front();
-  data.dst = first;
-  net_.send(self, data, net_.distance_between(self, first));
+  net_.send_to(self, std::move(data), first);
 }
 
 void SpmsProtocol::forward_req(net::NodeId self, net::Packet req) {
@@ -427,8 +352,7 @@ void SpmsProtocol::forward_req(net::NodeId self, net::Packet req) {
     const net::NodeId next = req.source_route.front();
     req.source_route.erase(req.source_route.begin());
     req.route.push_back(self);
-    req.dst = next;
-    net_.send(self, req, net_.distance_between(self, next));
+    net_.send_to(self, std::move(req), next);
     return;
   }
   net::NodeId next = routing_.next_hop(self, req.target);
@@ -443,8 +367,7 @@ void SpmsProtocol::forward_req(net::NodeId self, net::Packet req) {
     }
   }
   req.route.push_back(self);
-  req.dst = next;
-  net_.send(self, req, net_.distance_between(self, next));
+  net_.send_to(self, std::move(req), next);
 }
 
 void SpmsProtocol::forward_data(net::NodeId self, net::Packet data) {
@@ -455,8 +378,7 @@ void SpmsProtocol::forward_data(net::NodeId self, net::Packet data) {
   assert(!data.route.empty() && data.route.front() == self);
   data.route.erase(data.route.begin());
   const net::NodeId next = data.route.empty() ? data.requester : data.route.front();
-  data.dst = next;
-  net_.send(self, data, net_.distance_between(self, next));
+  net_.send_to(self, std::move(data), next);
 }
 
 void SpmsProtocol::handle_data(net::NodeId self, const net::Packet& p) {
@@ -465,29 +387,15 @@ void SpmsProtocol::handle_data(net::NodeId self, const net::Packet& p) {
     // without caching; the relay_caching extension (the paper's Section 6
     // future work) keeps a copy and re-advertises it like a receiver, which
     // shortens recovery paths and adds originator diversity.
-    if (ext_.relay_caching) {
-      ItemState& st = state(self, p.item);
-      if (!st.has) {
-        st.has = true;
-        st.awaiting = false;
-        sim_.cancel(st.adv_timer);
-        sim_.cancel(st.dat_timer);
-        st.adv_timer = st.dat_timer = sim::EventHandle{};
-        if (sim_.events().enabled()) {
-          // The cached copy makes this relay a holder in its own right; its
-          // span needs a data record so downstream journeys it later serves
-          // chain through it back to the origin.
-          sim_.events().emit({.at = sim_.now(), .kind = obs::TraceKind::kSpmsData, .node = self,
-                              .peer = p.src, .parent = p.holder, .item = p.item});
-        }
-        if (interest_.wants(self, p.item)) notify_delivered(self, p.item, sim_.now());
-        broadcast_adv(self, p.item);
-      }
-    }
+    if (ext_.relay_caching) take_first_copy(self, p);
     forward_data(self, p);
     return;
   }
-  ItemState& st = state(self, p.item);
+  take_first_copy(self, p);
+}
+
+void SpmsProtocol::take_first_copy(net::NodeId self, const net::Packet& data) {
+  ItemState& st = items_(self, data.item);
   if (st.has) return;  // duplicate (e.g. an escalated retry raced the original)
   st.has = true;
   st.awaiting = false;
@@ -495,32 +403,36 @@ void SpmsProtocol::handle_data(net::NodeId self, const net::Packet& p) {
   sim_.cancel(st.dat_timer);
   st.adv_timer = st.dat_timer = sim::EventHandle{};
   if (sim_.events().enabled()) {
+    // A caching relay becomes a holder in its own right; its span needs a
+    // data record so downstream journeys it later serves chain through it
+    // back to the origin.
     sim_.events().emit({.at = sim_.now(), .kind = obs::TraceKind::kSpmsData, .node = self,
-                        .peer = p.src, .parent = p.holder, .item = p.item});
+                        .peer = data.src, .parent = data.holder, .item = data.item});
   }
-  if (interest_.wants(self, p.item)) notify_delivered(self, p.item, sim_.now());
+  if (interest_.wants(self, data.item)) notify_delivered(self, data.item, sim_.now());
   // "a node [advertises] its own data as well as all received data once."
-  broadcast_adv(self, p.item);
+  advertise_once(self, data.item, st.advertised, obs::TraceKind::kSpmsAdv);
 }
 
-void SpmsProtocol::handle_down(net::NodeId self) {
+void SpmsProtocol::on_down(net::NodeId self) {
   // The MAC queue is already gone; stop every timer so the crashed node
   // takes no autonomous action until repair.
-  for (auto& [item, st] : agents_[self.v].items) {
+  items_.for_each(self, [this](net::DataId, ItemState& st) {
     sim_.cancel(st.adv_timer);
     sim_.cancel(st.dat_timer);
     st.adv_timer = st.dat_timer = sim::EventHandle{};
     st.awaiting = false;
-  }
+  });
 }
 
-void SpmsProtocol::handle_up(net::NodeId self) {
-  for (auto& [item, st] : agents_[self.v].items) {
+void SpmsProtocol::on_up(net::NodeId self) {
+  items_.for_each(self, [this, self](net::DataId item, ItemState& st) {
     if (st.has) {
-      if (!st.advertised) broadcast_adv(self, item);  // ADV lost to the crash
-      continue;
+      // Re-sends an ADV the crash swallowed (a no-op once advertised).
+      advertise_once(self, item, st.advertised, obs::TraceKind::kSpmsAdv);
+      return;
     }
-    if (!interest_.wants(self, item) || st.originators.empty()) continue;
+    if (!interest_.wants(self, item) || st.originators.empty()) return;
     // Recovery resets the retry budget (failures are transient, so a stale
     // cap must not strand the item forever).
     if (st.attempts >= params_.max_retries) {
@@ -529,11 +441,10 @@ void SpmsProtocol::handle_up(net::NodeId self) {
     }
     // Resume the acquisition: give relays a tau_ADV window to re-advertise
     // (our state may be stale), then fall back to the shortest path.
-    const auto item_copy = item;
     sim_.cancel(st.adv_timer);
     st.adv_timer =
-        sim_.after(params_.tout_adv, [this, self, item_copy] { on_adv_timeout(self, item_copy); });
-  }
+        sim_.after(params_.tout_adv, [this, self, item] { on_adv_timeout(self, item); });
+  });
 }
 
 }  // namespace spms::core

@@ -2,12 +2,8 @@
 
 #include <vector>
 
-#include "core/interest.hpp"
 #include "core/protocol.hpp"
-#include "core/state_arena.hpp"
-#include "net/network.hpp"
 #include "routing/bellman_ford.hpp"
-#include "sim/simulation.hpp"
 
 /// \file spms.hpp
 /// SPMS — Shortest Path Minded SPIN (the paper's contribution, Section 3).
@@ -64,7 +60,6 @@ class SpmsProtocol final : public DisseminationProtocol {
  public:
   SpmsProtocol(sim::Simulation& sim, net::Network& net, routing::RoutingService& routing,
                const Interest& interest, ProtocolParams params, SpmsExtensions ext = {});
-  ~SpmsProtocol() override;
 
   [[nodiscard]] std::string_view name() const override { return "SPMS"; }
   void publish(net::NodeId source, net::DataId item) override;
@@ -101,34 +96,14 @@ class SpmsProtocol final : public DisseminationProtocol {
     std::vector<net::NodeId> cross_plan;  ///< remaining hops (ends at the holder)
   };
 
-  class NodeAgent final : public net::Agent {
-   public:
-    NodeAgent(SpmsProtocol& proto, net::NodeId self, StateArena& arena)
-        : items(ArenaMap<net::DataId, ItemState>::allocator_type{arena}),
-          served(ArenaMap2<net::DataId, net::NodeId, sim::TimePoint>::allocator_type{
-              ArenaAllocator<std::byte>{arena}}),
-          proto_(proto),
-          self_(self) {}
-    void on_receive(const net::Packet& p) override { proto_.handle_receive(self_, p); }
-    void on_down() override { proto_.handle_down(self_); }
-    void on_up() override { proto_.handle_up(self_); }
-
-    ArenaMap<net::DataId, ItemState> items;
-    /// Holder-side duplicate suppression: when each (item, requester) pair
-    /// was last served; retries inside the service-guard window are dropped.
-    ArenaMap2<net::DataId, net::NodeId, sim::TimePoint> served;
-
-   private:
-    SpmsProtocol& proto_;
-    net::NodeId self_;
-  };
-
-  void handle_receive(net::NodeId self, const net::Packet& p);
+  void on_receive(net::NodeId self, const net::Packet& p) override;
   void handle_adv(net::NodeId self, const net::Packet& p);
   void handle_req(net::NodeId self, const net::Packet& p);
   void handle_data(net::NodeId self, const net::Packet& p);
-  void handle_down(net::NodeId self);
-  void handle_up(net::NodeId self);
+  /// Crash: stops every timer of the node.
+  void on_down(net::NodeId self) override;
+  /// Recovery: re-advertises lost ADVs and resumes open acquisitions.
+  void on_up(net::NodeId self) override;
 
   // --- cross-zone extension -------------------------------------------------
   /// Handles a couriered (forwarded) ADV: request along the trail if we are
@@ -143,8 +118,10 @@ class SpmsProtocol final : public DisseminationProtocol {
   void on_adv_timeout(net::NodeId self, net::DataId item);
   void on_dat_timeout(net::NodeId self, net::DataId item);
 
-  /// Broadcasts the item's ADV in the zone (once per node per item).
-  void broadcast_adv(net::NodeId self, net::DataId item);
+  /// Takes the first copy of DATA at `self` (a requester, or a caching
+  /// relay): stops its timers, records the delivery and advertises the item.
+  /// Later copies are duplicates and ignored.
+  void take_first_copy(net::NodeId self, const net::Packet& data);
   /// Sends a REQ to `target` through the shortest path (or directly when
   /// the target is the next hop); arms tau_DAT.
   void send_req_via_route(net::NodeId self, net::DataId item, net::NodeId target);
@@ -168,18 +145,9 @@ class SpmsProtocol final : public DisseminationProtocol {
     return st.originators.empty() ? net::kNoNode : st.originators.front();
   }
 
-  [[nodiscard]] ItemState& state(net::NodeId node, net::DataId item) {
-    return agents_[node.v].items[item];
-  }
-
-  sim::Simulation& sim_;
-  net::Network& net_;
   routing::RoutingService& routing_;
-  const Interest& interest_;
-  ProtocolParams params_;
   SpmsExtensions ext_;
-  StateArena arena_;  ///< backs every agent's maps; must outlive agents_
-  std::vector<NodeAgent> agents_;
+  ItemTable<ItemState> items_;
   std::uint64_t unroutable_ = 0;
 };
 

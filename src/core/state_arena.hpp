@@ -6,35 +6,37 @@
 #include <cstring>
 #include <memory>
 #include <new>
-#include <scoped_allocator>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "net/ids.hpp"
+
 /// \file state_arena.hpp
-/// Bump/slab arena for per-(node, item) protocol state.
+/// Bump/slab arena for per-(node, item) protocol state, and the ItemTable
+/// that holds that state.
 ///
 /// A protocol run creates thousands of tiny, long-lived objects — hash-map
-/// nodes for per-item state machines, holder-side service records, seen-item
-/// sets — that are never individually freed: they live until the protocol
-/// object dies.  Routing each of them through the global heap costs one
-/// malloc apiece (the ~4.9k allocs/run residue PR 6 left open) and scatters
-/// them across memory.  The StateArena bump-allocates out of geometrically
-/// growing slabs and frees everything wholesale in its destructor;
-/// ArenaAllocator plugs it under the standard containers.
+/// nodes for per-item state machines and holder-side service records — that
+/// are never individually freed: they live until the protocol object dies.
+/// Routing each of them through the global heap costs one malloc apiece
+/// (about 4.9k allocs per small end-to-end run) and scatters them across
+/// memory.
+/// The StateArena bump-allocates out of geometrically growing slabs and
+/// frees everything wholesale in its destructor; ArenaAllocator plugs it
+/// under the standard containers.
 ///
 /// Determinism contract: the arena changes *where* container nodes live,
 /// never *how the containers behave*.  An unordered_map's bucket-count
 /// sequence, hashing and insertion order — and therefore its iteration
-/// order, which several protocol paths (handle_up/handle_down) feed into
-/// RNG-consuming code — are independent of the allocator, so runs stay
-/// byte-identical to the heap-backed layout.  deallocate() is a deliberate
-/// no-op; that is safe precisely because this state is insert-only (maps
-/// grow monotonically during a run).  Rehash garbage is bounded by the
-/// geometric bucket growth: all discarded bucket arrays together are
-/// smaller than the final one.
+/// order, which ItemTable::for_each feeds into RNG-consuming protocol code
+/// (the crash and recovery walks) — are independent of the allocator, so
+/// runs stay byte-identical to the heap-backed layout.  deallocate() is a
+/// deliberate no-op; that is safe precisely because this state is
+/// insert-only (maps grow monotonically during a run).  Rehash garbage is
+/// bounded by the geometric bucket growth: all discarded bucket arrays
+/// together are smaller than the final one.
 
 namespace spms::core {
 
@@ -135,22 +137,42 @@ class ArenaAllocator {
   StateArena* arena_ = nullptr;
 };
 
-/// unordered_map/set with the default hash/equality (identical bucket
-/// behaviour and iteration order to the plain std containers) but
-/// arena-backed nodes and bucket arrays.
-template <class K, class V>
-using ArenaMap =
-    std::unordered_map<K, V, std::hash<K>, std::equal_to<K>, ArenaAllocator<std::pair<const K, V>>>;
-template <class K>
-using ArenaSet = std::unordered_set<K, std::hash<K>, std::equal_to<K>, ArenaAllocator<K>>;
+/// unordered_map with identical bucket behaviour and iteration order to the
+/// plain std container, but arena-backed nodes and bucket arrays.
+template <class K, class V, class Hash = std::hash<K>>
+using ArenaMap = std::unordered_map<K, V, Hash, std::equal_to<K>,
+                                    ArenaAllocator<std::pair<const K, V>>>;
 
-/// Two-level map whose inner maps inherit the outer arena via
-/// scoped-allocator propagation (`served[item][requester]` never touches
-/// the global heap).
-template <class K1, class K2, class V>
-using ArenaMap2 = std::unordered_map<
-    K1, ArenaMap<K2, V>, std::hash<K1>, std::equal_to<K1>,
-    std::scoped_allocator_adaptor<ArenaAllocator<std::pair<const K1, ArenaMap<K2, V>>>>>;
+/// Per-(node, item) protocol state: one arena-backed map per node, created
+/// on first use of the pair.  The maps are built with the allocator-only
+/// constructor, in node order, with no reserve or bucket hint, so each one
+/// follows std::unordered_map's bucket trajectory for its insertions.
+template <class State>
+class ItemTable {
+ public:
+  ItemTable(std::size_t nodes, StateArena& arena) {
+    maps_.reserve(nodes);
+    for (std::size_t i = 0; i < nodes; ++i) maps_.emplace_back(typename Map::allocator_type{arena});
+  }
+
+  /// `node`'s state for `item`, default-constructed on first use.
+  [[nodiscard]] State& operator()(net::NodeId node, net::DataId item) {
+    return maps_[node.v][item];
+  }
+
+  /// Calls fn(item, state) for every item `node` has state for.  This is the
+  /// one place that decides the order in which a node's items are walked:
+  /// the map's bucket order, which the goldens pin because the walks send
+  /// and schedule (see the file comment).
+  template <class Fn>
+  void for_each(net::NodeId node, Fn&& fn) {
+    for (auto& [item, state] : maps_[node.v]) fn(item, state);
+  }
+
+ private:
+  using Map = ArenaMap<net::DataId, State>;
+  std::vector<Map> maps_;
+};
 
 /// Small vector with inline capacity N for trivially copyable elements;
 /// spills to the heap only past N (the SPMS originator list is bounded by

@@ -7,12 +7,11 @@
 #include "stats/aggregate.hpp"
 
 /// \file aggregate.hpp
-/// Cross-seed dispersion statistics of a RunResult population.  Where
-/// runner.hpp's average() collapses several runs into one synthetic
-/// RunResult (kept for the legacy point-estimate callers), AggregateResult
-/// keeps mean / stddev / stderr / min / max per metric so figures can carry
-/// error bars, as the multi-seed methodology of the related evaluations
-/// requires.
+/// Cross-seed dispersion statistics of a RunResult population: the one way
+/// every sweep, bench and the CLI condense the runs of one experiment point.
+/// AggregateResult keeps mean / stddev / stderr / min / max per metric so
+/// figures can carry error bars, as the multi-seed methodology of the
+/// related evaluations requires.
 
 namespace spms::exp {
 

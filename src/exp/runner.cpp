@@ -1,7 +1,5 @@
 #include "exp/runner.hpp"
 
-#include <stdexcept>
-
 namespace spms::exp {
 
 RunResult run_experiment(const ExperimentConfig& config) {
@@ -65,54 +63,6 @@ RunResult run_experiment(const ExperimentConfig& config, const TelemetryOptions&
   }
   session.finish(r);  // moves the sampled series in, writes output files
   return r;
-}
-
-std::vector<RunResult> run_seeds(ExperimentConfig config, const std::vector<std::uint64_t>& seeds) {
-  std::vector<RunResult> out;
-  out.reserve(seeds.size());
-  for (const auto seed : seeds) {
-    config.seed = seed;
-    out.push_back(run_experiment(config));
-  }
-  return out;
-}
-
-RunResult average(const std::vector<RunResult>& runs) {
-  if (runs.empty()) throw std::invalid_argument{"average: no runs"};
-  RunResult avg = runs.front();
-  const auto n = static_cast<double>(runs.size());
-  double delivery = 0, mean_delay = 0, p95 = 0, max_delay = 0, e_item = 0, pe_item = 0;
-  net::EnergyBreakdown energy;
-  std::uint64_t given_up = 0, failures = 0, unknown = 0;
-  for (const auto& r : runs) {
-    delivery += r.delivery_ratio;
-    mean_delay += r.mean_delay_ms;
-    p95 += r.p95_delay_ms;
-    max_delay += r.max_delay_ms;
-    e_item += r.energy_per_item_uj;
-    pe_item += r.protocol_energy_per_item_uj;
-    energy.protocol_tx_uj += r.energy.protocol_tx_uj;
-    energy.protocol_rx_uj += r.energy.protocol_rx_uj;
-    energy.routing_tx_uj += r.energy.routing_tx_uj;
-    energy.routing_rx_uj += r.energy.routing_rx_uj;
-    given_up += r.given_up;
-    failures += r.failures_injected;
-    unknown += r.unknown_item_deliveries;
-  }
-  avg.delivery_ratio = delivery / n;
-  avg.mean_delay_ms = mean_delay / n;
-  avg.p95_delay_ms = p95 / n;
-  avg.max_delay_ms = max_delay / n;
-  avg.energy_per_item_uj = e_item / n;
-  avg.protocol_energy_per_item_uj = pe_item / n;
-  avg.energy.protocol_tx_uj = energy.protocol_tx_uj / n;
-  avg.energy.protocol_rx_uj = energy.protocol_rx_uj / n;
-  avg.energy.routing_tx_uj = energy.routing_tx_uj / n;
-  avg.energy.routing_rx_uj = energy.routing_rx_uj / n;
-  avg.given_up = given_up;
-  avg.failures_injected = failures;
-  avg.unknown_item_deliveries = unknown;
-  return avg;
 }
 
 }  // namespace spms::exp

@@ -98,12 +98,4 @@ struct RunResult {
 [[nodiscard]] RunResult run_experiment(const ExperimentConfig& config,
                                        const TelemetryOptions& telemetry);
 
-/// Runs the same config across `seeds` and returns the per-seed results
-/// (callers average what they need; benches report means).
-[[nodiscard]] std::vector<RunResult> run_seeds(ExperimentConfig config,
-                                               const std::vector<std::uint64_t>& seeds);
-
-/// Averages the headline metrics of several runs of the same config.
-[[nodiscard]] RunResult average(const std::vector<RunResult>& runs);
-
 }  // namespace spms::exp

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -21,10 +22,13 @@
 
 namespace spms::exp::store {
 
-/// Bump whenever the canonical serialization changes shape or meaning, or
-/// whenever a simulator change alters results for an unchanged config.
-/// Every config key changes with it, so old store entries simply stop
-/// matching — cache invalidation by schema version.
+/// Bump whenever the canonical serialization changes shape or meaning, and
+/// whenever a change of model behaviour alters results for an unchanged
+/// config — a re-pinned golden is such a change (see kGoldenDigest).  Older
+/// lines then become foreign-schema lines: load() ignores them and `store gc`
+/// evicts them.  (A salt-only model revision would not do: the loader
+/// re-derives each line's key from its stored config, so every older line
+/// would read as corrupt.)
 /// v2: the failure block became the five-model faults.* plan and results
 /// grew the faults.* recovery metrics + net.dropped_link_fault.
 /// v3: configs grew the battery.* finite-budget block (and the battery
@@ -41,6 +45,12 @@ namespace spms::exp::store {
 /// exact vs. t-digest sketch; sketched quantiles are estimates, so the two
 /// engines must never share a cache entry).
 inline constexpr int kSchemaVersion = 5;
+
+/// 64-bit FNV-1a over every tests/golden/*.csv in file-name order (each
+/// file's name, then its bytes).  A test recomputes it, so a re-pinned
+/// golden cannot land without touching this line — and the change that
+/// re-pins a golden bumps kSchemaVersion with it.
+inline constexpr std::uint64_t kGoldenDigest = 0x166af3684a3ffb5cULL;
 
 /// Stable field-ordered JSON object describing `config` completely.
 [[nodiscard]] std::string canonical_config_json(const ExperimentConfig& config);

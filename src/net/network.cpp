@@ -386,7 +386,7 @@ void Network::deliver_frame(std::uint32_t sender, const OutgoingFrame& frame) {
       }
       if (agent_[h.v] != nullptr) {
         ++counters_.deliveries;
-        agent_[h.v]->on_receive(ctx->pkt);
+        agent_[h.v]->on_receive(h, ctx->pkt);
       }
     }
     release_delivery_ctx(ctx);
@@ -419,9 +419,9 @@ void Network::set_up(NodeId id, bool up) {
     mac_event_[v] = sim::EventHandle{};
     mac_queue_[v].clear();
     mac_busy_[v] = 0;
-    if (agent_[v] != nullptr) agent_[v]->on_down();
+    if (agent_[v] != nullptr) agent_[v]->on_down(id);
   } else {
-    if (agent_[v] != nullptr) agent_[v]->on_up();
+    if (agent_[v] != nullptr) agent_[v]->on_up(id);
   }
   if (on_state_change_) on_state_change_(id, up);
 }

@@ -139,7 +139,9 @@ class Network {
   }
 
   // --- wiring ----------------------------------------------------------------
-  /// Installs the protocol agent for a node (non-owning).
+  /// Installs the agent that handles `id`'s callbacks (non-owning; nullptr
+  /// detaches).  One agent may serve many nodes: a dissemination protocol
+  /// installs itself for every node and detaches when it dies.
   void set_agent(NodeId id, Agent* agent) { agent_.at(id.v) = agent; }
 
   /// Invoked after every actual up/down transition (set_up no-ops excluded),
@@ -309,7 +311,7 @@ class Network {
   std::vector<sim::TimePoint> channel_busy_until_;  ///< carrier-sense horizon
   std::vector<Battery> battery_state_;          ///< charge meters + depletion
   std::vector<std::uint8_t> battery_bucket_;    ///< last traced residual bucket
-  std::vector<Agent*> agent_;                   ///< non-owning protocol agents
+  std::vector<Agent*> agent_;                   ///< non-owning per-node agents
   std::vector<FrameQueue> mac_queue_;           ///< per-node FIFO behind the radio
   std::vector<std::uint8_t> mac_busy_;          ///< a transmission is in progress
   std::vector<sim::EventHandle> mac_event_;     ///< pending access/tx-complete event

@@ -3,7 +3,7 @@
 #include "net/packet.hpp"
 
 /// \file node.hpp
-/// The callback interface protocol agents implement, one agent per node.
+/// The callback interface the protocol layer implements.
 ///
 /// Per-node state itself (position, liveness, battery, MAC bookkeeping)
 /// lives in dense structure-of-arrays storage inside net::Network — the
@@ -12,23 +12,25 @@
 
 namespace spms::net {
 
-/// Interface the protocol layer implements, one agent per node.
-/// The network invokes on_receive after the receiver-side processing delay
-/// (T_proc); on_down/on_up bracket transient failures.
+/// Interface the protocol layer implements.  Every callback names the node
+/// it concerns, so one agent can serve every node: a dissemination protocol
+/// installs itself for the whole network.  The network invokes on_receive
+/// after the receiver-side processing delay (T_proc); on_down/on_up bracket
+/// transient failures.
 class Agent {
  public:
   virtual ~Agent() = default;
 
-  /// A frame addressed to this node (or broadcast) finished arriving and
-  /// has been processed by the radio/MAC.  Only called while the node is up.
-  virtual void on_receive(const Packet& packet) = 0;
+  /// A frame addressed to `self` (or broadcast) finished arriving and has
+  /// been processed by the radio/MAC.  Only called while the node is up.
+  virtual void on_receive(NodeId self, const Packet& packet) = 0;
 
-  /// The node just crashed: all its queued transmissions were discarded and
+  /// `self` just crashed: all its queued transmissions were discarded and
   /// future receptions will be dropped until on_up().
-  virtual void on_down() {}
+  virtual void on_down(NodeId /*self*/) {}
 
-  /// The node just recovered.
-  virtual void on_up() {}
+  /// `self` just recovered.
+  virtual void on_up(NodeId /*self*/) {}
 };
 
 }  // namespace spms::net

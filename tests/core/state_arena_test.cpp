@@ -4,13 +4,14 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 /// The arena's contract: bump allocation with correct alignment, wholesale
-/// release, allocator-equality by arena identity, scoped propagation into
-/// nested maps, and byte-identical container behaviour to the std default
-/// (the SoA/arena rework's determinism pin).
+/// release, allocator-equality by arena identity, and byte-identical
+/// container behaviour to the std default — including the order in which
+/// ItemTable walks a node's items (the determinism pin).
 
 namespace spms::core {
 namespace {
@@ -87,22 +88,29 @@ TEST(ArenaMapTest, BehavesLikeStdUnorderedMap) {
   EXPECT_GT(arena.bytes_used(), 0u);
 }
 
-TEST(ArenaMap2Test, InnerMapsInheritTheArena) {
+TEST(ItemTableTest, ForEachWalksInStdUnorderedMapOrder) {
+  // The crash and recovery walks send and schedule in for_each order, so the
+  // goldens pin it: exactly the order of a plain std::unordered_map built by
+  // the same insertions.  Changing the walk order is a deliberate re-pin
+  // that changes this test with it.
   StateArena arena;
-  ArenaMap2<int, int, double> served{
-      ArenaMap2<int, int, double>::allocator_type{ArenaAllocator<std::byte>{arena}}};
-  const std::size_t before = arena.bytes_used();
-  for (int item = 0; item < 20; ++item) {
-    for (int node = 0; node < 30; ++node) {
-      served[item][node] = item * 1000.0 + node;
-    }
+  ItemTable<int> table{3, arena};
+  std::unordered_map<net::DataId, int> ref;
+  const net::NodeId node{1};
+  for (std::uint32_t i = 0; i < 400; ++i) {
+    const net::DataId item{net::NodeId{(i * 37) % 49}, (i * 11) % 23};
+    table(node, item) = static_cast<int>(i);
+    ref[item] = static_cast<int>(i);
+    table(net::NodeId{0}, net::DataId{net::NodeId{i}, i}) = 0;  // another node's map
   }
-  EXPECT_EQ(served.size(), 20u);
-  EXPECT_EQ(served[7].size(), 30u);
-  EXPECT_DOUBLE_EQ(served[7][13], 7013.0);
-  // The inner maps' nodes and bucket arrays came from the arena, not the
-  // global heap: 600 entries cost well over a couple of KB.
-  EXPECT_GT(arena.bytes_used(), before + 2048u);
+  std::vector<std::pair<net::DataId, int>> walked;
+  table.for_each(node, [&](net::DataId item, int& v) { walked.emplace_back(item, v); });
+  const std::vector<std::pair<net::DataId, int>> expected(ref.begin(), ref.end());
+  EXPECT_EQ(walked, expected);
+
+  int visits = 0;
+  table.for_each(net::NodeId{2}, [&](net::DataId, int&) { ++visits; });
+  EXPECT_EQ(visits, 0);  // an untouched node has no items
 }
 
 TEST(InlineVecTest, StaysInlineUpToNAndSpillsBeyond) {

@@ -65,17 +65,6 @@ TEST(RunnerTest, SeedsChangeTheRun) {
   EXPECT_NE(a.mean_delay_ms, b.mean_delay_ms);
 }
 
-TEST(RunnerTest, RunSeedsAndAverage) {
-  const auto cfg = small_config(ProtocolKind::kSpms);
-  const auto runs = run_seeds(cfg, {1, 2, 3});
-  ASSERT_EQ(runs.size(), 3u);
-  const auto avg = average(runs);
-  EXPECT_DOUBLE_EQ(avg.delivery_ratio, 1.0);
-  const double mean = (runs[0].mean_delay_ms + runs[1].mean_delay_ms + runs[2].mean_delay_ms) / 3;
-  EXPECT_NEAR(avg.mean_delay_ms, mean, 1e-9);
-  EXPECT_THROW(average({}), std::invalid_argument);
-}
-
 TEST(RunnerTest, ClusterPatternRuns) {
   auto cfg = small_config(ProtocolKind::kSpms);
   cfg.pattern = TrafficPattern::kCluster;

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 
 #include "exp/batch.hpp"
@@ -253,6 +256,36 @@ TEST(CanonicalTest, MalformedResultJsonIsRejected) {
   EXPECT_FALSE(result_from_json(good.substr(0, good.size() / 2)).has_value());
   EXPECT_FALSE(result_from_json(good + "x").has_value());
   EXPECT_FALSE(result_from_json("{\"nodes\":\"not a number\"}").has_value());
+}
+
+TEST(CanonicalTest, GoldenDigestMatchesTheGoldenFiles) {
+  // FNV-1a over every golden CSV in file-name order: name, then bytes.
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator{SPMS_GOLDEN_DIR}) {
+    if (entry.path().extension() == ".csv") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end(), [](const fs::path& a, const fs::path& b) {
+    return a.filename().string() < b.filename().string();
+  });
+  ASSERT_FALSE(files.empty());
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::string_view bytes) {
+    for (const char c : bytes) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const auto& file : files) {
+    mix(file.filename().string());
+    std::ifstream in{file, std::ios::binary};
+    mix(std::string{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}});
+  }
+  char hex[19];
+  std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(h));
+  EXPECT_EQ(h, kGoldenDigest)
+      << "tests/golden/ changed: a re-pinned golden is a change of model behaviour.  Set "
+         "kGoldenDigest to "
+      << hex << " and bump kSchemaVersion in the same change (exp/store/canonical.hpp).";
 }
 
 TEST(CanonicalTest, RecordLineRoundTrips) {

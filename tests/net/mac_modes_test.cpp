@@ -12,7 +12,7 @@ namespace {
 class CountingAgent final : public Agent {
  public:
   explicit CountingAgent(sim::Simulation& sim) : sim_(sim) {}
-  void on_receive(const Packet& p) override { received.emplace_back(sim_.now(), p); }
+  void on_receive(NodeId, const Packet& p) override { received.emplace_back(sim_.now(), p); }
   std::vector<std::pair<sim::TimePoint, Packet>> received;
 
  private:

@@ -15,9 +15,9 @@ class RecordingAgent final : public Agent {
  public:
   explicit RecordingAgent(sim::Simulation& sim) : sim_(sim) {}
 
-  void on_receive(const Packet& p) override { received.emplace_back(sim_.now(), p); }
-  void on_down() override { ++downs; }
-  void on_up() override { ++ups; }
+  void on_receive(NodeId, const Packet& p) override { received.emplace_back(sim_.now(), p); }
+  void on_down(NodeId) override { ++downs; }
+  void on_up(NodeId) override { ++ups; }
 
   std::vector<std::pair<sim::TimePoint, Packet>> received;
   int downs = 0;
