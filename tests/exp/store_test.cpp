@@ -11,6 +11,7 @@
 #include <set>
 
 #include "exp/batch.hpp"
+#include "exp/scenario_registry.hpp"
 #include "exp/store/canonical.hpp"
 
 /// Persistent-store invariants: canonical serialization is stable and
@@ -286,6 +287,35 @@ TEST(CanonicalTest, GoldenDigestMatchesTheGoldenFiles) {
       << "tests/golden/ changed: a re-pinned golden is a change of model behaviour.  Set "
          "kGoldenDigest to "
       << hex << " and bump kSchemaVersion in the same change (exp/store/canonical.hpp).";
+}
+
+TEST(CanonicalTest, ConfigBytesArePinned) {
+  // The canonical config bytes are the store key: a byte that moves orphans
+  // every stored result.  Pin the default config's key and a hash over the
+  // canonical config of every registry job (registry order, then expansion
+  // order, two consecutive seeds), with kGoldenDigest's FNV-1a constants.
+  std::uint64_t h = 14695981039346656037ULL;
+  std::size_t jobs = 0;
+  for (const auto& info : scenario_registry()) {
+    auto spec = info.make();
+    spec.use_consecutive_seeds(2);
+    for (const auto& job : spec.expand()) {
+      for (const char c : canonical_config_json(job.config)) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ULL;
+      }
+      ++jobs;
+    }
+  }
+  char hex[19];
+  std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(h));
+  const std::string key = config_key(ExperimentConfig{});
+  const char* moved =
+      "; the canonical config bytes moved, which orphans every stored result "
+      "(bump kSchemaVersion if that is intended)";
+  EXPECT_EQ(jobs, 472u);
+  EXPECT_EQ(key, "49fef3790453e917") << "default config key is now " << key << moved;
+  EXPECT_EQ(h, 0x54abfff5183a02afULL) << "registry config hash is now " << hex << moved;
 }
 
 TEST(CanonicalTest, RecordLineRoundTrips) {
