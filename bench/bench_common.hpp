@@ -21,12 +21,14 @@
 /// registry (src/exp/scenario_registry.hpp), executes it on the parallel
 /// batch engine, and formats the rows the paper's figure plots.  The
 /// reference workload follows Table 1 except where EXPERIMENTS.md documents
-/// a calibration: packets_per_node defaults to 2 instead of 10 so the whole
-/// bench suite completes in minutes (pass e.g. SPMS_BENCH_PACKETS=10 to run
-/// the paper's full load).  SPMS_BENCH_SEEDS=K averages every cell over K
-/// seeds; SPMS_JOBS caps the worker pool; SPMS_BENCH_STORE=DIR routes every
-/// bench through the persistent result store, so a figure rerun after a
-/// calibration tweak only pays for the changed cells.
+/// a calibration: packets_per_node is 2 instead of 10 so the whole bench
+/// suite completes in minutes (run a scenario through run_experiment_cli
+/// with --set traffic.packets_per_node=10 for the paper's full load; no
+/// environment variable changes a config).  SPMS_BENCH_SEEDS=K averages
+/// every cell over K seeds; SPMS_JOBS caps the worker pool;
+/// SPMS_BENCH_STORE=DIR routes every bench through the persistent result
+/// store, so a figure rerun after a calibration tweak only pays for the
+/// changed cells.
 
 // --- memory / allocation instrumentation -------------------------------------
 //

@@ -21,7 +21,7 @@ int main() {
   t.add_row({"packet arrivals (per node)", "Poisson, mean " +
                  exp::fmt(cfg.traffic.mean_interarrival.to_ms(), 2) + " ms", "Table 1"});
   t.add_row({"packets per node", std::to_string(cfg.traffic.packets_per_node),
-             "Table 1 uses 10; bench default 2 (SPMS_BENCH_PACKETS overrides)"});
+             "Table 1 uses 10; reference config 2 (--set traffic.packets_per_node=10)"});
   t.add_row({"slot time", exp::fmt(cfg.mac.slot_time.to_ms(), 2) + " ms", "Table 1"});
   t.add_row({"number of slots", std::to_string(cfg.mac.num_slots), "Table 1"});
   t.add_row({"transmission time", exp::fmt(cfg.mac.t_tx_per_byte.to_ms(), 2) + " ms/byte",

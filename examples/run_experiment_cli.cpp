@@ -4,17 +4,21 @@
 /// Three modes:
 ///
 ///  * Scenario mode — run a named registry scenario on the parallel batch
-///    engine:
+///    engine, optionally narrowed to part of its grid:
 ///      run_experiment_cli --scenario fig08 --seeds 8 --jobs 8 --format csv
 ///      run_experiment_cli --scenario fig08 --store results/ --shard 0/2
+///      run_experiment_cli --scenario fig13 --variant failures \
+///          --set zone_radius_m=15 --set protocol=SPIN --set seed=2005
 ///      run_experiment_cli --list
 ///    Prints one row per grid point with cross-seed mean/stddev (add
 ///    --per-seed for one row per run).  The per-seed metrics are
 ///    bit-identical whatever --jobs is: every job owns a private Simulation.
-///    With --store DIR, finished jobs persist under DIR and later runs only
-///    execute the missing cells (resume; see EXPERIMENTS.md).  --shard i/N
-///    runs a deterministic 1/N slice of the sweep (shard stores are merged
-///    with the merge mode below).
+///    --variant keeps one of the scenario's variants; --set KEY=VALUE sets
+///    one config field, KEY being a key of a stored config and VALUE spelled
+///    the way the store writes it.  With --store DIR, finished jobs persist
+///    under DIR and later runs only execute the missing cells (resume; see
+///    EXPERIMENTS.md).  --shard i/N runs a deterministic 1/N slice of the
+///    sweep (shard stores are merged with the merge mode below).
 ///
 ///  * Merge mode — union shard stores into one:
 ///      run_experiment_cli merge DEST_STORE SRC_STORE...
@@ -24,22 +28,21 @@
 ///    Prints the scenarios present (with entry counts), the schema versions
 ///    on disk, and how many corrupt lines a load would skip.
 ///
-///  * Single-run mode (no --scenario) — every knob of ExperimentConfig
-///    behind flags, one run, metric/value table:
-///      run_experiment_cli --protocol spms --nodes 169 --radius 25 --failures
-///
-/// Output formats: table (default), csv, json.
+/// Output formats: table (default), csv, json, gnuplot.
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/trace_report.hpp"
@@ -55,25 +58,19 @@ using namespace spms;
 
 [[noreturn]] void usage(const char* argv0) {
   std::cerr
-      << "usage: " << argv0 << " --scenario NAME [--seeds K] [--jobs N]\n"
-         "       [--store DIR] [--no-cache] [--shard I/N] [--max-events N]\n"
+      << "usage: " << argv0 << " --scenario NAME [--variant NAME] [--set KEY=VALUE]...\n"
+         "       [--seeds K] [--jobs N] [--store DIR] [--no-cache] [--shard I/N]\n"
          "       [--format table|csv|json|gnuplot] [--plot-x COL] [--plot-y COL]\n"
          "       [--per-seed] [--quiet] [--rollup-out FILE]\n"
+         "       [--trace-out FILE] [--metrics-out FILE] [--sample-every-ms T]\n"
+         "       [--metrics-format json|prom] [--spans-out FILE] [--perfetto-out FILE]\n"
+         "       [--flight-out FILE] [--trace-report]\n"
          "   or: " << argv0 << " --list\n"
          "   or: " << argv0 << " merge DEST_STORE SRC_STORE...\n"
          "   or: " << argv0 << " store ls DIR\n"
          "   or: " << argv0 << " store gc DIR [--dry-run] [--max-age-days N]\n"
-         "   or: " << argv0
-      << " [--protocol spms|spin|flood] [--nodes N] [--radius M] [--packets K]\n"
-         "       [--pitch M] [--seed S] [--max-events N] [--failures] [--mobility]\n"
-         "       [--region-outages] [--battery-deaths] [--link-degradation]\n"
-         "       [--sink-churn] [--battery-capacity UJ] [--battery-hetero H]\n"
-         "       [--cluster] [--sink] [--random-deployment]\n"
-         "       [--cross-zone TTL] [--relay-caching] [--scones N] [--rx-power MW]\n"
-         "       [--paper-mac] [--format table|csv|json] [--csv]\n"
-         "       [--trace-out FILE] [--metrics-out FILE] [--sample-every-ms T]\n"
-         "       [--metrics-format json|prom] [--spans-out FILE] [--perfetto-out FILE]\n"
-         "       [--flight-out FILE] [--trace-report]\n";
+         "KEY is a key of a stored config and VALUE is spelled the way the store\n"
+         "writes it (EXPERIMENTS.md lists them).\n";
   std::exit(2);
 }
 
@@ -96,18 +93,10 @@ std::size_t parse_size(const char* s, const char* argv0) {
   return static_cast<std::size_t>(v);
 }
 
-std::uint64_t parse_u64(const char* s, const char* argv0) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (!all_digits(s) || end == s || *end != '\0' || errno == ERANGE) usage(argv0);
-  return static_cast<std::uint64_t>(v);
-}
-
 double parse_double(const char* s, const char* argv0) {
   char* end = nullptr;
   const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0') usage(argv0);
+  if (end == s || *end != '\0' || !std::isfinite(v)) usage(argv0);
   return v;
 }
 
@@ -280,6 +269,8 @@ int list_scenarios() {
 }
 
 struct ScenarioOptions {
+  std::string variant;  ///< --variant: keep this one variant
+  std::vector<std::pair<std::string, std::string>> settings;  ///< --set, in order
   std::size_t seeds = 0;
   std::size_t jobs = 1;
   Format format = Format::kTable;
@@ -289,10 +280,12 @@ struct ScenarioOptions {
   bool use_cache = true;
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
-  std::size_t max_events = 0;
   std::string plot_x;  ///< --plot-x: gnuplot abscissa column (default: auto)
   std::string plot_y;  ///< --plot-y: gnuplot ordinate column
   std::string rollup_out;  ///< --rollup-out: per-cell metric rollup sidecar
+  /// Never part of the config or the store key.  Only --trace-report sets
+  /// telemetry.spans, and then the journey tables follow the row.
+  exp::TelemetryOptions telemetry;
 };
 
 /// Table headers of scenario mode, shared by the table builders below and
@@ -306,6 +299,33 @@ const std::vector<std::string> kAggregateHeaders = {
     "protocol", "nodes", "radius_m", "variant", "seeds", "delivery", "mean_delay_ms",
     "delay_sd", "p95_delay_ms", "uj_per_pkt_proto", "energy_sd", "uj_per_pkt_total",
     "dead", "first_death_ms", "half_life_ms", "res_gini", "given_up"};
+
+/// --trace-report: journey census, per-depth hop latencies, busiest relays.
+void print_trace_report(const exp::RunResult& r) {
+  const auto report = analysis::build_trace_report(*r.spans, r.node_energy_uj);
+  const auto& js = report.journeys;
+  std::cout << "\njourneys: " << js.delivered << " delivered, " << js.complete
+            << " complete chains (" << exp::fmt(js.completeness() * 100.0, 2) << "%), "
+            << js.orphaned << " orphaned, max depth " << js.max_depth << "\n\n";
+
+  exp::Table hops({"depth", "count", "mean_hop_ms", "max_hop_ms", "mean_total_ms"});
+  for (const auto& h : report.per_depth) {
+    hops.add_row({std::to_string(h.depth), std::to_string(h.count), exp::fmt(h.mean_hop_ms, 3),
+                  exp::fmt(h.max_hop_ms, 3), exp::fmt(h.mean_total_ms, 3)});
+  }
+  hops.print(std::cout);
+  std::cout << "\n";
+
+  exp::Table relays({"node", "relayed_req", "relayed_data", "served", "energy_uj"});
+  constexpr std::size_t kTopRelays = 10;  // the busiest carriers; the tail is noise
+  for (std::size_t i = 0; i < report.relays.size() && i < kTopRelays; ++i) {
+    const auto& row = report.relays[i];
+    relays.add_row({"n" + std::to_string(row.node.v), std::to_string(row.relayed_req),
+                    std::to_string(row.relayed_data), std::to_string(row.served),
+                    exp::fmt(row.energy_uj, 1)});
+  }
+  relays.print(std::cout);
+}
 
 int run_scenario_mode(const std::string& name, const ScenarioOptions& opt) {
   const auto* info = exp::find_scenario(name);
@@ -326,9 +346,28 @@ int run_scenario_mode(const std::string& name, const ScenarioOptions& opt) {
       }
     }
   }
+
+  // The selection: --variant first, then every --set in order, then --seeds
+  // (which counts from a seed set by --set seed=N).
   auto spec = info->make();
+  try {
+    if (!opt.variant.empty()) spec.select_variant(opt.variant);
+    for (const auto& [key, value] : opt.settings) spec.set(key, value);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "scenario " << name << ": " << e.what() << "\n";
+    return 2;
+  }
   if (opt.seeds > 0) spec.use_consecutive_seeds(opt.seeds);
-  if (opt.max_events > 0) spec.max_events_override = opt.max_events;
+
+  // A file output or the journey report follows one run: with several jobs
+  // there is no one run to follow, and a cache hit would run nothing.
+  if ((opt.telemetry.writes_files() || opt.telemetry.spans) &&
+      (spec.job_count() != 1 || !opt.store_dir.empty())) {
+    std::cerr << "the telemetry file outputs and --trace-report follow one run: narrow " << name
+              << "'s " << spec.job_count() << " jobs to one with --variant and --set, "
+              << "without --store\n";
+    return 2;
+  }
 
   std::unique_ptr<exp::store::ResultStore> store;
   if (!opt.store_dir.empty()) {
@@ -351,6 +390,7 @@ int run_scenario_mode(const std::string& name, const ScenarioOptions& opt) {
   options.shard_index = opt.shard_index;
   options.shard_count = opt.shard_count;
   options.rollup_out = opt.rollup_out;
+  options.telemetry = opt.telemetry;
   if (!opt.quiet) {
     options.on_result = [](const exp::SweepJob& job, const exp::RunResult&, std::size_t done,
                            std::size_t total) {
@@ -431,9 +471,12 @@ int run_scenario_mode(const std::string& name, const ScenarioOptions& opt) {
     }
     print_formatted(t, opt.format, plot);
   }
+  if (opt.telemetry.spans && !batch.runs().empty() && batch.runs().front().spans != nullptr) {
+    print_trace_report(batch.runs().front());
+  }
 
   // A tripped event guard means a truncated, untrustworthy run (see
-  // sim::Scheduler::run); surface it the same way single-run mode does.
+  // sim::Scheduler::run): report it on stderr and in the exit code.
   bool limit_hit = false;
   for (const auto& r : batch.runs()) {
     if (r.event_limit_hit) {
@@ -450,148 +493,58 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "merge") == 0) return merge_stores(argc, argv);
   if (argc > 1 && std::strcmp(argv[1], "store") == 0) return store_mode(argc, argv);
 
-  exp::ExperimentConfig cfg;
-  cfg.node_count = 49;
-  cfg.traffic.packets_per_node = 2;
-
   std::string scenario;
   ScenarioOptions sopt;
-  // Telemetry is single-run only: batch jobs run concurrently and would
-  // race on the output files, so the flags stay off the scenario-allowed
-  // list below and mixing them with --scenario errors like any other
-  // single-run flag.  Telemetry never feeds the config (or the store key):
-  // a traced run returns the same result bytes as an untraced one.
-  exp::TelemetryOptions telemetry;
-
-  // First mode-specific flag seen of each kind: single-run flags do nothing
-  // under --scenario (the registry defines the grid) and scenario flags do
-  // nothing without it, so either mix is an error rather than silence.
-  std::string single_flag;
-  std::string scenario_flag;
-  bool trace_report = false;
-
+  auto& telemetry = sopt.telemetry;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0 && arg != "--list" && arg != "--scenario" &&
-        arg != "--seeds" && arg != "--jobs" && arg != "--format" && arg != "--per-seed" &&
-        arg != "--quiet" && arg != "--csv" && arg != "--help" && arg != "--store" &&
-        arg != "--no-cache" && arg != "--shard" && arg != "--max-events" &&
-        arg != "--plot-x" && arg != "--plot-y" && arg != "--rollup-out" &&
-        single_flag.empty()) {
-      single_flag = arg;
-    }
     const auto next = [&]() -> const char* {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
+    };
+    // A file-path flag: an empty path is a usage error.
+    const auto next_path = [&]() -> std::string {
+      std::string path = next();
+      if (path.empty()) usage(argv[0]);
+      return path;
     };
     if (arg == "--list") {
       return list_scenarios();
     } else if (arg == "--scenario") {
       scenario = next();
+    } else if (arg == "--variant") {
+      sopt.variant = next();
+    } else if (arg == "--set") {
+      const std::string setting = next();
+      const auto eq = setting.find('=');
+      if (eq == std::string::npos || eq == 0) usage(argv[0]);
+      sopt.settings.emplace_back(setting.substr(0, eq), setting.substr(eq + 1));
     } else if (arg == "--seeds") {
-      scenario_flag = arg;
       sopt.seeds = parse_size(next(), argv[0]);
     } else if (arg == "--jobs") {
-      scenario_flag = arg;
       sopt.jobs = parse_size(next(), argv[0]);
     } else if (arg == "--format") {
       sopt.format = parse_format(next(), argv[0]);
     } else if (arg == "--per-seed") {
-      scenario_flag = arg;
       sopt.per_seed = true;
     } else if (arg == "--quiet") {
       sopt.quiet = true;
     } else if (arg == "--store") {
-      scenario_flag = arg;
-      sopt.store_dir = next();
-      if (sopt.store_dir.empty()) usage(argv[0]);
+      sopt.store_dir = next_path();
     } else if (arg == "--no-cache") {
-      scenario_flag = arg;
       sopt.use_cache = false;
     } else if (arg == "--shard") {
-      scenario_flag = arg;
       parse_shard(next(), sopt.shard_index, sopt.shard_count, argv[0]);
     } else if (arg == "--plot-x") {
-      scenario_flag = arg;
       sopt.plot_x = next();
     } else if (arg == "--plot-y") {
-      scenario_flag = arg;
       sopt.plot_y = next();
-    } else if (arg == "--max-events") {
-      // Valid in both modes: a runaway guard, not a grid knob.
-      const std::size_t v = parse_size(next(), argv[0]);
-      if (v == 0) usage(argv[0]);
-      cfg.max_events = v;
-      sopt.max_events = v;
-    } else if (arg == "--protocol") {
-      const std::string p = next();
-      if (p == "spms") {
-        cfg.protocol = exp::ProtocolKind::kSpms;
-      } else if (p == "spin") {
-        cfg.protocol = exp::ProtocolKind::kSpin;
-      } else if (p == "flood") {
-        cfg.protocol = exp::ProtocolKind::kFlooding;
-      } else {
-        usage(argv[0]);
-      }
-    } else if (arg == "--nodes") {
-      cfg.node_count = parse_size(next(), argv[0]);
-    } else if (arg == "--radius") {
-      cfg.zone_radius_m = parse_double(next(), argv[0]);
-    } else if (arg == "--packets") {
-      cfg.traffic.packets_per_node = static_cast<int>(parse_size(next(), argv[0]));
-    } else if (arg == "--pitch") {
-      cfg.grid_pitch_m = parse_double(next(), argv[0]);
-    } else if (arg == "--seed") {
-      cfg.seed = parse_u64(next(), argv[0]);
-    } else if (arg == "--failures") {
-      cfg.faults.crash.enabled = true;
-      cfg.activity_horizon = sim::Duration::ms(2000);
-    } else if (arg == "--region-outages") {
-      exp::scaled_region_outages(cfg);
-    } else if (arg == "--battery-deaths") {
-      exp::scaled_battery_depletion(cfg);
-    } else if (arg == "--link-degradation") {
-      exp::scaled_link_degradation(cfg);
-    } else if (arg == "--sink-churn") {
-      exp::scaled_sink_churn(cfg);
-    } else if (arg == "--battery-capacity") {
-      const double uj = parse_double(next(), argv[0]);
-      if (uj <= 0.0) usage(argv[0]);
-      exp::energy_budget(cfg, uj, cfg.battery.heterogeneity);
-    } else if (arg == "--battery-hetero") {
-      const double h = parse_double(next(), argv[0]);
-      if (h < 0.0 || h >= 1.0) usage(argv[0]);
-      cfg.battery.heterogeneity = h;
-    } else if (arg == "--mobility") {
-      cfg.mobility = true;
-      cfg.activity_horizon = sim::Duration::ms(2000);
-      cfg.mobility_params.epoch_interval = sim::Duration::ms(400);
-    } else if (arg == "--cluster") {
-      cfg.pattern = exp::TrafficPattern::kCluster;
-    } else if (arg == "--sink") {
-      cfg.pattern = exp::TrafficPattern::kSink;
-    } else if (arg == "--random-deployment") {
-      cfg.deployment = exp::Deployment::kUniformRandom;
-    } else if (arg == "--cross-zone") {
-      cfg.spms_ext.cross_zone_ttl = parse_size(next(), argv[0]);
-    } else if (arg == "--relay-caching") {
-      cfg.spms_ext.relay_caching = true;
-    } else if (arg == "--scones") {
-      cfg.spms_ext.num_scones = parse_size(next(), argv[0]);
-    } else if (arg == "--rx-power") {
-      cfg.energy.rx_power_mw = parse_double(next(), argv[0]);
-    } else if (arg == "--paper-mac") {
-      cfg.mac.infinite_parallelism = true;
-      cfg.mac.contention_g_ms = 0.01;
-      cfg.proto.tout_adv = sim::Duration::ms(60.0);
-      cfg.proto.tout_dat = sim::Duration::ms(120.0);
+    } else if (arg == "--rollup-out") {
+      sopt.rollup_out = next_path();
     } else if (arg == "--trace-out") {
-      telemetry.trace_out = next();
-      if (telemetry.trace_out.empty()) usage(argv[0]);
+      telemetry.trace_out = next_path();
     } else if (arg == "--metrics-out") {
-      telemetry.metrics_out = next();
-      if (telemetry.metrics_out.empty()) usage(argv[0]);
+      telemetry.metrics_out = next_path();
     } else if (arg == "--sample-every-ms") {
       telemetry.sample_every_ms = parse_double(next(), argv[0]);
       if (telemetry.sample_every_ms <= 0.0) usage(argv[0]);
@@ -605,23 +558,13 @@ int main(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (arg == "--spans-out") {
-      telemetry.spans_out = next();
-      if (telemetry.spans_out.empty()) usage(argv[0]);
+      telemetry.spans_out = next_path();
     } else if (arg == "--perfetto-out") {
-      telemetry.perfetto_out = next();
-      if (telemetry.perfetto_out.empty()) usage(argv[0]);
+      telemetry.perfetto_out = next_path();
     } else if (arg == "--flight-out") {
-      telemetry.flight_out = next();
-      if (telemetry.flight_out.empty()) usage(argv[0]);
+      telemetry.flight_out = next_path();
     } else if (arg == "--trace-report") {
-      trace_report = true;
       telemetry.spans = true;
-    } else if (arg == "--rollup-out") {
-      scenario_flag = arg;
-      sopt.rollup_out = next();
-      if (sopt.rollup_out.empty()) usage(argv[0]);
-    } else if (arg == "--csv") {
-      sopt.format = Format::kCsv;
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
     } else {
@@ -629,93 +572,6 @@ int main(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-
-  if (!scenario.empty()) {
-    if (!single_flag.empty()) {
-      std::cerr << single_flag << " is a single-run flag and has no effect with --scenario "
-                   "(the registry defines the grid; see EXPERIMENTS.md)\n";
-      return 2;
-    }
-    return run_scenario_mode(scenario, sopt);
-  }
-  if (!scenario_flag.empty()) {
-    std::cerr << scenario_flag << " requires --scenario (single-run mode executes exactly "
-                 "one config; see --help)\n";
-    return 2;
-  }
-  if (sopt.format == Format::kGnuplot) {
-    std::cerr << "--format gnuplot requires --scenario (a single run has no sweep axis "
-                 "to plot)\n";
-    return 2;
-  }
-
-  const auto r = exp::run_experiment(cfg, telemetry);
-
-  exp::Table t({"metric", "value"});
-  t.add_row({"protocol", r.protocol});
-  t.add_row({"nodes", std::to_string(r.nodes)});
-  t.add_row({"zone radius (m)", exp::fmt(r.zone_radius_m, 1)});
-  t.add_row({"items published", std::to_string(r.items_published)});
-  t.add_row({"deliveries", std::to_string(r.deliveries) + "/" +
-                               std::to_string(r.expected_deliveries)});
-  t.add_row({"delivery ratio", exp::fmt_pct(r.delivery_ratio)});
-  t.add_row({"mean delay (ms)", exp::fmt(r.mean_delay_ms, 3)});
-  t.add_row({"p95 delay (ms)", exp::fmt(r.p95_delay_ms, 3)});
-  t.add_row({"max delay (ms)", exp::fmt(r.max_delay_ms, 3)});
-  t.add_row({"energy/item, protocol (uJ)", exp::fmt(r.protocol_energy_per_item_uj, 3)});
-  t.add_row({"energy/item, total (uJ)", exp::fmt(r.energy_per_item_uj, 3)});
-  t.add_row({"routing (DBF) energy (uJ)", exp::fmt(r.energy.routing_uj(), 1)});
-  t.add_row({"tx frames (ADV/REQ/DATA)", std::to_string(r.net_counters.tx_adv) + "/" +
-                                             std::to_string(r.net_counters.tx_req) + "/" +
-                                             std::to_string(r.net_counters.tx_data)});
-  t.add_row({"failures injected", std::to_string(r.failures_injected)});
-  t.add_row({"fault events", std::to_string(r.fault_stats.fault_events)});
-  t.add_row({"permanent deaths", std::to_string(r.fault_stats.permanent_deaths)});
-  t.add_row({"depleted batteries", std::to_string(r.battery.depleted_nodes)});
-  t.add_row({"time to first death (ms)", exp::fmt(r.fault_stats.time_to_first_death_ms, 3)});
-  t.add_row({"network half-life (ms)", exp::fmt(r.fault_stats.half_life_ms, 3)});
-  t.add_row({"residual energy mean (uJ)", exp::fmt(r.battery.residual_mean_uj, 3)});
-  t.add_row({"residual energy Gini", exp::fmt(r.battery.residual_gini, 4)});
-  t.add_row({"node downtime (ms)", exp::fmt(r.fault_stats.total_downtime_ms, 1)});
-  t.add_row({"mean recovery latency (ms)",
-             exp::fmt(r.fault_stats.mean_recovery_latency_ms, 3)});
-  t.add_row({"link-fault drops", std::to_string(r.net_counters.dropped_link_fault)});
-  t.add_row({"mobility epochs", std::to_string(r.mobility_epochs)});
-  t.add_row({"acquisitions given up", std::to_string(r.given_up)});
-  t.add_row({"unknown-item deliveries", std::to_string(r.unknown_item_deliveries)});
-  t.add_row({"simulated time (ms)", exp::fmt(r.sim_time_ms, 1)});
-  t.add_row({"events executed", std::to_string(r.events_executed)});
-  if (!r.series.empty()) {
-    t.add_row({"telemetry samples", std::to_string(r.series.samples())});
-  }
-
-  print_formatted(t, sopt.format);
-
-  if (trace_report && r.spans != nullptr) {
-    const auto report = analysis::build_trace_report(*r.spans, r.node_energy_uj);
-    const auto& js = report.journeys;
-    std::cout << "\njourneys: " << js.delivered << " delivered, " << js.complete
-              << " complete chains (" << exp::fmt(js.completeness() * 100.0, 2) << "%), "
-              << js.orphaned << " orphaned, max depth " << js.max_depth << "\n\n";
-
-    exp::Table hops({"depth", "count", "mean_hop_ms", "max_hop_ms", "mean_total_ms"});
-    for (const auto& h : report.per_depth) {
-      hops.add_row({std::to_string(h.depth), std::to_string(h.count),
-                    exp::fmt(h.mean_hop_ms, 3), exp::fmt(h.max_hop_ms, 3),
-                    exp::fmt(h.mean_total_ms, 3)});
-    }
-    hops.print(std::cout);
-    std::cout << "\n";
-
-    exp::Table relays({"node", "relayed_req", "relayed_data", "served", "energy_uj"});
-    constexpr std::size_t kTopRelays = 10;  // the busiest carriers; the tail is noise
-    for (std::size_t i = 0; i < report.relays.size() && i < kTopRelays; ++i) {
-      const auto& row = report.relays[i];
-      relays.add_row({"n" + std::to_string(row.node.v), std::to_string(row.relayed_req),
-                      std::to_string(row.relayed_data), std::to_string(row.served),
-                      exp::fmt(row.energy_uj, 1)});
-    }
-    relays.print(std::cout);
-  }
-  return r.event_limit_hit ? 1 : 0;
+  if (scenario.empty()) usage(argv[0]);
+  return run_scenario_mode(scenario, sopt);
 }

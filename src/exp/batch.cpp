@@ -202,13 +202,13 @@ BatchResult BatchRunner::run(const SweepSpec& spec) const {
   const std::size_t workers =
       std::min(options_.jobs == 0 ? default_jobs() : options_.jobs, pending.size());
 
-  // Per-job telemetry, minus the file outputs (workers would race on them).
+  // Each file output names one file, so it can follow one run only: refuse
+  // before running anything rather than let workers race on the paths.
   TelemetryOptions job_telemetry = options_.telemetry;
-  job_telemetry.trace_out.clear();
-  job_telemetry.metrics_out.clear();
-  job_telemetry.spans_out.clear();
-  job_telemetry.perfetto_out.clear();
-  job_telemetry.flight_out.clear();
+  if (job_telemetry.writes_files() && pending.size() > 1) {
+    throw std::invalid_argument{"BatchRunner: telemetry file outputs need exactly one job to "
+                                "execute, not " + std::to_string(pending.size())};
+  }
   // The rollup aggregates each executed job's final counters/histograms.
   if (!options_.rollup_out.empty()) job_telemetry.metrics = true;
 

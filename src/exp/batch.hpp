@@ -96,10 +96,9 @@ struct BatchOptions {
   /// Telemetry attached to every *executed* job (cache hits carry none).
   /// Zero-perturbation by construction, so results — and therefore store
   /// contents and cache keys — are identical with or without it.  The
-  /// single-file outputs (trace_out / metrics_out / spans_out / perfetto_out
-  /// / flight_out) are ignored here: jobs run concurrently and would race on
-  /// the paths; use the in-memory series / ring / spans, or run_experiment
-  /// directly for file capture of a single run.
+  /// single-file outputs (TelemetryOptions::writes_files) are written when
+  /// exactly one job executes; run() throws std::invalid_argument before
+  /// running anything when more than one would.
   TelemetryOptions telemetry;
 
   /// Non-empty: after the pool drains, write one {"type":"rollup"} JSONL

@@ -16,8 +16,7 @@
 
 namespace spms::exp {
 
-/// One registry entry.  `make` builds a fresh SweepSpec each call (it
-/// re-reads the SPMS_BENCH_* calibration env vars via reference_config).
+/// One registry entry.  `make` builds a fresh SweepSpec each call.
 struct ScenarioInfo {
   std::string name;         ///< registry key, e.g. "fig08"
   std::string title;        ///< what the sweep measures
@@ -31,13 +30,10 @@ struct ScenarioInfo {
 /// Looks up a scenario by name; nullptr if unknown.
 [[nodiscard]] const ScenarioInfo* find_scenario(std::string_view name);
 
-/// Names of every registered scenario, registry order.
-[[nodiscard]] std::vector<std::string> scenario_names();
-
 /// Reference experiment configuration (paper Table 1 + DESIGN.md Section 6).
-/// packets_per_node defaults to 2 instead of Table 1's 10 so the whole bench
-/// suite completes in minutes; SPMS_BENCH_PACKETS / SPMS_BENCH_SEED override
-/// (see EXPERIMENTS.md).
+/// packets_per_node is 2 instead of Table 1's 10 so the whole bench suite
+/// completes in minutes; `--set traffic.packets_per_node=10` runs the
+/// paper's load (see EXPERIMENTS.md).
 [[nodiscard]] ExperimentConfig reference_config();
 
 /// Transient-failure regime scaled to this MAC's timescale: ≈20% downtime
@@ -45,28 +41,15 @@ struct ScenarioInfo {
 /// the paper's relative churn on our stretched clock (EXPERIMENTS.md).
 void scaled_failures(ExperimentConfig& cfg);
 
-/// The other fault models' scaled regimes for the faults-* campaign
-/// (EXPERIMENTS.md documents each): region blackouts every ~1.5 s over a
-/// 12 m disk, energy-driven battery deaths on a finite budget sized so
-/// roughly a tenth of the reference fleet runs dry, link drops ramping
-/// 0 → 25%, and crash churn confined to the sink's 2-hop neighborhood.
-/// Each also stretches the activity horizon to the 6 s failure timescale.
-void scaled_region_outages(ExperimentConfig& cfg);
-void scaled_battery_depletion(ExperimentConfig& cfg);
-void scaled_link_degradation(ExperimentConfig& cfg);
-void scaled_sink_churn(ExperimentConfig& cfg);
-
 /// Arms the energy-coupled death path: finite per-node budget of
 /// `capacity_uj` (optionally heterogeneous), a small idle/sleep drain, and
 /// the fault layer's battery model so depletions become permanent deaths
 /// with lifetime metrics.  The building block of the lifetime-* family.
 void energy_budget(ExperimentConfig& cfg, double capacity_uj, double heterogeneity = 0.0);
 
-/// All five scaled regimes stacked — the worst-case composite plan.
+/// All five scaled fault regimes stacked — the worst-case composite plan
+/// (the faults-* campaign's `stacked` variant; EXPERIMENTS.md documents each
+/// regime).
 void scaled_stacked_faults(ExperimentConfig& cfg);
-
-/// Round-dominated regime (paper-style MAC): no queueing, backoff + airtime
-/// only.  Isolates the paper's falling-delay-with-radius mechanism (Fig. 9).
-void round_dominated_mac(ExperimentConfig& cfg);
 
 }  // namespace spms::exp

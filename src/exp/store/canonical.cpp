@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <system_error>
+#include <type_traits>
 
 namespace spms::exp::store {
 
@@ -66,23 +67,6 @@ class ObjWriter {
   std::string out_;
   bool first_ = true;
 };
-
-constexpr const char* pattern_name(TrafficPattern p) {
-  switch (p) {
-    case TrafficPattern::kAllToAll: return "all-to-all";
-    case TrafficPattern::kCluster: return "cluster";
-    case TrafficPattern::kSink: return "sink";
-  }
-  return "?";
-}
-
-constexpr const char* deployment_name(Deployment d) {
-  switch (d) {
-    case Deployment::kGrid: return "grid";
-    case Deployment::kUniformRandom: return "uniform-random";
-  }
-  return "?";
-}
 
 // --- minimal JSON scanning ---------------------------------------------------
 //
@@ -255,75 +239,24 @@ std::uint64_t fnv1a(std::string_view bytes, std::uint64_t h = 146959810393466560
 
 std::string canonical_config_json(const ExperimentConfig& c) {
   ObjWriter w;
-  w.str("label", c.label);
-  w.str("protocol", to_string(c.protocol));
-  w.str("pattern", pattern_name(c.pattern));
-  w.str("deployment", deployment_name(c.deployment));
-  w.u64("node_count", c.node_count);
-  w.d("grid_pitch_m", c.grid_pitch_m);
-  w.d("zone_radius_m", c.zone_radius_m);
-  w.b("mac.carrier_sense", c.mac.carrier_sense);
-  w.b("mac.infinite_parallelism", c.mac.infinite_parallelism);
-  w.d("mac.contention_g_ms", c.mac.contention_g_ms);
-  w.i64("mac.slot_time_ns", c.mac.slot_time.count_nanos());
-  w.i64("mac.num_slots", c.mac.num_slots);
-  w.i64("mac.t_tx_per_byte_ns", c.mac.t_tx_per_byte.count_nanos());
-  w.i64("mac.t_proc_ns", c.mac.t_proc.count_nanos());
-  w.d("energy.rx_power_mw", c.energy.rx_power_mw);
-  w.b("energy.charge_overhearing", c.energy.charge_overhearing);
-  w.b("battery.finite", c.battery.finite);
-  w.d("battery.capacity_uj", c.battery.capacity_uj);
-  w.d("battery.heterogeneity", c.battery.heterogeneity);
-  w.d("battery.idle_drain_mw", c.battery.idle_drain_mw);
-  w.i64("battery.idle_tick_ns", c.battery.idle_tick.count_nanos());
-  w.u64("proto.adv_bytes", c.proto.adv_bytes);
-  w.u64("proto.req_bytes", c.proto.req_bytes);
-  w.u64("proto.data_bytes", c.proto.data_bytes);
-  w.i64("proto.tout_adv_ns", c.proto.tout_adv.count_nanos());
-  w.i64("proto.tout_dat_ns", c.proto.tout_dat.count_nanos());
-  w.i64("proto.max_retries", c.proto.max_retries);
-  w.d("proto.retry_backoff", c.proto.retry_backoff);
-  w.i64("proto.max_backoff_exp", c.proto.max_backoff_exp);
-  w.i64("proto.service_guard_ns", c.proto.service_guard.count_nanos());
-  w.i64("proto.timer_defer_limit", c.proto.timer_defer_limit);
-  w.b("spms_ext.relay_caching", c.spms_ext.relay_caching);
-  w.u64("spms_ext.num_scones", c.spms_ext.num_scones);
-  w.u64("spms_ext.cross_zone_ttl", c.spms_ext.cross_zone_ttl);
-  w.i64("traffic.packets_per_node", c.traffic.packets_per_node);
-  w.i64("traffic.mean_interarrival_ns", c.traffic.mean_interarrival.count_nanos());
-  w.u64("dbf.header_bytes", c.dbf.header_bytes);
-  w.u64("dbf.bytes_per_entry", c.dbf.bytes_per_entry);
-  w.b("dbf.charge_energy", c.dbf.charge_energy);
-  w.u64("dbf.max_rounds", c.dbf.max_rounds);
-  const auto& f = c.faults;
-  w.b("faults.crash.enabled", f.crash.enabled);
-  w.i64("faults.crash.mtbf_ns", f.crash.mean_time_between_failures.count_nanos());
-  w.i64("faults.crash.repair_min_ns", f.crash.repair_min.count_nanos());
-  w.i64("faults.crash.repair_max_ns", f.crash.repair_max.count_nanos());
-  w.b("faults.region.enabled", f.region.enabled);
-  w.i64("faults.region.mtbo_ns", f.region.mean_time_between_outages.count_nanos());
-  w.d("faults.region.radius_m", f.region.radius_m);
-  w.i64("faults.region.repair_min_ns", f.region.repair_min.count_nanos());
-  w.i64("faults.region.repair_max_ns", f.region.repair_max.count_nanos());
-  w.b("faults.battery.enabled", f.battery.enabled);
-  w.b("faults.link.enabled", f.link.enabled);
-  w.d("faults.link.drop_start", f.link.drop_start);
-  w.d("faults.link.drop_end", f.link.drop_end);
-  w.b("faults.sink_churn.enabled", f.sink_churn.enabled);
-  w.u64("faults.sink_churn.hops", f.sink_churn.hops);
-  w.i64("faults.sink_churn.mtbf_ns", f.sink_churn.mean_time_between_failures.count_nanos());
-  w.i64("faults.sink_churn.repair_min_ns", f.sink_churn.repair_min.count_nanos());
-  w.i64("faults.sink_churn.repair_max_ns", f.sink_churn.repair_max.count_nanos());
-  w.b("mobility", c.mobility);
-  w.i64("mobility.epoch_interval_ns", c.mobility_params.epoch_interval.count_nanos());
-  w.d("mobility.move_fraction", c.mobility_params.move_fraction);
-  w.d("mobility.field_side_m", c.mobility_params.field_side_m);
-  w.d("cluster_p_other", c.cluster_p_other);
-  w.b("percentiles.sketch", c.percentiles.sketch);
-  w.d("percentiles.compression", c.percentiles.compression);
-  w.u64("seed", c.seed);
-  w.i64("activity_horizon_ns", c.activity_horizon.count_nanos());
-  w.u64("max_events", c.max_events);
+  visit_fields(c, [&w](std::string_view key, const auto& v) {
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, std::string>) {
+      w.str(key, v);
+    } else if constexpr (std::is_enum_v<T>) {
+      w.str(key, to_string(v));
+    } else if constexpr (std::is_same_v<T, bool>) {
+      w.b(key, v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      w.d(key, v);
+    } else if constexpr (std::is_same_v<T, sim::Duration>) {
+      w.i64(key, v.count_nanos());
+    } else if constexpr (std::is_signed_v<T>) {
+      w.i64(key, v);
+    } else {
+      w.u64(key, v);
+    }
+  });
   return std::move(w).finish();
 }
 

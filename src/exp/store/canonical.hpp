@@ -14,11 +14,12 @@
 ///
 /// A run is a pure function of its ExperimentConfig (EXPERIMENTS.md's
 /// determinism contract), so a content hash of the canonical config bytes
-/// identifies its result forever.  Canonical means: every field, fixed
-/// declaration order, fixed key names, durations as integer nanoseconds,
-/// doubles in shortest round-trip form — two equal configs always produce
-/// byte-identical JSON, and a RunResult survives a JSON round trip
-/// bit-exactly (the warm-vs-cold byte-identity guarantee rests on this).
+/// identifies its result forever.  Canonical means: every field, in the
+/// order and under the keys of exp::visit_fields, durations as integer
+/// nanoseconds, doubles in shortest round-trip form — two equal configs
+/// always produce byte-identical JSON, and a RunResult survives a JSON
+/// round trip bit-exactly (the warm-vs-cold byte-identity guarantee rests
+/// on this).
 
 namespace spms::exp::store {
 

@@ -1,5 +1,6 @@
 #include "exp/sweep.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -23,6 +24,32 @@ std::string job_label(const std::string& scenario, const SweepJob& job) {
 }
 
 }  // namespace
+
+void SweepSpec::set(const std::string& key, const std::string& value) {
+  if (key == "label") {
+    throw std::invalid_argument{"label is not settable: the sweep names each job"};
+  }
+  ExperimentConfig probe = base;
+  set_field(probe, key, value);
+  if (key == "protocol") protocols = {probe.protocol};
+  if (key == "node_count") node_counts = {probe.node_count};
+  if (key == "zone_radius_m") zone_radii = {probe.zone_radius_m};
+  if (key == "seed") seeds = {probe.seed};
+  base = std::move(probe);
+  settings.emplace_back(key, value);
+}
+
+void SweepSpec::select_variant(const std::string& variant) {
+  const auto it = std::find_if(variants.begin(), variants.end(),
+                               [&](const ConfigVariant& v) { return v.name == variant; });
+  if (it == variants.end()) {
+    std::string msg = "unknown variant '" + variant + "'; " + name + " has";
+    if (variants.empty()) msg += " none";
+    for (const auto& v : variants) msg += " " + v.name;
+    throw std::invalid_argument{msg};
+  }
+  variants = {*it};
+}
 
 void SweepSpec::use_consecutive_seeds(std::size_t count) {
   seeds.clear();
@@ -69,7 +96,7 @@ std::vector<SweepJob> SweepSpec::expand() const {
             job.config.node_count = nodes;
             job.config.zone_radius_m = radius;
             if (variant.apply) variant.apply(job.config);
-            if (max_events_override != 0) job.config.max_events = max_events_override;
+            for (const auto& [key, value] : settings) set_field(job.config, key, value);
             job.config.seed = seed;
             job.config.label = job_label(name, job);
             jobs.push_back(std::move(job));

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/config.hpp"
@@ -51,14 +52,25 @@ struct SweepSpec {
   std::vector<ConfigVariant> variants;
   std::vector<std::uint64_t> seeds;
 
-  /// When nonzero, stamped over every job's config.max_events after its
-  /// variant ran (so the operator's runaway guard beats any variant).  The
-  /// CLI's --max-events; part of the config, so it feeds the store key.
-  std::size_t max_events_override = 0;
+  /// Operator settings as (config key, value text), applied in order to
+  /// every job after its variant and before its seed and label are stamped,
+  /// so a setting beats any variant.  Added through set().
+  std::vector<std::pair<std::string, std::string>> settings;
+
+  /// Sets one config field for every job; `key` and `value` are spelled as
+  /// for set_field.  A swept key (protocol, node_count, zone_radius_m, seed)
+  /// also narrows its axis to that one value, on the grid or not.  Throws
+  /// std::invalid_argument, changing nothing, for `label` (the sweep names
+  /// each job), an unknown key or a bad value.
+  void set(const std::string& key, const std::string& value);
+
+  /// Keeps only the variant called `variant`.  Throws std::invalid_argument
+  /// listing the spec's variants if it has none of that name.
+  void select_variant(const std::string& variant);
 
   /// Replaces the seed axis with `count` consecutive seeds starting at
-  /// base.seed — the convention shared by the CLI's --seeds and the
-  /// benches' SPMS_BENCH_SEEDS.
+  /// base.seed (which `set("seed", ...)` moves) — the convention shared by
+  /// the CLI's --seeds and the benches' SPMS_BENCH_SEEDS.
   void use_consecutive_seeds(std::size_t count);
 
   /// Number of grid points (product of the non-seed axes).
@@ -69,8 +81,8 @@ struct SweepSpec {
 
   /// Expands the grid in deterministic order: node_count (outer), then
   /// zone_radius, then variant, then protocol, then seed (inner).  The
-  /// variant's apply runs after the axis fields are set and before the seed
-  /// is stamped, so variants may override any other knob.
+  /// variant's apply runs after the axis fields are set and before the
+  /// settings and the seed, so variants may override any other knob.
   [[nodiscard]] std::vector<SweepJob> expand() const;
 };
 

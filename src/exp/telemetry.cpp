@@ -47,6 +47,14 @@ const std::vector<double>& delay_bounds() {
 
 TelemetrySession::TelemetrySession(Scenario& scenario, const TelemetryOptions& options)
     : scenario_(scenario), options_(options) {
+  // Sampler::observe steps its due instant by the interval until it passes
+  // the clock, which an interval that is not finite, rounds to 0 ns or
+  // overflows the nanosecond clock never does.
+  const double every_ns = options_.sample_every_ms * 1e6;
+  if (!std::isfinite(every_ns) || (every_ns > 0.0 && (every_ns < 0.5 || every_ns >= 0x1p63))) {
+    throw std::invalid_argument{"TelemetrySession: sample_every_ms must be finite and round "
+                                "to at least 1 ns"};
+  }
   if (!options_.any()) return;
   active_ = true;
 

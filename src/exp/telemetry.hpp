@@ -40,7 +40,9 @@ struct TelemetryOptions {
 
   /// > 0: snapshot every gauge each time the clock passes another multiple
   /// of this interval, observed at event-dispatch boundaries (see
-  /// obs::Sampler).  The series lands in RunResult::series.
+  /// obs::Sampler).  The series lands in RunResult::series.  A non-finite
+  /// value, or one that rounds to less than 1 ns, makes TelemetrySession
+  /// throw std::invalid_argument.
   double sample_every_ms = 0.0;
 
   /// > 0: keep the most recent N typed trace records in memory
@@ -77,6 +79,12 @@ struct TelemetryOptions {
 
   [[nodiscard]] bool span_assembly() const {
     return spans || !spans_out.empty() || !perfetto_out.empty() || !flight_out.empty();
+  }
+
+  /// True when any single-file output is set.
+  [[nodiscard]] bool writes_files() const {
+    return !trace_out.empty() || !metrics_out.empty() || !spans_out.empty() ||
+           !perfetto_out.empty() || !flight_out.empty();
   }
 
   [[nodiscard]] bool any() const {

@@ -31,13 +31,14 @@ Network::Network(sim::Simulation& sim, RadioTable radio, MacParams mac, EnergyMo
       battery_(battery),
       zone_radius_m_(zone_radius_m) {
   if (positions.empty()) throw std::invalid_argument{"Network: empty deployment"};
-  if (zone_radius_m <= 0 || zone_radius_m > radio_.max_range()) {
+  // Each check negates its accepted range, so NaN fails it too.
+  if (!(zone_radius_m > 0 && zone_radius_m <= radio_.max_range())) {
     throw std::invalid_argument{"Network: zone radius outside the radio's reach"};
   }
-  if (battery_.finite && battery_.capacity_uj <= 0.0) {
+  if (battery_.finite && !(battery_.capacity_uj > 0.0)) {
     throw std::invalid_argument{"Network: finite battery needs a positive capacity"};
   }
-  if (battery_.heterogeneity < 0.0 || battery_.heterogeneity >= 1.0) {
+  if (!(battery_.heterogeneity >= 0.0 && battery_.heterogeneity < 1.0)) {
     throw std::invalid_argument{"Network: battery heterogeneity must be in [0, 1)"};
   }
   const std::size_t n = positions.size();

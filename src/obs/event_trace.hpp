@@ -89,19 +89,19 @@ enum class BatteryBucket : std::uint8_t {
 /// FaultPhase or BatteryBucket); unused fields stay at their invalid /
 /// zero defaults and are omitted from the JSONL rendering.
 struct TraceRecord {
-  sim::TimePoint at;
+  sim::TimePoint at{};
   TraceKind kind = TraceKind::kPublish;
   std::uint8_t cause = 0;
-  net::NodeId node;   ///< primary subject
-  net::NodeId peer;   ///< counterpart (REQ target, DATA source, requester…)
-  net::NodeId via;    ///< relay / next hop where applicable
+  net::NodeId node{};  ///< primary subject
+  net::NodeId peer{};  ///< counterpart (REQ target, DATA source, requester…)
+  net::NodeId via{};   ///< relay / next hop where applicable
   /// Causal parent of this record's (item, node) span: the upstream node
   /// whose span the data came from (the answering holder for SPMS — which
   /// may differ from `peer` when relays carried the DATA — the serving
   /// advertiser for SPIN, the rebroadcaster for flooding).  Invalid on
   /// records that carry no causality; SpanTrace links journeys through it.
-  net::NodeId parent;
-  net::DataId item;
+  net::NodeId parent{};
+  net::DataId item{};
   double value = 0.0;  ///< delay ms, residual fraction, changed entries…
 };
 

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "exp/scenario_registry.hpp"
@@ -162,6 +165,29 @@ TEST(BatchRunnerTest, OnResultReportsEveryJobExactlyOnce) {
   EXPECT_EQ(batch.runs().size(), 8u);
   EXPECT_EQ(seen.size(), 8u);
   EXPECT_EQ(max_done, 8u);
+}
+
+TEST(BatchRunnerTest, FileOutputsFollowOneJobAndRefuseSeveral) {
+  const auto path = std::string{::testing::TempDir()} + "spms_batch_trace.jsonl";
+  std::remove(path.c_str());
+  BatchOptions options;
+  options.telemetry.trace_out = path;
+  // Eight pending jobs: refused before any runs, so no file appears.
+  EXPECT_THROW(static_cast<void>(BatchRunner{options}.run(small_spec())),
+               std::invalid_argument);
+  EXPECT_FALSE(std::ifstream{path}.good());
+
+  auto one = small_spec();
+  one.set("protocol", "SPIN");
+  one.set("seed", "2");
+  const auto batch = BatchRunner{options}.run(one);
+  ASSERT_EQ(batch.runs().size(), 1u);
+  std::ifstream trace{path};
+  std::string first_line;
+  ASSERT_TRUE(std::getline(trace, first_line)) << "no trace written for the one job";
+  EXPECT_NE(first_line.find("\"kind\""), std::string::npos) << first_line;
+  trace.close();
+  std::remove(path.c_str());
 }
 
 TEST(AggregateTest, MatchesHandComputedStatistics) {

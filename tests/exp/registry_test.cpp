@@ -4,15 +4,18 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "exp/runner.hpp"
 #include "exp/store/canonical.hpp"
 
 /// Registry-wide guarantees: every scenario expands to a usable,
 /// duplicate-free job list (distinct labels AND distinct store keys — the
-/// result cache depends on the latter), and each scenario's smallest grid
-/// point actually runs end to end under a tight event budget.
+/// result cache depends on the latter), each scenario's smallest grid
+/// point actually runs end to end under a tight event budget, and
+/// --variant/--set narrow a scenario the way the CLI relies on.
 
 namespace spms::exp {
 namespace {
@@ -38,7 +41,7 @@ TEST(RegistrySmokeTest, SmallestGridPointRunsUnderATightEventBudget) {
     auto spec = info.make();
     // The runaway guard under test doubles as the budget that keeps this
     // sweep-of-sweeps fast: truncation is fine, crashing is not.
-    spec.max_events_override = 150'000;
+    spec.set("max_events", "150000");
     const auto jobs = spec.expand();
     const auto smallest = std::min_element(
         jobs.begin(), jobs.end(), [](const SweepJob& a, const SweepJob& b) {
@@ -53,16 +56,99 @@ TEST(RegistrySmokeTest, SmallestGridPointRunsUnderATightEventBudget) {
   }
 }
 
-TEST(RegistrySmokeTest, MaxEventsOverrideBeatsVariants) {
+TEST(RegistrySmokeTest, SettingsBeatVariants) {
   SweepSpec spec;
   spec.variants = {{"greedy", [](ExperimentConfig& c) { c.max_events = 77; }}};
-  spec.max_events_override = 1234;
-  const auto jobs = spec.expand();
+  auto set = spec;
+  set.set("max_events", "1234");
+  const auto jobs = set.expand();
   ASSERT_EQ(jobs.size(), 1u);
   EXPECT_EQ(jobs[0].config.max_events, 1234u);
-  // And without the override the variant's value stands.
-  spec.max_events_override = 0;
+  // And without the setting the variant's value stands.
   EXPECT_EQ(spec.expand()[0].config.max_events, 77u);
+}
+
+TEST(SweepSelectionTest, SetNarrowsEachSweptAxisEvenOffTheGrid) {
+  SweepSpec spec;
+  spec.name = "grid";
+  spec.base.pattern = TrafficPattern::kCluster;
+  spec.protocols = {ProtocolKind::kSpms, ProtocolKind::kSpin};
+  spec.node_counts = {25, 49};
+  spec.zone_radii = {10.0, 20.0};
+  spec.variants = {{"a", nullptr}, {"b", nullptr}};
+  spec.seeds = {1, 2};
+  spec.set("protocol", "SPIN");
+  spec.set("node_count", "4096");
+  spec.set("zone_radius_m", "12.5");
+  spec.set("seed", "7");
+  const auto jobs = spec.expand();
+  ASSERT_EQ(jobs.size(), 2u);  // only the variant axis is left
+  for (const auto& job : jobs) {
+    EXPECT_EQ(job.protocol, ProtocolKind::kSpin);
+    EXPECT_EQ(job.config.protocol, ProtocolKind::kSpin);
+    EXPECT_EQ(job.config.node_count, 4096u);
+    EXPECT_EQ(job.config.zone_radius_m, 12.5);
+    EXPECT_EQ(job.config.seed, 7u);
+    EXPECT_EQ(job.config.pattern, TrafficPattern::kCluster);  // the base stays
+  }
+  EXPECT_EQ(jobs[1].config.label, "grid/SPIN/n4096/r12.5/b/s7");
+}
+
+TEST(SweepSelectionTest, NarrowedJobIsTheFullSweepsJobByteForByte) {
+  auto full = find_scenario("faults-smoke")->make();
+  full.use_consecutive_seeds(2);
+  auto one = find_scenario("faults-smoke")->make();
+  one.select_variant("link");
+  one.set("protocol", "SPMS");
+  one.set("seed", "2005");
+  const auto narrowed = one.expand();
+  ASSERT_EQ(narrowed.size(), 1u);
+  const auto all = full.expand();
+  const auto match = std::find_if(all.begin(), all.end(), [&](const SweepJob& j) {
+    return j.config.label == narrowed[0].config.label;
+  });
+  ASSERT_NE(match, all.end()) << narrowed[0].config.label;
+  EXPECT_EQ(store::canonical_config_json(match->config),
+            store::canonical_config_json(narrowed[0].config));
+}
+
+TEST(SweepSelectionTest, SetRejectsLabelAndBadInputWithoutChangingTheSpec) {
+  auto spec = find_scenario("smoke")->make();
+  const auto before = spec.expand();
+  EXPECT_THROW(spec.set("label", "mine"), std::invalid_argument);
+  EXPECT_THROW(spec.set("no_such_key", "1"), std::invalid_argument);
+  EXPECT_THROW(spec.set("node_count", "-1"), std::invalid_argument);
+  EXPECT_THROW(spec.set("protocol", "spin"), std::invalid_argument);
+  EXPECT_TRUE(spec.settings.empty());
+  const auto after = spec.expand();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(store::canonical_config_json(after[i].config),
+              store::canonical_config_json(before[i].config));
+  }
+}
+
+TEST(SweepSelectionTest, SeedsCountFromASetSeed) {
+  auto spec = find_scenario("smoke")->make();
+  spec.set("seed", "40");
+  spec.use_consecutive_seeds(3);
+  EXPECT_EQ(spec.seeds, (std::vector<std::uint64_t>{40, 41, 42}));
+  EXPECT_EQ(spec.job_count(), 6u);  // SPMS and SPIN x three seeds
+}
+
+TEST(SweepSelectionTest, SelectVariantKeepsOneAndNamesTheRestOnATypo) {
+  auto spec = find_scenario("fig13")->make();
+  try {
+    spec.select_variant("failure");
+    FAIL() << "an unknown variant was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("clean failures"), std::string::npos) << e.what();
+  }
+  spec.select_variant("failures");
+  ASSERT_EQ(spec.variants.size(), 1u);
+  EXPECT_EQ(spec.variants[0].name, "failures");
+  EXPECT_EQ(spec.expand()[0].config.faults.crash.enabled, true);
+  EXPECT_THROW(find_scenario("fig06")->make().select_variant("clean"), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "exp/table.hpp"
 
@@ -80,6 +82,22 @@ TEST(RunnerTest, MobilityWithClusterThrows) {
   cfg.pattern = TrafficPattern::kCluster;
   cfg.mobility = true;
   EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+}
+
+TEST(RunnerTest, SamplerIntervalMustBeFiniteAndAtLeastOneNanosecond) {
+  // The sampler steps its due instant by the interval until it passes the
+  // clock; a 0 ns interval (1e-7 ms rounds there) or the unspecified
+  // llround of inf never got past it, so such runs hung instead of failing.
+  const auto cfg = small_config(ProtocolKind::kSpms);
+  for (const double every_ms : {std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN(), 1e-7, 1e300}) {
+    TelemetryOptions t;
+    t.sample_every_ms = every_ms;
+    EXPECT_THROW(static_cast<void>(run_experiment(cfg, t)), std::invalid_argument) << every_ms;
+  }
+  TelemetryOptions one_ns;
+  one_ns.sample_every_ms = 1e-6;
+  EXPECT_GT(run_experiment(cfg, one_ns).series.samples(), 1u);
 }
 
 TEST(RunnerTest, FailureRunReportsInjections) {

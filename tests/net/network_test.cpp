@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -72,6 +74,32 @@ TEST_F(NetworkTest, RejectsZoneRadiusBeyondRadio) {
   std::vector<Point> pts{{0, 0}};
   EXPECT_THROW(Network(sim, RadioTable::mica2(), {}, {}, pts, 100.0), std::invalid_argument);
   EXPECT_THROW(Network(sim, RadioTable::mica2(), {}, {}, pts, 0.0), std::invalid_argument);
+}
+
+// Each range check negates its accepted range, so NaN, for which every
+// comparison is false, cannot slip past it.
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
+TEST_F(NetworkTest, RejectsNanZoneRadius) {
+  std::vector<Point> pts{{0, 0}};
+  EXPECT_THROW(Network(sim, RadioTable::mica2(), {}, {}, pts, kNan), std::invalid_argument);
+}
+
+TEST_F(NetworkTest, RejectsNanBatteryCapacity) {
+  std::vector<Point> pts{{0, 0}};
+  BatteryParams battery;
+  battery.finite = true;
+  battery.capacity_uj = kNan;
+  EXPECT_THROW(Network(sim, RadioTable::mica2(), {}, {}, pts, 20.0, battery),
+               std::invalid_argument);
+}
+
+TEST_F(NetworkTest, RejectsNanBatteryHeterogeneity) {
+  std::vector<Point> pts{{0, 0}};
+  BatteryParams battery;
+  battery.heterogeneity = kNan;
+  EXPECT_THROW(Network(sim, RadioTable::mica2(), {}, {}, pts, 20.0, battery),
+               std::invalid_argument);
 }
 
 TEST_F(NetworkTest, NeighborQueries) {
