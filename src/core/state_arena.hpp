@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -28,11 +29,9 @@
 /// under the standard containers.
 ///
 /// Determinism contract: the arena changes *where* container nodes live,
-/// never *how the containers behave*.  An unordered_map's bucket-count
-/// sequence, hashing and insertion order — and therefore its iteration
-/// order, which ItemTable::for_each feeds into RNG-consuming protocol code
-/// (the crash and recovery walks) — are independent of the allocator, so
-/// runs stay byte-identical to the heap-backed layout.  deallocate() is a
+/// never *how the containers behave*, and no output depends on a map's
+/// iteration order: ItemTable::for_each walks a node's items in DataId
+/// order, whatever the hash and the bucket layout.  deallocate() is a
 /// deliberate no-op; that is safe precisely because this state is
 /// insert-only (maps grow monotonically during a run).  Rehash garbage is
 /// bounded by the geometric bucket growth: all discarded bucket arrays
@@ -144,9 +143,7 @@ using ArenaMap = std::unordered_map<K, V, Hash, std::equal_to<K>,
                                     ArenaAllocator<std::pair<const K, V>>>;
 
 /// Per-(node, item) protocol state: one arena-backed map per node, created
-/// on first use of the pair.  The maps are built with the allocator-only
-/// constructor, in node order, with no reserve or bucket hint, so each one
-/// follows std::unordered_map's bucket trajectory for its insertions.
+/// on first use of the pair.
 template <class State>
 class ItemTable {
  public:
@@ -160,13 +157,17 @@ class ItemTable {
     return maps_[node.v][item];
   }
 
-  /// Calls fn(item, state) for every item `node` has state for.  This is the
-  /// one place that decides the order in which a node's items are walked:
-  /// the map's bucket order, which the goldens pin because the walks send
-  /// and schedule (see the file comment).
+  /// Calls fn(item, state) for every item `node` has state for, in DataId
+  /// order (origin, then seq).  This is the one place that decides the order
+  /// in which a node's items are walked; the walks send and schedule, so the
+  /// goldens pin it.
   template <class Fn>
   void for_each(net::NodeId node, Fn&& fn) {
-    for (auto& [item, state] : maps_[node.v]) fn(item, state);
+    std::vector<typename Map::value_type*> walk;
+    for (auto& entry : maps_[node.v]) walk.push_back(&entry);
+    std::sort(walk.begin(), walk.end(),
+              [](const auto* a, const auto* b) { return a->first < b->first; });
+    for (auto* entry : walk) fn(entry->first, entry->second);
   }
 
  private:

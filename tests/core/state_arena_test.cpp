@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -10,8 +11,8 @@
 
 /// The arena's contract: bump allocation with correct alignment, wholesale
 /// release, allocator-equality by arena identity, and byte-identical
-/// container behaviour to the std default — including the order in which
-/// ItemTable walks a node's items (the determinism pin).
+/// container behaviour to the std default; ItemTable walks a node's items in
+/// DataId order (the determinism pin).
 
 namespace spms::core {
 namespace {
@@ -88,20 +89,19 @@ TEST(ArenaMapTest, BehavesLikeStdUnorderedMap) {
   EXPECT_GT(arena.bytes_used(), 0u);
 }
 
-TEST(ItemTableTest, ForEachWalksInStdUnorderedMapOrder) {
+TEST(ItemTableTest, ForEachWalksInDataIdOrder) {
   // The crash and recovery walks send and schedule in for_each order, so the
-  // goldens pin it: exactly the order of a plain std::unordered_map built by
-  // the same insertions.  Changing the walk order is a deliberate re-pin
-  // that changes this test with it.
+  // goldens pin it: DataId order (origin, then seq), whatever order the items
+  // were inserted in and whatever the other nodes hold.
   StateArena arena;
   ItemTable<int> table{3, arena};
-  std::unordered_map<net::DataId, int> ref;
+  std::map<net::DataId, int> ref;
   const net::NodeId node{1};
   for (std::uint32_t i = 0; i < 400; ++i) {
     const net::DataId item{net::NodeId{(i * 37) % 49}, (i * 11) % 23};
     table(node, item) = static_cast<int>(i);
     ref[item] = static_cast<int>(i);
-    table(net::NodeId{0}, net::DataId{net::NodeId{i}, i}) = 0;  // another node's map
+    table(net::NodeId{0}, net::DataId{net::NodeId{(i * 7) % 13}, i}) = 0;  // another node
   }
   std::vector<std::pair<net::DataId, int>> walked;
   table.for_each(node, [&](net::DataId item, int& v) { walked.emplace_back(item, v); });

@@ -314,7 +314,7 @@ TEST(CanonicalTest, ConfigBytesArePinned) {
       "; the canonical config bytes moved, which orphans every stored result "
       "(bump kSchemaVersion if that is intended)";
   EXPECT_EQ(jobs, 472u);
-  EXPECT_EQ(key, "49fef3790453e917") << "default config key is now " << key << moved;
+  EXPECT_EQ(key, "32e2675025a637f4") << "default config key is now " << key << moved;
   EXPECT_EQ(h, 0x54abfff5183a02afULL) << "registry config hash is now " << hex << moved;
 }
 
