@@ -3,21 +3,18 @@
 namespace spms::core {
 
 void Collector::record_publish(net::DataId item, sim::TimePoint at, std::size_t expected) {
-  auto [it, inserted] = items_.emplace(item, ItemRecord{at, expected, 0});
-  if (!inserted) return;  // double publish of the same id: ignore
-  ++published_;
+  if (!published_at_.try_emplace(item, at).second) return;  // double publish: ignore
   expected_ += expected;
 }
 
 double Collector::record_delivery(net::NodeId /*node*/, net::DataId item, sim::TimePoint at) {
-  const auto it = items_.find(item);
-  if (it == items_.end()) {
+  const sim::TimePoint* published_at = published_at_.find(item);
+  if (published_at == nullptr) {
     ++unknown_;
     return -1.0;
   }
-  ++it->second.delivered;
   ++delivered_;
-  const double delay_ms_sample = (at - it->second.published_at).to_ms();
+  const double delay_ms_sample = (at - *published_at).to_ms();
   delay_.add(delay_ms_sample);
   delay_pct_.add(delay_ms_sample);
   return delay_ms_sample;

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "core/item_table.hpp"
 #include "net/ids.hpp"
 #include "sim/time.hpp"
 #include "stats/percentiles.hpp"
@@ -37,7 +37,7 @@ class Collector {
   /// item was never published here (counted in unknown_item_deliveries).
   double record_delivery(net::NodeId node, net::DataId item, sim::TimePoint at);
 
-  [[nodiscard]] std::size_t published() const { return published_; }
+  [[nodiscard]] std::size_t published() const { return published_at_.size(); }
   [[nodiscard]] std::size_t expected_deliveries() const { return expected_; }
   [[nodiscard]] std::size_t deliveries() const { return delivered_; }
   [[nodiscard]] std::uint64_t unknown_item_deliveries() const { return unknown_; }
@@ -51,14 +51,7 @@ class Collector {
   [[nodiscard]] stats::Percentiles& delay_percentiles() { return delay_pct_; }
 
  private:
-  struct ItemRecord {
-    sim::TimePoint published_at;
-    std::size_t expected = 0;
-    std::size_t delivered = 0;
-  };
-
-  std::unordered_map<net::DataId, ItemRecord> items_;
-  std::size_t published_ = 0;
+  FlatMap<net::DataId, sim::TimePoint> published_at_;
   std::size_t expected_ = 0;
   std::size_t delivered_ = 0;
   std::uint64_t unknown_ = 0;

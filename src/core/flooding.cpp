@@ -8,7 +8,7 @@ namespace spms::core {
 
 FloodingProtocol::FloodingProtocol(sim::Simulation& sim, net::Network& net,
                                    const Interest& interest, ProtocolParams params)
-    : DisseminationProtocol(sim, net, interest, params), items_(net.size(), arena_) {}
+    : DisseminationProtocol(sim, net, interest, params), items_(net.size()) {}
 
 void FloodingProtocol::publish(net::NodeId source, net::DataId item) {
   assert(item.origin == source);

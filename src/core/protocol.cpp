@@ -7,8 +7,7 @@ DisseminationProtocol::DisseminationProtocol(sim::Simulation& sim, net::Network&
     : sim_(sim),
       net_(net),
       interest_(interest),
-      params_(params),
-      served_(decltype(served_)::allocator_type{arena_}) {
+      params_(params) {
   for (std::uint32_t i = 0; i < net_.size(); ++i) net_.set_agent(net::NodeId{i}, this);
 }
 
@@ -38,10 +37,10 @@ sim::Duration DisseminationProtocol::retry_wait(int attempts) const {
 
 bool DisseminationProtocol::admit_service(net::NodeId holder, net::DataId item,
                                           net::NodeId requester) {
-  const auto [it, first] = served_.try_emplace({holder, item, requester}, sim_.now());
+  const auto [last, first] = served_.try_emplace({holder, item, requester}, sim_.now());
   if (first) return true;
-  if (sim_.now() - it->second < params_.service_guard) return false;
-  it->second = sim_.now();
+  if (sim_.now() - *last < params_.service_guard) return false;
+  *last = sim_.now();
   return true;
 }
 

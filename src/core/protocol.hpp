@@ -9,7 +9,7 @@
 #include <string_view>
 
 #include "core/interest.hpp"
-#include "core/state_arena.hpp"
+#include "core/item_table.hpp"
 #include "net/network.hpp"
 #include "obs/event_trace.hpp"
 #include "sim/simulation.hpp"
@@ -98,10 +98,9 @@ using DeliveryCallback =
 /// Base class for dissemination protocols.  The constructor installs the
 /// protocol as the agent of every node of the network and the destructor
 /// detaches it.  The base holds what the protocols share: the run's
-/// simulation, network, interest and parameters, the one StateArena behind
-/// every ItemTable and the service map, and one definition each of the
-/// advertise-once broadcast, the retry backoff, the channel-gated timer
-/// deferral, the holder-side service guard and the give-up tally.
+/// simulation, network, interest and parameters, and one definition each
+/// of the advertise-once broadcast, the retry backoff, the channel-gated
+/// timer deferral, the holder-side service guard and the give-up tally.
 class DisseminationProtocol : public net::Agent {
  public:
   DisseminationProtocol(sim::Simulation& sim, net::Network& net, const Interest& interest,
@@ -184,7 +183,6 @@ class DisseminationProtocol : public net::Agent {
   net::Network& net_;
   const Interest& interest_;
   ProtocolParams params_;
-  StateArena arena_;  ///< backs every ItemTable and the service map
 
  private:
   /// One service record: `holder` last served `item` to `requester`.
@@ -203,8 +201,8 @@ class DisseminationProtocol : public net::Agent {
 
   DeliveryCallback deliver_;
   std::uint64_t given_up_ = 0;
-  /// Only looked up, never iterated, so its hash cannot reach the output.
-  ArenaMap<ServiceKey, sim::TimePoint, ServiceKeyHash> served_;
+  /// When each (holder, item, requester) pair was last served.
+  FlatMap<ServiceKey, sim::TimePoint, ServiceKeyHash> served_;
 };
 
 }  // namespace spms::core

@@ -14,7 +14,7 @@ SpmsProtocol::SpmsProtocol(sim::Simulation& sim, net::Network& net,
     : DisseminationProtocol(sim, net, interest, params),
       routing_(routing),
       ext_(ext),
-      items_(net.size(), arena_) {}
+      items_(net.size()) {}
 
 double SpmsProtocol::route_cost(net::NodeId self, net::NodeId dest) const {
   const auto r = routing_.route(self, dest);

@@ -1,100 +1,25 @@
-#include "core/state_arena.hpp"
+#include "core/item_table.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-/// The arena's contract: bump allocation with correct alignment, wholesale
-/// release, allocator-equality by arena identity, and byte-identical
-/// container behaviour to the std default; ItemTable walks a node's items in
-/// DataId order (the determinism pin).
+/// The flat tables' contract: ItemTable walks a node's items in DataId order
+/// (the determinism pin) and never moves a state, FlatMap answers the same
+/// whatever its hash, and InlineVec matches the std::vector subset the
+/// protocols use.
 
 namespace spms::core {
 namespace {
-
-TEST(StateArenaTest, AlignsAndBumps) {
-  StateArena arena;
-  void* a = arena.allocate(1, 1);
-  void* b = arena.allocate(8, 8);
-  void* c = arena.allocate(16, 16);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 16, 0u);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(arena.bytes_used(), 1u + 8u + 16u);
-  EXPECT_GE(arena.bytes_reserved(), arena.bytes_used());
-}
-
-TEST(StateArenaTest, OversizedRequestGetsDedicatedSlab) {
-  StateArena arena{64};
-  void* p = arena.allocate(1 << 16, 8);  // far beyond the first slab
-  EXPECT_NE(p, nullptr);
-  EXPECT_GE(arena.bytes_reserved(), std::size_t{1} << 16);
-  // The arena remains usable afterwards.
-  void* q = arena.allocate(32, 8);
-  EXPECT_NE(q, nullptr);
-}
-
-TEST(StateArenaTest, SlabsGrowGeometrically) {
-  StateArena arena{128};
-  const std::size_t before = arena.bytes_reserved();
-  for (int i = 0; i < 1000; ++i) arena.allocate(64, 8);
-  // 64 KB of demand out of a 128-byte first slab: only a handful of slabs
-  // (geometric growth), not one per allocation.
-  EXPECT_GT(arena.bytes_reserved(), before);
-  EXPECT_LT(arena.bytes_reserved(), 4u * 64u * 1024u);
-}
-
-TEST(ArenaAllocatorTest, EqualityFollowsArenaIdentity) {
-  StateArena a, b;
-  ArenaAllocator<int> aa{a}, aa2{a}, ab{b}, heap{};
-  EXPECT_TRUE(aa == aa2);
-  EXPECT_FALSE(aa == ab);
-  EXPECT_FALSE(aa == heap);
-  EXPECT_TRUE(heap == ArenaAllocator<long>{});
-  // Rebinding preserves the arena.
-  ArenaAllocator<double> rebound{aa};
-  EXPECT_EQ(rebound.arena(), &a);
-}
-
-TEST(ArenaAllocatorTest, DefaultConstructedFallsBackToHeap) {
-  ArenaAllocator<int> alloc;
-  int* p = alloc.allocate(4);
-  p[0] = 42;
-  alloc.deallocate(p, 4);  // must actually free (heap path) without crashing
-}
-
-TEST(ArenaMapTest, BehavesLikeStdUnorderedMap) {
-  StateArena arena;
-  ArenaMap<int, std::string> m{ArenaMap<int, std::string>::allocator_type{arena}};
-  std::unordered_map<int, std::string> ref;
-  for (int i = 0; i < 500; ++i) {
-    m[i * 7] = std::to_string(i);
-    ref[i * 7] = std::to_string(i);
-  }
-  ASSERT_EQ(m.size(), ref.size());
-  for (const auto& [k, v] : ref) {
-    const auto it = m.find(k);
-    ASSERT_NE(it, m.end()) << k;
-    EXPECT_EQ(it->second, v);
-  }
-  // Identical bucket trajectory to the std container: the determinism
-  // contract says the allocator changes where nodes live, never how the
-  // table behaves (iteration order feeds RNG-consuming protocol paths).
-  EXPECT_EQ(m.bucket_count(), ref.bucket_count());
-  EXPECT_GT(arena.bytes_used(), 0u);
-}
 
 TEST(ItemTableTest, ForEachWalksInDataIdOrder) {
   // The crash and recovery walks send and schedule in for_each order, so the
   // goldens pin it: DataId order (origin, then seq), whatever order the items
   // were inserted in and whatever the other nodes hold.
-  StateArena arena;
-  ItemTable<int> table{3, arena};
+  ItemTable<int> table{3};
   std::map<net::DataId, int> ref;
   const net::NodeId node{1};
   for (std::uint32_t i = 0; i < 400; ++i) {
@@ -111,6 +36,62 @@ TEST(ItemTableTest, ForEachWalksInDataIdOrder) {
   int visits = 0;
   table.for_each(net::NodeId{2}, [&](net::DataId, int&) { ++visits; });
   EXPECT_EQ(visits, 0);  // an untouched node has no items
+}
+
+TEST(ItemTableTest, StatesStayPutWhileOthersAreAdded) {
+  // The protocols hold a State& across calls that add other states, as they
+  // did with node-based maps.
+  ItemTable<std::uint64_t> table{4};
+  std::uint64_t& first = table(net::NodeId{0}, net::DataId{net::NodeId{0}, 0});
+  first = 0xfeedULL;
+  const std::uint64_t* const address = &first;
+  for (std::uint32_t i = 1; i <= 5000; ++i) {
+    table(net::NodeId{i % 4}, net::DataId{net::NodeId{i % 7}, i}) = i;
+  }
+  EXPECT_EQ(first, 0xfeedULL);
+  EXPECT_EQ(&table(net::NodeId{0}, net::DataId{net::NodeId{0}, 0}), address);
+}
+
+/// A key whose mixed hash lands in the last slot of every table of up to
+/// 2^16 slots, so every probe run wraps around the end of the array.
+std::uint64_t last_slot_hash() {
+  std::uint64_t h = 0;
+  while ((detail::mix64(h) & 0xffffULL) != 0xffffULL) ++h;
+  return h;
+}
+
+TEST(FlatMapTest, CollidingHashGivesTheSameAnswers) {
+  // Every key collides, through each doubling and across the wrap-around,
+  // yet try_emplace and find answer as a std::map does: no answer depends
+  // on the hash.
+  struct Colliding {
+    std::size_t operator()(int) const {
+      static const std::uint64_t h = last_slot_hash();
+      return h;
+    }
+  };
+  FlatMap<int, int, Colliding> map;
+  std::map<int, int> ref;
+  for (int i = 0; i < 2000; ++i) {
+    const int key = (i * 7919) % 3001;
+    const auto [value, inserted] = map.try_emplace(key, i);
+    const auto [it, ref_inserted] = ref.try_emplace(key, i);
+    ASSERT_EQ(inserted, ref_inserted) << key;
+    ASSERT_EQ(*value, it->second) << key;
+  }
+  EXPECT_EQ(map.size(), ref.size());
+  for (int key = -1; key <= 3001; ++key) {
+    const int* value = map.find(key);
+    const auto it = ref.find(key);
+    if (it == ref.end()) {
+      EXPECT_EQ(value, nullptr) << key;
+    } else {
+      ASSERT_NE(value, nullptr) << key;
+      EXPECT_EQ(*value, it->second) << key;
+    }
+  }
+  FlatMap<int, int, Colliding> empty;
+  EXPECT_EQ(empty.find(0), nullptr);
 }
 
 TEST(InlineVecTest, StaysInlineUpToNAndSpillsBeyond) {
