@@ -1,5 +1,6 @@
 /// \file ablation_mac.cpp
-/// Ablations of the modelling decisions documented in DESIGN.md:
+/// Ablations of the modelling decisions in EXPERIMENTS.md's "Calibration
+/// notes":
 ///   1. carrier sensing (spatial channel reuse) on/off — the mechanism
 ///      behind SPMS's delay advantage;
 ///   2. overhearing energy on/off — the paper's analysis omits redundant
@@ -16,7 +17,7 @@
 int main() {
   using namespace spms;
   bench::print_header("Ablation", "MAC / energy-model choices on the 49-node reference",
-                      "not a paper figure; quantifies DESIGN.md decisions");
+                      "not a paper figure; quantifies calibration-note decisions");
 
   const auto spec = bench::make_spec("ablation_mac");
   const auto batch = bench::run_spec(spec);

@@ -47,7 +47,7 @@ int main() {
                "Table 1 (MICA2)"});
   }
 
-  t.add_row({"grid pitch", exp::fmt(cfg.grid_pitch_m, 1) + " m", "DESIGN.md Section 6"});
+  t.add_row({"grid pitch", exp::fmt(cfg.grid_pitch_m, 1) + " m", "EXPERIMENTS.md calibration"});
   t.add_row({"zone radius (reference)", exp::fmt(cfg.zone_radius_m, 1) + " m", "Figs. 6/8/10"});
   t.add_row({"n1 (zone size at 20 m)",
              std::to_string(analysis::grid_disc_count(20.0, cfg.grid_pitch_m)),

@@ -42,7 +42,8 @@ struct ProtocolParams {
   /// tout_dat * retry_backoff^min(k, max_backoff_exp).  The paper assumes
   /// timeouts are "adjusted properly" so they do not fire while the reply is
   /// still queued; under bursty load a fixed 2.5 ms would fire spuriously
-  /// and spiral, so the backoff restores the paper's intent (see DESIGN.md).
+  /// and spiral, so the backoff restores the paper's intent (EXPERIMENTS.md,
+  /// "Calibration notes": retry backoff).
   double retry_backoff = 2.0;
   int max_backoff_exp = 6;
 

@@ -20,7 +20,8 @@
 /// add the minimal liveness mechanism: a requester re-sends its REQ if DATA
 /// does not arrive within tout_dat (bounded by max_retries), and a node that
 /// recovers from a crash re-issues REQs for items it still misses.  This is
-/// documented as a reproduction decision in DESIGN.md.
+/// a reproduction decision (EXPERIMENTS.md, "Calibration notes": SPIN
+/// liveness).
 
 namespace spms::core {
 

@@ -59,7 +59,8 @@ enum class Deployment { kGrid, kUniformRandom };
 }
 
 /// Full experiment description.  Defaults reproduce the paper's Table 1 on
-/// the reference deployment (5 m grid pitch; see DESIGN.md Section 6).
+/// the reference deployment (5 m grid pitch; see EXPERIMENTS.md,
+/// "Calibration notes").
 struct ExperimentConfig {
   std::string label;  ///< free-form tag echoed in reports
 

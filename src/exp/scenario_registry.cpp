@@ -530,7 +530,7 @@ const std::vector<ScenarioInfo>& scenario_registry() {
       {"fig13", "energy per packet vs radius, cluster-based traffic",
        "SPMS saves 35-59% failure-free; failures cost both more energy", fig13},
       {"ablation_mac", "MAC / energy-model choices on the 49-node reference",
-       "not a paper figure; quantifies DESIGN.md decisions", ablation_mac},
+       "not a paper figure; quantifies calibration-note decisions", ablation_mac},
       {"flooding_baseline", "classic flooding on the 49-node reference",
        "Section 1's baseline: full DATA frames from every node", flooding_baseline},
       {"mobility_breakeven", "packets needed between mobility events (Section 5.1.3)",

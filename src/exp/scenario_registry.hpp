@@ -30,7 +30,8 @@ struct ScenarioInfo {
 /// Looks up a scenario by name; nullptr if unknown.
 [[nodiscard]] const ScenarioInfo* find_scenario(std::string_view name);
 
-/// Reference experiment configuration (paper Table 1 + DESIGN.md Section 6).
+/// Reference experiment configuration (paper Table 1 on the 5 m grid of
+/// EXPERIMENTS.md's "Calibration notes").
 /// packets_per_node is 2 instead of Table 1's 10 so the whole bench suite
 /// completes in minutes; `--set traffic.packets_per_node=10` runs the
 /// paper's load (see EXPERIMENTS.md).

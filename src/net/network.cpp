@@ -243,7 +243,8 @@ void Network::mac_try_send(std::uint32_t v) {
   assert(mac_busy_[v] != 0 && !mac_queue_[v].empty());
   if (mac_.carrier_sense && sim_.now() < channel_busy_until_[v]) {
     // Channel busy: defer to the end of the busy period plus a fresh backoff
-    // (CSMA/CA without collision modelling; see DESIGN.md).
+    // (CSMA/CA without collision modelling; see EXPERIMENTS.md, "Calibration
+    // notes").
     const auto retry_at = channel_busy_until_[v] + draw_backoff();
     mac_event_[v] = sim_.at(retry_at, [this, v] { mac_try_send(v); });
     return;

@@ -20,7 +20,7 @@
 /// \file network.hpp
 /// The wireless network: nodes + medium + MAC + energy accounting.
 ///
-/// Model (documented in DESIGN.md):
+/// Model (EXPERIMENTS.md, "Calibration notes": CSMA without collisions):
 ///  * Transmissions use the cheapest discrete power level covering the
 ///    requested distance; the "engineered coverage disc" of a transmission
 ///    is exactly that distance — every alive node inside it hears the frame.

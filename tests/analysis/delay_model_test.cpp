@@ -101,7 +101,7 @@ TEST(DelayModelTest, JthFromLastFailure) {
 
 TEST(DelayModelTest, GridDiscCountMatchesPaperDensities) {
   // 5 m pitch: 20 m radius covers 48 lattice points, 5.48 m covers 4 —
-  // the deployment behind DESIGN.md's n1/ns choice.
+  // the deployment behind the n1/ns calibration note in EXPERIMENTS.md.
   EXPECT_EQ(grid_disc_count(20.0, 5.0), 48u);
   EXPECT_EQ(grid_disc_count(5.48, 5.0), 4u);
   EXPECT_EQ(grid_disc_count(1.0, 5.0), 0u);

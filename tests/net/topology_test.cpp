@@ -71,7 +71,7 @@ TEST(TopologyTest, RandomDeploymentDeterministicPerSeed) {
   EXPECT_NE(pa, pc);
 }
 
-// The DESIGN.md claim behind the deployment choice: a 5 m grid pitch gives
+// EXPERIMENTS.md's "5 m grid pitch" calibration note: that pitch gives
 // zone sizes close to the paper's n1=45 (radius ~20 m) and ns=5 (lowest
 // level, 5.48 m).
 TEST(TopologyTest, FiveMeterPitchReproducesPaperZoneSizes) {
