@@ -3,7 +3,7 @@
 /// hot path actually scales.  Runs the registry's scale-{1k,10k,100k}
 /// scenarios in ascending size order (add "1m" on the command line — or any
 /// subset of {1k,10k,100k,1m} — for the million-node pass) and reports the
-/// numbers the SoA/arena work is accountable for:
+/// numbers the SoA and flat-state work is accountable for:
 ///
 ///  * events/sec     — scheduler events per wall-clock second of simulation;
 ///  * peak RSS       — process high-water mark after the run (ascending run

@@ -564,7 +564,7 @@ const std::vector<ScenarioInfo>& scenario_registry() {
       {"scale-100k", "100k-node sink-pattern scaling run (t-digest sketch)",
        "memory stays O(compression) per run, not O(deliveries)", scale_100k},
       {"scale-1m", "10^6-node sink-pattern scaling run (t-digest sketch)",
-       "the million-node pass: SoA + arena hot state at full scale", scale_1m},
+       "the million-node pass: SoA + flat hot state at full scale", scale_1m},
   };
   return registry;
 }
