@@ -125,10 +125,11 @@ class ItemTable {
   template <class Fn>
   void for_each(net::NodeId node, Fn&& fn) {
     walk_.clear();
-    for (std::uint32_t i = heads_[node.v]; i != kNoEntry; i = entry(i).next) walk_.push_back(i);
-    std::sort(walk_.begin(), walk_.end(),
-              [this](std::uint32_t a, std::uint32_t b) { return entry(a).item < entry(b).item; });
-    for (const std::uint32_t i : walk_) fn(entry(i).item, entry(i).state);
+    for (std::uint32_t i = heads_[node.v]; i != kNoEntry; i = entry(i).next) {
+      walk_.emplace_back(entry(i).item, i);
+    }
+    std::sort(walk_.begin(), walk_.end());  // a node holds each item once
+    for (const auto& [item, i] : walk_) fn(item, entry(i).state);
   }
 
  private:
@@ -156,7 +157,7 @@ class ItemTable {
   FlatMap<Key, std::uint32_t, KeyHash> index_;
   std::vector<std::unique_ptr<Entry[]>> chunks_;
   std::vector<std::uint32_t> heads_;  ///< per node: its newest entry
-  std::vector<std::uint32_t> walk_;   ///< for_each's scratch, reused
+  std::vector<std::pair<net::DataId, std::uint32_t>> walk_;  ///< for_each's scratch, reused
   std::uint32_t size_ = 0;
 };
 
