@@ -13,15 +13,14 @@
 ///  * allocs/run     — global operator-new count for the run (counted by the
 ///                     bench_common.hpp overrides).
 ///
-/// Wired through the shared store/rollup plumbing like every other bench:
+/// Wired through the shared store plumbing like every other bench:
 /// SPMS_BENCH_STORE=DIR caches results by config key (wall-clock and RSS are
-/// then meaningless for cached rows — the `cached` column says so) and
-/// SPMS_BENCH_ROLLUP=PREFIX writes one PREFIX-<scenario>.jsonl metrics
-/// rollup sidecar per scenario.
+/// then meaningless for cached rows — the `cached` column says so).  For a
+/// metrics rollup, run the scenario through the CLI:
+/// `run_experiment_cli --scenario scale-1k --jobs 1 --rollup-out FILE`.
 
 #include <chrono>
 #include <cstddef>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -47,9 +46,6 @@ int main(int argc, char** argv) {
     exp::BatchOptions options;
     options.jobs = 1;  // one job per scenario anyway; keep timing honest
     options.store = bench::bench_store();
-    if (const char* prefix = std::getenv("SPMS_BENCH_ROLLUP")) {
-      options.rollup_out = std::string{prefix} + "-" + spec.name + ".jsonl";
-    }
 
     const auto allocs_before = bench::alloc_count();
     const auto t0 = std::chrono::steady_clock::now();

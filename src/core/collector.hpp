@@ -23,11 +23,6 @@ namespace spms::core {
 /// DisseminationProtocol::set_delivery_callback.
 class Collector {
  public:
-  Collector() = default;
-  /// \param pct  engine for the delay quantiles — scale scenarios opt into
-  ///        the t-digest sketch; everything else keeps exact samples.
-  explicit Collector(stats::PercentileOptions pct) : delay_pct_(pct) {}
-
   /// Registers a published item with its expected number of deliveries.
   void record_publish(net::DataId item, sim::TimePoint at, std::size_t expected_deliveries);
 

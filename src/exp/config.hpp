@@ -12,7 +12,6 @@
 #include "net/params.hpp"
 #include "routing/bellman_ford.hpp"
 #include "sim/time.hpp"
-#include "stats/percentiles.hpp"
 
 /// \file config.hpp
 /// One struct describes a complete experiment run (Table 1 of the paper
@@ -94,18 +93,10 @@ struct ExperimentConfig {
 
   // --- mobility ---------------------------------------------------------------
   bool mobility = false;
-  net::MobilityParams mobility_params;  ///< field_side_m is overridden by the builder
+  net::MobilityParams mobility_params;  ///< moved nodes land in the deployment's field
 
   // --- cluster pattern ---------------------------------------------------------
   double cluster_p_other = 0.05;  ///< interest probability for zone bystanders
-
-  // --- statistics engines -------------------------------------------------------
-  /// Delay-quantile engine.  Exact sample retention is the default (and the
-  /// byte-identity contract for every paper scenario); the scale-* family
-  /// opts into the t-digest sketch so 10^6-node runs hold O(compression)
-  /// memory instead of one double per delivery.  Participates in the config
-  /// key: a sketched run never shares a cache entry with an exact one.
-  stats::PercentileOptions percentiles;
 
   // --- run control ---------------------------------------------------------------
   std::uint64_t seed = 1;
@@ -185,10 +176,7 @@ void visit_fields(Config& c, Fn&& f) {
   f("mobility", c.mobility);
   f("mobility.epoch_interval_ns", c.mobility_params.epoch_interval);
   f("mobility.move_fraction", c.mobility_params.move_fraction);
-  f("mobility.field_side_m", c.mobility_params.field_side_m);
   f("cluster_p_other", c.cluster_p_other);
-  f("percentiles.sketch", c.percentiles.sketch);
-  f("percentiles.compression", c.percentiles.compression);
   f("seed", c.seed);
   f("activity_horizon_ns", c.activity_horizon);
   f("max_events", c.max_events);

@@ -80,7 +80,7 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
       break;
   }
 
-  collector_ = std::make_unique<core::Collector>(config_.percentiles);
+  collector_ = std::make_unique<core::Collector>();
   if (config_.faults.any()) {
     faults_ = std::make_unique<faults::FaultController>(*sim_, *net_, config_.faults,
                                                         central_node_);
@@ -107,9 +107,8 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
       // does.
       throw std::invalid_argument{"Scenario: mobility requires the all-to-all pattern"};
     }
-    auto params = config_.mobility_params;
-    params.field_side_m = field_side_m_;
-    mobility_ = std::make_unique<net::MobilityProcess>(*sim_, *net_, params);
+    mobility_ = std::make_unique<net::MobilityProcess>(*sim_, *net_, config_.mobility_params,
+                                                       field_side_m_);
     mobility_->set_on_moved([this] {
       // "When a node moves …, the routing tables of its zone neighbors get
       // updated through re-execution of the DBF."  SPIN keeps no tables.

@@ -446,31 +446,29 @@ SweepSpec lifetime_smoke() {
 
 // --- scale-* family ----------------------------------------------------------
 //
-// Throughput/memory scaling harness, not a paper figure.  One packet per
-// node toward the central sink on the reference grid, zone radius 10 m
-// (~12 neighbours), so protocol traffic stays zone-local and the event
-// count grows linearly with node count — the regime where events/sec and
-// bytes-per-node are meaningful.  The two big sizes opt into the t-digest
-// delay sketch: exact sample retention is pointless ballast at 10^5+
-// deliveries and the sketch is what those runs exist to exercise
-// (EXPERIMENTS.md "Scaling").
+// Throughput/memory scaling harness, not a paper figure.  The §5.2 cluster
+// traffic (fig13's pattern) with one reading per node on the reference
+// grid, zone radius 10 m (~12 neighbours): each reading goes to its
+// cluster head and a few zone bystanders, so protocol traffic stays
+// zone-local, every size delivers its items, and the event count grows
+// linearly with node count — the regime where events/sec and
+// bytes-per-node are meaningful (EXPERIMENTS.md "Scaling").
 
-SweepSpec scale_spec(const char* name, std::size_t nodes, bool sketch) {
+SweepSpec scale_spec(const char* name, std::size_t nodes) {
   SweepSpec spec;
   spec.name = name;
   spec.base = reference_config();
   spec.base.node_count = nodes;
   spec.base.zone_radius_m = 10.0;
-  spec.base.pattern = TrafficPattern::kSink;
+  spec.base.pattern = TrafficPattern::kCluster;
   spec.base.traffic.packets_per_node = 1;
-  spec.base.percentiles.sketch = sketch;
   return spec;
 }
 
-SweepSpec scale_1k() { return scale_spec("scale-1k", 1'000, /*sketch=*/false); }
-SweepSpec scale_10k() { return scale_spec("scale-10k", 10'000, /*sketch=*/false); }
-SweepSpec scale_100k() { return scale_spec("scale-100k", 100'000, /*sketch=*/true); }
-SweepSpec scale_1m() { return scale_spec("scale-1m", 1'000'000, /*sketch=*/true); }
+SweepSpec scale_1k() { return scale_spec("scale-1k", 1'000); }
+SweepSpec scale_10k() { return scale_spec("scale-10k", 10'000); }
+SweepSpec scale_100k() { return scale_spec("scale-100k", 100'000); }
+SweepSpec scale_1m() { return scale_spec("scale-1m", 1'000'000); }
 
 }  // namespace
 
@@ -557,13 +555,13 @@ const std::vector<ScenarioInfo>& scenario_registry() {
        lifetime_race},
       {"lifetime-smoke", "16-node energy-death quick check (CI smoke; not a paper figure)",
        "energy-driven deaths fire, cache, and resume deterministically", lifetime_smoke},
-      {"scale-1k", "1k-node sink-pattern scaling run (exact quantiles)",
+      {"scale-1k", "1k-node cluster-traffic scaling run",
        "throughput harness, not a paper figure; events grow linearly", scale_1k},
-      {"scale-10k", "10k-node sink-pattern scaling run (exact quantiles; CI scale-smoke)",
+      {"scale-10k", "10k-node cluster-traffic scaling run (CI scale-smoke)",
        "throughput harness, not a paper figure; events grow linearly", scale_10k},
-      {"scale-100k", "100k-node sink-pattern scaling run (t-digest sketch)",
-       "memory stays O(compression) per run, not O(deliveries)", scale_100k},
-      {"scale-1m", "10^6-node sink-pattern scaling run (t-digest sketch)",
+      {"scale-100k", "100k-node cluster-traffic scaling run",
+       "throughput harness, not a paper figure; events grow linearly", scale_100k},
+      {"scale-1m", "10^6-node cluster-traffic scaling run",
        "the million-node pass: SoA + flat hot state at full scale", scale_1m},
   };
   return registry;

@@ -43,13 +43,17 @@ namespace spms::exp::store {
 /// mark here: it is not part of the config key and the series is never
 /// serialized, so a result is the same bytes with telemetry on or off.
 /// v5: configs grew the percentiles.* block (quantile-engine selection —
-/// exact vs. t-digest sketch; sketched quantiles are estimates, so the two
-/// engines must never share a cache entry).
+/// exact vs. an estimating engine, so the two must never share a cache
+/// entry).
 /// v6: SPMS's and SPIN's recovery walks resume a node's items in DataId
 /// order instead of hash-table order; the faults-smoke, fig13 and
 /// extensions goldens re-pinned their recovering rows (EXPERIMENTS.md
 /// "Store schema v5 → v6").
-inline constexpr int kSchemaVersion = 6;
+/// v7: configs lost the percentiles.* block (delay quantiles are always
+/// exact) and mobility.field_side_m (the scenario always replaced it with
+/// the deployment's field side).  No golden moved (EXPERIMENTS.md "Store
+/// schema v6 → v7").
+inline constexpr int kSchemaVersion = 7;
 
 /// 64-bit FNV-1a over every tests/golden/*.csv in file-name order (each
 /// file's name, then its bytes).  A test recomputes it, so a re-pinned

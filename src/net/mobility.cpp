@@ -7,8 +7,9 @@
 namespace spms::net {
 
 MobilityProcess::MobilityProcess(sim::Simulation& sim, Network& net, MobilityParams params,
-                                 std::uint64_t stream)
-    : sim_(sim), net_(net), params_(params), rng_(sim.rng().fork(stream)) {}
+                                 double field_side_m, std::uint64_t stream)
+    : sim_(sim), net_(net), params_(params), field_side_m_(field_side_m),
+      rng_(sim.rng().fork(stream)) {}
 
 void MobilityProcess::start(sim::TimePoint horizon) {
   horizon_ = horizon;
@@ -27,7 +28,7 @@ void MobilityProcess::epoch() {
   for (std::uint32_t i = 0; i < n; ++i) ids[i] = i;
   rng_.shuffle(ids);
   for (std::size_t i = 0; i < movers; ++i) {
-    const Point dest{rng_.uniform(0.0, params_.field_side_m), rng_.uniform(0.0, params_.field_side_m)};
+    const Point dest{rng_.uniform(0.0, field_side_m_), rng_.uniform(0.0, field_side_m_)};
     net_.set_position(NodeId{ids[i]}, dest);
     ++moves_;
   }

@@ -25,15 +25,14 @@ struct MobilityParams {
   sim::Duration epoch_interval = sim::Duration::ms(20.0);
   /// Fraction of nodes that relocate each epoch (chosen uniformly).
   double move_fraction = 0.10;
-  /// Moved nodes land uniformly in [0, field_side]^2.
-  double field_side_m = 100.0;
 };
 
 /// Teleports random node subsets on a fixed cadence.
 class MobilityProcess {
  public:
+  /// Moved nodes land uniformly in [0, field_side_m]^2.
   MobilityProcess(sim::Simulation& sim, Network& net, MobilityParams params,
-                  std::uint64_t stream = 0x30B1);
+                  double field_side_m, std::uint64_t stream = 0x30B1);
 
   /// Invoked after every epoch's moves; wire the routing rebuild here.
   void set_on_moved(std::function<void()> cb) { on_moved_ = std::move(cb); }
@@ -50,6 +49,7 @@ class MobilityProcess {
   sim::Simulation& sim_;
   Network& net_;
   MobilityParams params_;
+  double field_side_m_;
   sim::Rng rng_;
   sim::TimePoint horizon_;
   std::function<void()> on_moved_;

@@ -13,12 +13,6 @@ Aggregate Aggregate::of(const Summary& s) {
   return a;
 }
 
-Aggregate Aggregate::of_values(const double* xs, std::size_t n) {
-  Summary s;
-  for (std::size_t i = 0; i < n; ++i) s.add(xs[i]);
-  return of(s);
-}
-
 std::ostream& operator<<(std::ostream& os, const Aggregate& a) {
   return os << a.mean << " ± " << a.stderr_mean << " (sd=" << a.stddev << ", n=" << a.n
             << ", range [" << a.min << ", " << a.max << "])";

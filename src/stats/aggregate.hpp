@@ -25,9 +25,6 @@ struct Aggregate {
   double max = 0.0;
 
   [[nodiscard]] static Aggregate of(const Summary& s);
-
-  /// Accumulates observations one by one (convenience over a loop+Summary).
-  [[nodiscard]] static Aggregate of_values(const double* xs, std::size_t n);
 };
 
 std::ostream& operator<<(std::ostream& os, const Aggregate& a);

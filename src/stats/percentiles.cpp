@@ -10,7 +10,6 @@ namespace spms::stats {
 double Percentiles::quantile(double q) {
   assert(q >= 0.0 && q <= 1.0 && "quantile: q outside [0,1]");
   q = std::clamp(q, 0.0, 1.0);  // release builds: clamp instead of UB below
-  if (digest_) return digest_->quantile(q);
   if (xs_.empty()) return std::numeric_limits<double>::quiet_NaN();
   if (!sorted_) {
     std::sort(xs_.begin(), xs_.end());

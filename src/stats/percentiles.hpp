@@ -1,48 +1,24 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
-#include "stats/tdigest.hpp"
-
 /// \file percentiles.hpp
-/// Quantile estimation behind one interface, with two engines:
+/// Exact quantiles: every sample is retained and a query interpolates
+/// between order statistics (numpy's default convention), so a quantile is
+/// a pure function of the samples and byte-stable across runs.
 ///
-///  * exact (default): retains every sample and interpolates between order
-///    statistics (numpy's default convention).  Fits all the paper-scale
-///    experiments and is byte-stable, so it stays the default everywhere.
-///  * sketch (opt-in): a stats::TDigest — O(compression) memory no matter
-///    how many samples arrive.  The scale-* scenario family opts in via
-///    ExperimentConfig::stats, which participates in the config key (a
-///    sketched run never shares cache entries with an exact run).
-///
-/// The exact engine reserves geometrically (explicit doubling from a fixed
-/// floor) instead of relying on push_back's growth policy, and both engines
-/// report sample_count()/memory_bytes() so collectors can expose footprint.
+/// The sample buffer reserves geometrically (explicit doubling from a fixed
+/// floor) instead of relying on push_back's growth policy, and
+/// sample_count()/memory_bytes() let collectors expose its footprint.
 
 namespace spms::stats {
-
-/// Engine selection for a Percentiles instance.
-struct PercentileOptions {
-  bool sketch = false;          ///< true: t-digest; false: exact samples
-  double compression = 100.0;   ///< t-digest delta (ignored when exact)
-};
 
 /// Accumulates observations and answers arbitrary quantile queries.
 class Percentiles {
  public:
-  Percentiles() = default;  ///< exact engine (historical behaviour)
-  explicit Percentiles(PercentileOptions opts) {
-    if (opts.sketch) digest_.emplace(opts.compression);
-  }
-
   /// Adds one observation.
   void add(double x) {
-    if (digest_) {
-      digest_->add(x);
-      return;
-    }
     if (xs_.size() == xs_.capacity()) {
       xs_.reserve(xs_.empty() ? kReserveFloor : xs_.capacity() * 2);
     }
@@ -51,28 +27,20 @@ class Percentiles {
   }
 
   /// Number of observations.
-  [[nodiscard]] std::size_t count() const {
-    return digest_ ? digest_->count() : xs_.size();
-  }
+  [[nodiscard]] std::size_t count() const { return xs_.size(); }
   /// Alias of count() named for footprint reporting alongside
   /// memory_bytes().
   [[nodiscard]] std::size_t sample_count() const { return count(); }
 
-  /// Heap bytes held by the engine (exact: the sample buffer capacity;
-  /// sketch: centroids + insert buffer — bounded by the compression).
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return digest_ ? digest_->memory_bytes() : xs_.capacity() * sizeof(double);
-  }
-
-  /// True when quantiles are t-digest estimates rather than exact.
-  [[nodiscard]] bool is_sketch() const { return digest_.has_value(); }
+  /// Heap bytes held by the sample buffer (its capacity).
+  [[nodiscard]] std::size_t memory_bytes() const { return xs_.capacity() * sizeof(double); }
 
   /// q-quantile for q in [0,1].  Hardened edges: zero observations return
   /// quiet NaN (a defined "no data" answer rather than a fabricated 0 that
   /// could be mistaken for a real measurement — callers that need a number
   /// must check count() first, as exp::run_experiment does), and q outside
   /// [0,1] asserts in debug builds and clamps in release builds.
-  /// Not const: sorts (exact) or flushes (sketch) lazily.
+  /// Not const: sorts lazily.
   [[nodiscard]] double quantile(double q);
 
   /// Convenience accessors.
@@ -80,17 +48,12 @@ class Percentiles {
   [[nodiscard]] double p95() { return quantile(0.95); }
   [[nodiscard]] double p99() { return quantile(0.99); }
 
-  /// Read-only view of the raw samples (unsorted order not guaranteed).
-  /// Empty under the sketch engine — samples are not retained there.
-  [[nodiscard]] const std::vector<double>& samples() const { return xs_; }
-
  private:
-  /// First exact-engine allocation, in samples; doubles thereafter.
+  /// First allocation, in samples; doubles thereafter.
   static constexpr std::size_t kReserveFloor = 1024;
 
   std::vector<double> xs_;
   bool sorted_ = false;
-  std::optional<TDigest> digest_;
 };
 
 }  // namespace spms::stats

@@ -24,20 +24,6 @@ class Summary {
     sum_ += x;
   }
 
-  /// Merges another summary into this one (parallel Welford combine).
-  void merge(const Summary& o) {
-    if (o.n_ == 0) return;
-    if (n_ == 0) { *this = o; return; }
-    const double delta = o.mean_ - mean_;
-    const auto n = static_cast<double>(n_), m = static_cast<double>(o.n_);
-    m2_ += o.m2_ + delta * delta * n * m / (n + m);
-    mean_ = (n * mean_ + m * o.mean_) / (n + m);
-    n_ += o.n_;
-    sum_ += o.sum_;
-    if (o.min_ < min_) min_ = o.min_;
-    if (o.max_ > max_) max_ = o.max_;
-  }
-
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double sum() const { return sum_; }
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }

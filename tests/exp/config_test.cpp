@@ -103,10 +103,7 @@ ExperimentConfig all_changed() {
   c.mobility = true;
   c.mobility_params.epoch_interval = Duration::nanos(400'000'000);
   c.mobility_params.move_fraction = 0.05;
-  c.mobility_params.field_side_m = 65.0;
   c.cluster_p_other = 0.06;
-  c.percentiles.sketch = true;
-  c.percentiles.compression = 200.0;
   c.seed = 18'446'744'073'709'551'615ULL;
   c.activity_horizon = Duration::nanos(2'000'000'000);
   c.max_events = 150'000;
@@ -118,7 +115,7 @@ TEST(ConfigFieldsTest, SetFieldRebuildsEveryCanonicalKeyFromTheStoresSpelling) {
   const auto json = store::canonical_config_json(target);
   const auto written = members(json);
   const auto defaults = members(store::canonical_config_json(ExperimentConfig{}));
-  ASSERT_EQ(written.size(), 68u);
+  ASSERT_EQ(written.size(), 65u);
   ASSERT_EQ(defaults.size(), written.size());
 
   ExperimentConfig rebuilt;
@@ -136,6 +133,9 @@ TEST(ConfigFieldsTest, SetFieldRejectsWhatTheStoreNeverWritesAndChangesNothing) 
   const auto before = store::canonical_config_json(cfg);
   const std::vector<std::pair<std::string, std::string>> bad = {
       {"nodes", "49"},                                // unknown key
+      {"mobility.field_side_m", "50"},                // the deployment sets the field
+      {"percentiles.sketch", "true"},                 // quantiles are always exact
+      {"percentiles.compression", "100"},
       {"node_count", "-1"},                           // sign on an unsigned field
       {"node_count", "+49"},
       {"node_count", "18446744073709551616"},         // 2^64 overflows

@@ -1,60 +1,43 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
-#include <vector>
 
 #include "exp/batch.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario_registry.hpp"
 #include "exp/store/canonical.hpp"
 
-/// The scale-* scenario family and the sketched-quantile engine behind it:
-/// registry shape, config-key separation of the two engines, worker-count
-/// independence of sketched aggregates, and sketch-vs-exact agreement on a
-/// real protocol run.
+/// The scale-* scenario family: registry shape, worker-count independence
+/// of its results, and that its cluster traffic actually delivers.
 
 namespace spms::exp {
 namespace {
 
-TEST(ScaleFamilyTest, RegistryCarriesTheFourSizesWithSketchOnTheBigOnes) {
+TEST(ScaleFamilyTest, RegistryCarriesTheFourSizesOnClusterTraffic) {
   const struct {
     const char* name;
     std::size_t nodes;
-    bool sketch;
   } expected[] = {
-      {"scale-1k", 1'000, false},
-      {"scale-10k", 10'000, false},
-      {"scale-100k", 100'000, true},
-      {"scale-1m", 1'000'000, true},
+      {"scale-1k", 1'000},
+      {"scale-10k", 10'000},
+      {"scale-100k", 100'000},
+      {"scale-1m", 1'000'000},
   };
   for (const auto& e : expected) {
     const auto* info = find_scenario(e.name);
     ASSERT_NE(info, nullptr) << e.name;
     const auto spec = info->make();
     EXPECT_EQ(spec.base.node_count, e.nodes) << e.name;
-    EXPECT_EQ(spec.base.percentiles.sketch, e.sketch) << e.name;
-    EXPECT_EQ(spec.base.pattern, TrafficPattern::kSink) << e.name;
+    EXPECT_EQ(spec.base.pattern, TrafficPattern::kCluster) << e.name;
+    EXPECT_EQ(spec.base.zone_radius_m, 10.0) << e.name;
     EXPECT_EQ(spec.base.traffic.packets_per_node, 1u) << e.name;
   }
 }
 
-TEST(ScaleFamilyTest, SketchFlagParticipatesInTheConfigKey) {
-  // A sketched run answers quantile queries with estimates; it must never
-  // share a store entry with an exact run of the same experiment.
-  ExperimentConfig exact;
-  ExperimentConfig sketched = exact;
-  sketched.percentiles.sketch = true;
-  EXPECT_NE(store::config_key(exact), store::config_key(sketched));
-  ExperimentConfig tighter = sketched;
-  tighter.percentiles.compression = 50.0;
-  EXPECT_NE(store::config_key(sketched), store::config_key(tighter));
-}
-
-TEST(ScaleFamilyTest, SketchedAggregatesAreWorkerCountIndependent) {
-  // Per-seed runs are single-threaded and the t-digest is a pure function
-  // of its insertion sequence, so the full RunResult serialization — the
-  // sketched p95 included — must be byte-identical at --jobs 1 and 8.
+TEST(ScaleFamilyTest, AggregatesAreWorkerCountIndependent) {
+  // Per-seed runs are single-threaded and a quantile is a pure function of
+  // the delay samples, so the full RunResult serialization — p95 included —
+  // must be byte-identical at --jobs 1 and 8.
   auto spec = find_scenario("scale-1k")->make();
   spec.use_consecutive_seeds(4);
   BatchOptions serial;
@@ -70,24 +53,19 @@ TEST(ScaleFamilyTest, SketchedAggregatesAreWorkerCountIndependent) {
   }
 }
 
-TEST(ScaleFamilyTest, SketchedDelayQuantilesTrackTheExactEngine) {
-  // Same experiment through both engines: the sketched p95 is an estimate,
-  // but on a few hundred delay samples it should sit within a few percent
-  // of the exact order statistic.
-  ExperimentConfig cfg;
-  cfg.node_count = 49;
-  cfg.zone_radius_m = 15.0;
-  cfg.traffic.packets_per_node = 2;
-  const auto exact = run_experiment(cfg);
-  cfg.percentiles.sketch = true;
-  const auto sketched = run_experiment(cfg);
-  // The simulation itself is untouched by the quantile engine.
-  EXPECT_EQ(exact.events_executed, sketched.events_executed);
-  EXPECT_EQ(exact.deliveries, sketched.deliveries);
-  EXPECT_DOUBLE_EQ(exact.mean_delay_ms, sketched.mean_delay_ms);
-  EXPECT_DOUBLE_EQ(exact.max_delay_ms, sketched.max_delay_ms);
-  ASSERT_GT(exact.p95_delay_ms, 0.0);
-  EXPECT_NEAR(sketched.p95_delay_ms, exact.p95_delay_ms, 0.05 * exact.p95_delay_ms);
+TEST(ScaleFamilyTest, SmallestSizeDeliversForSpmsAndSpin) {
+  // The family times dissemination, so its traffic must deliver: each
+  // reading reaches its cluster head and the zone bystanders that want it.
+  for (const char* protocol : {"SPMS", "SPIN"}) {
+    auto spec = find_scenario("scale-1k")->make();
+    spec.set("protocol", protocol);
+    const auto jobs = spec.expand();
+    ASSERT_EQ(jobs.size(), 1u) << protocol;
+    const auto r = run_experiment(jobs[0].config);
+    EXPECT_FALSE(r.event_limit_hit) << protocol;
+    EXPECT_GE(r.delivery_ratio, 0.99) << protocol;
+    EXPECT_GT(r.deliveries, 1'000u) << protocol;
+  }
 }
 
 }  // namespace

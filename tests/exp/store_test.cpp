@@ -313,11 +313,11 @@ TEST(CanonicalTest, ConfigBytesArePinned) {
   std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(h));
   const std::string key = config_key(ExperimentConfig{});
   EXPECT_EQ(jobs, 472u);
-  EXPECT_EQ(key, "32e2675025a637f4")
+  EXPECT_EQ(key, "a8d3d2151ae2ab17")
       << "default config key is now " << key
       << "; a kSchemaVersion bump moves it, so re-record it in the same change.  If the "
          "schema did not change, the canonical config bytes moved (see the registry hash)";
-  EXPECT_EQ(h, 0x54abfff5183a02afULL)
+  EXPECT_EQ(h, 0xba440d575cf6a987ULL)
       << "registry config hash is now " << hex
       << "; the canonical config bytes moved, which orphans every stored result (bump "
          "kSchemaVersion if that is intended)";

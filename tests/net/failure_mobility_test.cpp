@@ -112,8 +112,7 @@ TEST(MobilityProcessTest, EpochsMoveTheConfiguredFraction) {
   MobilityParams params;
   params.epoch_interval = sim::Duration::ms(10);
   params.move_fraction = 0.25;  // 4 of 16 nodes
-  params.field_side_m = 15.0;
-  MobilityProcess mob(h.sim, h.net, params);
+  MobilityProcess mob(h.sim, h.net, params, 15.0);
   mob.start(sim::TimePoint::at(sim::Duration::ms(35)));
   h.sim.run();
   EXPECT_EQ(mob.epochs(), 3u);       // t = 10, 20, 30
@@ -125,8 +124,7 @@ TEST(MobilityProcessTest, MovedNodesStayInsideField) {
   MobilityParams params;
   params.epoch_interval = sim::Duration::ms(5);
   params.move_fraction = 1.0;
-  params.field_side_m = 15.0;
-  MobilityProcess mob(h.sim, h.net, params);
+  MobilityProcess mob(h.sim, h.net, params, 15.0);
   mob.start(sim::TimePoint::at(sim::Duration::ms(50)));
   h.sim.run();
   for (std::size_t i = 0; i < h.net.size(); ++i) {
@@ -142,8 +140,7 @@ TEST(MobilityProcessTest, CallbackFiresPerEpoch) {
   Harness h;
   MobilityParams params;
   params.epoch_interval = sim::Duration::ms(10);
-  params.field_side_m = 15.0;
-  MobilityProcess mob(h.sim, h.net, params);
+  MobilityProcess mob(h.sim, h.net, params, 15.0);
   int calls = 0;
   mob.set_on_moved([&] { ++calls; });
   mob.start(sim::TimePoint::at(sim::Duration::ms(45)));
@@ -156,8 +153,7 @@ TEST(MobilityProcessTest, AtLeastOneNodeMovesForTinyFractions) {
   MobilityParams params;
   params.epoch_interval = sim::Duration::ms(10);
   params.move_fraction = 0.001;  // rounds to 0, clamped to 1 mover
-  params.field_side_m = 15.0;
-  MobilityProcess mob(h.sim, h.net, params);
+  MobilityProcess mob(h.sim, h.net, params, 15.0);
   mob.start(sim::TimePoint::at(sim::Duration::ms(10)));
   h.sim.run();
   EXPECT_EQ(mob.moves(), 1u);
@@ -168,8 +164,7 @@ TEST(MobilityProcessTest, DeterministicAcrossRunsWithSameSeed) {
     Harness h(4, seed);
     MobilityParams params;
     params.epoch_interval = sim::Duration::ms(10);
-    params.field_side_m = 15.0;
-    MobilityProcess mob(h.sim, h.net, params);
+    MobilityProcess mob(h.sim, h.net, params, 15.0);
     mob.start(sim::TimePoint::at(sim::Duration::ms(30)));
     h.sim.run();
     std::vector<Point> pts;

@@ -89,15 +89,5 @@ TEST(PercentilesTest, ReportsFootprintAndReservesGeometrically) {
   EXPECT_EQ(p.memory_bytes(), 4096u * sizeof(double));  // floor doubled twice
 }
 
-TEST(PercentilesTest, SketchEngineBoundsMemory) {
-  Percentiles p{PercentileOptions{.sketch = true, .compression = 50.0}};
-  for (int i = 0; i < 100'000; ++i) p.add(static_cast<double>(i % 997));
-  EXPECT_TRUE(p.is_sketch());
-  EXPECT_EQ(p.sample_count(), 100'000u);
-  // O(compression) memory, not one double per sample (800 KB here).
-  EXPECT_LT(p.memory_bytes(), 64u * 1024u);
-  EXPECT_TRUE(std::isnan(Percentiles{PercentileOptions{.sketch = true}}.quantile(0.5)));
-}
-
 }  // namespace
 }  // namespace spms::stats

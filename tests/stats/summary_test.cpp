@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "sim/random.hpp"
-
 namespace spms::stats {
 namespace {
 
@@ -46,33 +44,6 @@ TEST(SummaryTest, NegativeValues) {
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
   EXPECT_DOUBLE_EQ(s.min(), -3.0);
   EXPECT_DOUBLE_EQ(s.max(), 3.0);
-}
-
-TEST(SummaryTest, MergeMatchesCombinedStream) {
-  sim::Rng rng{11};
-  Summary all, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform(-5.0, 20.0);
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(SummaryTest, MergeWithEmpty) {
-  Summary a, b;
-  a.add(1.0);
-  a.add(2.0);
-  a.merge(b);  // no-op
-  EXPECT_EQ(a.count(), 2u);
-  b.merge(a);  // copy
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.5);
 }
 
 TEST(SummaryTest, WelfordStableForLargeOffsets) {
