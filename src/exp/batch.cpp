@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <fstream>
@@ -15,26 +13,11 @@
 #include <utility>
 
 #include "exp/store/result_store.hpp"
+#include "obs/json.hpp"
 
 namespace spms::exp {
 
 namespace {
-
-void append_u64(std::string& s, std::uint64_t v) {
-  char buf[24];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  s.append(buf, p);
-}
-
-void append_double(std::string& s, double v) {
-  if (!std::isfinite(v)) {
-    s += '0';
-    return;
-  }
-  char buf[32];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  s.append(buf, p);
-}
 
 /// Per-point rollup sidecar.  Counters sum and histograms merge over the
 /// point's executed runs in expansion order (the runs vector's order), so
@@ -70,61 +53,24 @@ void write_rollups(const SweepSpec& spec, const BatchResult& result, const std::
     }
 
     line.clear();
-    line += R"({"type":"rollup","scenario":")";
-    line += spec.name;
-    line += R"(","protocol":")";
-    line += p.runs.empty() ? std::string{} : p.runs.front().protocol;
-    line += R"(","nodes":)";
-    append_u64(line, p.node_count);
-    line += R"(,"radius_m":)";
-    append_double(line, p.zone_radius_m);
-    if (!p.variant.empty()) {
-      line += R"(,"variant":")";
-      line += p.variant;
-      line += '"';
+    obs::json::Writer w{line};
+    w.begin_object()
+        .str("type", "rollup")
+        .str("scenario", spec.name)
+        .str("protocol", p.runs.empty() ? std::string_view{} : p.runs.front().protocol)
+        .u64("nodes", p.node_count)
+        .d("radius_m", p.zone_radius_m);
+    if (!p.variant.empty()) w.str("variant", p.variant);
+    w.u64("seeds", p.runs.size()).u64("executed", executed).key("counters").begin_object();
+    for (const auto& [name, value] : counters) w.u64(name, value);
+    w.end_object().key("histograms").begin_array();
+    for (const auto& entry : histograms) {
+      w.begin_object();
+      obs::write_histogram_members(w, entry.second);
+      w.end_object();
     }
-    line += R"(,"seeds":)";
-    append_u64(line, p.runs.size());
-    line += R"(,"executed":)";
-    append_u64(line, executed);
-    line += R"(,"counters":{)";
-    bool first = true;
-    for (const auto& [name, value] : counters) {
-      if (!first) line += ',';
-      first = false;
-      line += '"';
-      line += name;
-      line += "\":";
-      append_u64(line, value);
-    }
-    line += R"(},"histograms":[)";
-    first = true;
-    for (const auto& [name, h] : histograms) {
-      if (!first) line += ',';
-      first = false;
-      line += R"({"name":")";
-      line += name;
-      line += R"(","count":)";
-      append_u64(line, h.count);
-      line += R"(,"sum":)";
-      append_double(line, h.sum);
-      line += R"(,"min":)";
-      append_double(line, h.min);
-      line += R"(,"max":)";
-      append_double(line, h.max);
-      line += R"(,"bounds":[)";
-      for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-        if (i > 0) line += ',';
-        append_double(line, h.bounds[i]);
-      }
-      line += R"(],"counts":[)";
-      for (std::size_t i = 0; i < h.counts.size(); ++i) {
-        if (i > 0) line += ',';
-        append_u64(line, h.counts[i]);
-      }
-      line += "]}";
-    }
-    line += "]}\n";
+    w.end_array().end_object();
+    line += '\n';
     out << line;
   }
 }

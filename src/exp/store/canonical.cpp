@@ -3,70 +3,15 @@
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <system_error>
 #include <type_traits>
+
+#include "obs/json.hpp"
 
 namespace spms::exp::store {
 
 namespace {
-
-// --- canonical value formatting ---------------------------------------------
-
-void append_escaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_double(std::string& out, double v) {
-  // Shortest round-trip form: canonical (one spelling per value) and
-  // bit-exact through from_chars on the way back in.
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
-
-/// Emits `"key":value` members in call order; the callers fix the order.
-class ObjWriter {
- public:
-  void str(std::string_view key, std::string_view v) { member(key); append_escaped(out_, v); }
-  void b(std::string_view key, bool v) { member(key); out_ += v ? "true" : "false"; }
-  void u64(std::string_view key, std::uint64_t v) { member(key); out_ += std::to_string(v); }
-  void i64(std::string_view key, std::int64_t v) { member(key); out_ += std::to_string(v); }
-  void d(std::string_view key, double v) { member(key); append_double(out_, v); }
-
-  [[nodiscard]] std::string finish() && {
-    out_ += '}';
-    return std::move(out_);
-  }
-
- private:
-  void member(std::string_view key) {
-    out_ += first_ ? '{' : ',';
-    first_ = false;
-    append_escaped(out_, key);
-    out_ += ':';
-  }
-
-  std::string out_;
-  bool first_ = true;
-};
 
 // --- minimal JSON scanning ---------------------------------------------------
 //
@@ -222,7 +167,12 @@ bool parse_raw_int(std::string_view raw, Int& out) {
   return res.ec == std::errc{} && res.ptr == raw.data() + raw.size();
 }
 
+/// The writer spells a non-finite double as null; it reads back as NaN.
 bool parse_raw_double(std::string_view raw, double& out) {
+  if (raw == "null") {
+    out = std::numeric_limits<double>::quiet_NaN();
+    return true;
+  }
   const auto res = std::from_chars(raw.data(), raw.data() + raw.size(), out);
   return res.ec == std::errc{} && res.ptr == raw.data() + raw.size();
 }
@@ -238,7 +188,9 @@ std::uint64_t fnv1a(std::string_view bytes, std::uint64_t h = 146959810393466560
 }  // namespace
 
 std::string canonical_config_json(const ExperimentConfig& c) {
-  ObjWriter w;
+  std::string out;
+  obs::json::Writer w{out};
+  w.begin_object();
   visit_fields(c, [&w](std::string_view key, const auto& v) {
     using T = std::decay_t<decltype(v)>;
     if constexpr (std::is_same_v<T, std::string>) {
@@ -257,7 +209,8 @@ std::string canonical_config_json(const ExperimentConfig& c) {
       w.u64(key, v);
     }
   });
-  return std::move(w).finish();
+  w.end_object();
+  return out;
 }
 
 std::string key_for_canonical(std::string_view canonical_config) {
@@ -273,7 +226,9 @@ std::string config_key(const ExperimentConfig& config) {
 }
 
 std::string result_to_json(const RunResult& r) {
-  ObjWriter w;
+  std::string out;
+  obs::json::Writer w{out};
+  w.begin_object();
   w.str("protocol", r.protocol);
   w.str("label", r.label);
   w.u64("nodes", r.nodes);
@@ -336,7 +291,8 @@ std::string result_to_json(const RunResult& r) {
   w.d("sim_time_ms", r.sim_time_ms);
   w.u64("events_executed", r.events_executed);
   w.b("event_limit_hit", r.event_limit_hit);
-  return std::move(w).finish();
+  w.end_object();
+  return out;
 }
 
 std::optional<RunResult> result_from_json(std::string_view json) {
@@ -464,13 +420,14 @@ std::optional<RawRecord> parse_record_line(std::string_view line) {
 
 std::string make_record_line(std::string_view key, std::string_view canonical_config,
                              std::string_view result_json) {
-  std::string line = "{\"schema\":" + std::to_string(kSchemaVersion) + ",\"key\":";
-  append_escaped(line, key);
-  line += ",\"config\":";
-  line += canonical_config;
-  line += ",\"result\":";
-  line += result_json;
-  line += '}';
+  std::string line;
+  obs::json::Writer{line}
+      .begin_object()
+      .i64("schema", kSchemaVersion)
+      .str("key", key)
+      .raw("config", canonical_config)
+      .raw("result", result_json)
+      .end_object();
   return line;
 }
 

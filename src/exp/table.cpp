@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/json.hpp"
+
 namespace spms::exp {
 
 void Table::add_row(std::vector<std::string> cells) {
@@ -47,21 +49,6 @@ void Table::print_csv(std::ostream& os) const {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 // Matches the JSON number grammar exactly; strtod alone also accepts "nan",
 // "inf", hex floats, "+1", "0123", "1." and ".5", all invalid bare JSON.
 bool is_number(const std::string& s) {
@@ -92,19 +79,24 @@ bool is_number(const std::string& s) {
 }  // namespace
 
 void Table::print_json(std::ostream& os) const {
+  // The spaced one-row-per-line layout is the table's own; the shared writer
+  // spells the strings.
+  std::string line;
   os << "[\n";
   for (std::size_t r = 0; r < rows_.size(); ++r) {
-    os << "  {";
+    line = "  {";
     for (std::size_t c = 0; c < headers_.size(); ++c) {
-      if (c > 0) os << ", ";
-      os << '"' << json_escape(headers_[c]) << "\": ";
+      if (c > 0) line += ", ";
+      obs::json::append_string(line, headers_[c]);
+      line += ": ";
       if (is_number(rows_[r][c])) {
-        os << rows_[r][c];
+        line += rows_[r][c];
       } else {
-        os << '"' << json_escape(rows_[r][c]) << '"';
+        obs::json::append_string(line, rows_[r][c]);
       }
     }
-    os << (r + 1 < rows_.size() ? "},\n" : "}\n");
+    line += r + 1 < rows_.size() ? "},\n" : "}\n";
+    os << line;
   }
   os << "]\n";
 }

@@ -1,41 +1,16 @@
 #include "exp/telemetry.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <stdexcept>
 
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "obs/json.hpp"
 #include "obs/process_stats.hpp"
 
 namespace spms::exp {
 
 namespace {
-
-/// Shortest round-trip double rendering (JSON has no inf/nan; callers only
-/// feed finite values — gauges and counters — so the guard is a plain 0).
-void append_double(double v, std::string& out) {
-  if (!std::isfinite(v)) {
-    out += "0";
-    return;
-  }
-  char buf[32];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, static_cast<std::size_t>(ptr - buf));
-}
-
-void append_u64(std::uint64_t v, std::string& out) {
-  char buf[24];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, static_cast<std::size_t>(ptr - buf));
-}
-
-/// Metric names are fixed identifiers ([a-z0-9._-]); no escaping needed.
-void append_name(std::string_view name, std::string& out) {
-  out += '"';
-  out += name;
-  out += '"';
-}
 
 const std::vector<double>& delay_bounds() {
   static const std::vector<double> bounds{1.0,   2.0,   5.0,    10.0,   20.0,   50.0,
@@ -217,7 +192,8 @@ void TelemetrySession::install_sink() {
     if (flight_) flight_->observe(r);
     if (trace_file_.is_open()) {
       scratch_.clear();
-      obs::append_record_json(r, scratch_);
+      obs::json::Writer w{scratch_};
+      obs::append_record_json(r, w);
       scratch_ += '\n';
       trace_file_.write(scratch_.data(), static_cast<std::streamsize>(scratch_.size()));
     }
@@ -278,58 +254,45 @@ void TelemetrySession::write_metrics_file(const RunResult& result) {
 
   std::string line;
   registry_.visit_counters([&](std::string_view name, std::uint64_t value) {
-    line = R"({"type":"counter","name":)";
-    append_name(name, line);
-    line += R"(,"value":)";
-    append_u64(value, line);
-    line += "}\n";
+    line.clear();
+    obs::json::Writer{line}
+        .begin_object()
+        .str("type", "counter")
+        .str("name", name)
+        .u64("value", value)
+        .end_object();
+    line += '\n';
     out << line;
   });
   registry_.visit_gauges([&](std::string_view name, double value) {
-    line = R"({"type":"gauge","name":)";
-    append_name(name, line);
-    line += R"(,"value":)";
-    append_double(value, line);
-    line += "}\n";
+    line.clear();
+    obs::json::Writer{line}
+        .begin_object()
+        .str("type", "gauge")
+        .str("name", name)
+        .d("value", value)
+        .end_object();
+    line += '\n';
     out << line;
   });
   for (const auto& h : registry_.histogram_snapshots()) {
-    line = R"({"type":"histogram","name":)";
-    append_name(h.name, line);
-    line += R"(,"count":)";
-    append_u64(h.count, line);
-    line += R"(,"sum":)";
-    append_double(h.sum, line);
-    line += R"(,"min":)";
-    append_double(h.min, line);
-    line += R"(,"max":)";
-    append_double(h.max, line);
-    line += R"(,"bounds":[)";
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      if (i > 0) line += ',';
-      append_double(h.bounds[i], line);
-    }
-    line += R"(],"counts":[)";
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
-      if (i > 0) line += ',';
-      append_u64(h.counts[i], line);
-    }
-    line += "]}\n";
+    line.clear();
+    obs::json::Writer w{line};
+    w.begin_object().str("type", "histogram");
+    obs::write_histogram_members(w, h);
+    w.end_object();
+    line += '\n';
     out << line;
   }
 
   const auto& series = result.series;
   for (std::size_t s = 0; s < series.samples(); ++s) {
-    line = R"({"type":"sample","t_ms":)";
-    append_double(series.t_ms[s], line);
-    line += R"(,"values":{)";
-    for (std::size_t c = 0; c < series.names.size(); ++c) {
-      if (c > 0) line += ',';
-      append_name(series.names[c], line);
-      line += ':';
-      append_double(series.rows[s][c], line);
-    }
-    line += "}}\n";
+    line.clear();
+    obs::json::Writer w{line};
+    w.begin_object().str("type", "sample").d("t_ms", series.t_ms[s]).key("values").begin_object();
+    for (std::size_t c = 0; c < series.names.size(); ++c) w.d(series.names[c], series.rows[s][c]);
+    w.end_object().end_object();
+    line += '\n';
     out << line;
   }
 }

@@ -1,43 +1,19 @@
 #include "obs/event_trace.hpp"
 
-#include <charconv>
-#include <cstdio>
+#include "obs/json.hpp"
 
 namespace spms::obs {
 
 namespace {
 
+/// The legacy node spelling `n<id>` (`n?` when invalid).
 void append_node(std::string& s, net::NodeId id) {
   s += 'n';
-  if (id.v == net::NodeId::kInvalid) {
+  if (id.valid()) {
+    json::append_u64(s, id.v);
+  } else {
     s += '?';
-    return;
   }
-  char buf[16];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof buf, id.v);
-  s.append(buf, p);
-}
-
-void append_item(std::string& s, net::DataId item) {
-  append_node(s, item.origin);
-  s += '#';
-  char buf[16];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof buf, item.seq);
-  s.append(buf, p);
-}
-
-/// Shortest round-trip double rendering (same contract as the store's
-/// canonical JSON; duplicated here because obs must not depend on exp).
-void append_double(std::string& s, double v) {
-  char buf[32];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  s.append(buf, p);
-}
-
-void append_u64(std::string& s, std::uint64_t v) {
-  char buf[24];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  s.append(buf, p);
 }
 
 /// message = "<verb> <node> <item>" + optional suffix pieces.
@@ -46,7 +22,7 @@ std::string verb_line(const char* verb, const TraceRecord& r) {
   m += ' ';
   append_node(m, r.node);
   m += ' ';
-  append_item(m, r.item);
+  json::append_item_id(m, r.item);
   return m;
 }
 
@@ -179,43 +155,15 @@ const char* trace_cause_name(TraceKind k, std::uint8_t cause) {
   }
 }
 
-void append_record_json(const TraceRecord& r, std::string& out) {
-  out += "{\"t_ms\":";
-  append_double(out, r.at.to_ms());
-  out += ",\"kind\":\"";
-  out += trace_kind_name(r.kind);
-  out += '"';
-  if (const char* cause = trace_cause_name(r.kind, r.cause)) {
-    out += ",\"cause\":\"";
-    out += cause;
-    out += '"';
-  }
-  if (r.node.valid()) {
-    out += ",\"node\":";
-    append_u64(out, r.node.v);
-  }
-  if (r.peer.valid()) {
-    out += ",\"peer\":";
-    append_u64(out, r.peer.v);
-  }
-  if (r.via.valid()) {
-    out += ",\"via\":";
-    append_u64(out, r.via.v);
-  }
-  if (r.parent.valid()) {
-    out += ",\"parent\":";
-    append_u64(out, r.parent.v);
-  }
-  if (r.item.origin.valid()) {
-    out += ",\"item\":\"";
-    append_node(out, r.item.origin);
-    out += '#';
-    append_u64(out, r.item.seq);
-    out += '"';
-  }
-  out += ",\"value\":";
-  append_double(out, r.value);
-  out += '}';
+void append_record_json(const TraceRecord& r, json::Writer& w) {
+  w.begin_object().d("t_ms", r.at.to_ms()).str("kind", trace_kind_name(r.kind));
+  if (const char* cause = trace_cause_name(r.kind, r.cause)) w.str("cause", cause);
+  if (r.node.valid()) w.u64("node", r.node.v);
+  if (r.peer.valid()) w.u64("peer", r.peer.v);
+  if (r.via.valid()) w.u64("via", r.via.v);
+  if (r.parent.valid()) w.u64("parent", r.parent.v);
+  if (r.item.origin.valid()) w.item("item", r.item);
+  w.d("value", r.value).end_object();
 }
 
 std::vector<TraceRecord> EventTrace::ring_snapshot() const {

@@ -29,6 +29,10 @@
 
 namespace spms::obs {
 
+namespace json {
+class Writer;
+}
+
 /// Discriminator of one trace record.
 enum class TraceKind : std::uint8_t {
   // Cross-layer lifecycle records.
@@ -122,8 +126,9 @@ struct LegacyLine {
 /// carries no cause.
 [[nodiscard]] const char* trace_cause_name(TraceKind k, std::uint8_t cause);
 
-/// Appends the single-line JSON rendering of `r` (no trailing newline).
-void append_record_json(const TraceRecord& r, std::string& out);
+/// Writes the JSON object rendering of `r` as `w`'s next value: one line of
+/// the trace file, or the "record" member of a flight-record line.
+void append_record_json(const TraceRecord& r, json::Writer& w);
 
 /// The typed trace hub.  At most one sink and one optional ring buffer;
 /// enabled() is true when either exists.

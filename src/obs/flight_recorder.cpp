@@ -1,7 +1,8 @@
 #include "obs/flight_recorder.hpp"
 
-#include <charconv>
 #include <string>
+
+#include "obs/json.hpp"
 
 namespace spms::obs {
 
@@ -10,25 +11,6 @@ namespace {
 /// Open spans per dump: enough context to see what was in flight without an
 /// anomaly inside a large campaign ballooning the file.
 constexpr std::size_t kMaxOpenSpansPerDump = 256;
-
-void append_u64(std::string& s, std::uint64_t v) {
-  char buf[24];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  s.append(buf, p);
-}
-
-void append_double(std::string& s, double v) {
-  char buf[32];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  s.append(buf, p);
-}
-
-void append_item(std::string& s, net::DataId item) {
-  s += 'n';
-  append_u64(s, item.origin.v);
-  s += '#';
-  append_u64(s, item.seq);
-}
 
 }  // namespace
 
@@ -51,41 +33,26 @@ void FlightRecorder::dump(const TraceRecord& trigger) {
   }
 
   std::string line;
-  line += R"({"type":"flight-dump","dump":)";
-  append_u64(line, dumps_);
-  line += R"(,"t_ms":)";
-  append_double(line, trigger.at.to_ms());
-  line += R"(,"trigger":")";
-  line += trace_kind_name(trigger.kind);
-  line += '"';
-  if (const char* cause = trace_cause_name(trigger.kind, trigger.cause)) {
-    line += R"(,"cause":")";
-    line += cause;
-    line += '"';
-  }
-  if (trigger.node.valid()) {
-    line += R"(,"node":)";
-    append_u64(line, trigger.node.v);
-  }
-  if (trigger.item.origin.valid()) {
-    line += R"(,"item":")";
-    append_item(line, trigger.item);
-    line += '"';
-  }
-  line += R"(,"ring":)";
-  append_u64(line, ring.size());
-  line += R"(,"open_spans":)";
-  append_u64(line, open);
-  line += "}\n";
+  json::Writer head{line};
+  head.begin_object()
+      .str("type", "flight-dump")
+      .u64("dump", dumps_)
+      .d("t_ms", trigger.at.to_ms())
+      .str("trigger", trace_kind_name(trigger.kind));
+  if (const char* cause = trace_cause_name(trigger.kind, trigger.cause)) head.str("cause", cause);
+  if (trigger.node.valid()) head.u64("node", trigger.node.v);
+  if (trigger.item.origin.valid()) head.item("item", trigger.item);
+  head.u64("ring", ring.size()).u64("open_spans", open).end_object();
+  line += '\n';
   out_ << line;
 
   for (const auto& rec : ring) {
     line.clear();
-    line += R"({"type":"flight-record","dump":)";
-    append_u64(line, dumps_);
-    line += R"(,"record":)";
-    append_record_json(rec, line);
-    line += "}\n";
+    json::Writer w{line};
+    w.begin_object().str("type", "flight-record").u64("dump", dumps_).key("record");
+    append_record_json(rec, w);
+    w.end_object();
+    line += '\n';
     out_ << line;
   }
 
@@ -95,17 +62,16 @@ void FlightRecorder::dump(const TraceRecord& trigger) {
     if (written >= kMaxOpenSpansPerDump) break;
     ++written;
     line.clear();
-    line += R"({"type":"flight-span","dump":)";
-    append_u64(line, dumps_);
-    line += R"(,"item":")";
-    append_item(line, s.item);
-    line += R"(","node":)";
-    append_u64(line, s.node.v);
-    line += R"(,"t_start_ms":)";
-    append_double(line, s.t_start_ms);
-    line += R"(,"requests":)";
-    append_u64(line, s.requests);
-    line += "}\n";
+    json::Writer{line}
+        .begin_object()
+        .str("type", "flight-span")
+        .u64("dump", dumps_)
+        .item("item", s.item)
+        .u64("node", s.node.v)
+        .d("t_start_ms", s.t_start_ms)
+        .u64("requests", s.requests)
+        .end_object();
+    line += '\n';
     out_ << line;
   }
 }

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
 #include <cmath>
+
+#include "obs/json.hpp"
 
 namespace spms::obs {
 
@@ -23,23 +24,28 @@ std::string prom_name(std::string_view name) {
   return out;
 }
 
-void append_u64(std::string& s, std::uint64_t v) {
-  char buf[24];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  s.append(buf, p);
-}
-
-void append_double(std::string& s, double v) {
-  if (std::isinf(v)) {
+/// A sample value in the exposition format, which (unlike JSON) spells the
+/// non-finite values: `+Inf`, `-Inf`, `NaN`.
+void append_sample_value(std::string& s, double v) {
+  if (std::isnan(v)) {
+    s += "NaN";
+  } else if (std::isinf(v)) {
     s += v > 0 ? "+Inf" : "-Inf";
-    return;
+  } else {
+    json::append_double(s, v);
   }
-  char buf[32];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  s.append(buf, p);
 }
 
 }  // namespace
+
+void write_histogram_members(json::Writer& w, const HistogramSnapshot& h) {
+  w.str("name", h.name).u64("count", h.count).d("sum", h.sum).d("min", h.min).d("max", h.max);
+  w.key("bounds").begin_array();
+  for (const double b : h.bounds) w.d(b);
+  w.end_array().key("counts").begin_array();
+  for (const std::uint64_t c : h.counts) w.u64(c);
+  w.end_array();
+}
 
 CounterHandle MetricsRegistry::counter(std::string_view name) {
   const auto it = counter_index_.find(std::string{name});
@@ -152,7 +158,7 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
     buf += " counter\n";
     buf += name;
     buf += ' ';
-    append_u64(buf, c.value);
+    json::append_u64(buf, c.value);
     buf += '\n';
     out << buf;
   }
@@ -164,7 +170,7 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
     buf += " gauge\n";
     buf += name;
     buf += ' ';
-    append_double(buf, g.fn());
+    append_sample_value(buf, g.fn());
     buf += '\n';
     out << buf;
   }
@@ -180,21 +186,21 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
       buf += name;
       buf += "_bucket{le=\"";
       if (i < h.bounds.size()) {
-        append_double(buf, h.bounds[i]);
+        append_sample_value(buf, h.bounds[i]);
       } else {
         buf += "+Inf";
       }
       buf += "\"} ";
-      append_u64(buf, cumulative);
+      json::append_u64(buf, cumulative);
       buf += '\n';
     }
     buf += name;
     buf += "_sum ";
-    append_double(buf, h.sum);
+    append_sample_value(buf, h.sum);
     buf += '\n';
     buf += name;
     buf += "_count ";
-    append_u64(buf, h.count);
+    json::append_u64(buf, h.count);
     buf += '\n';
     out << buf;
   }

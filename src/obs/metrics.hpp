@@ -29,6 +29,10 @@
 
 namespace spms::obs {
 
+namespace json {
+class Writer;
+}
+
 /// Pre-resolved counter index.  Default-constructed handles are invalid and
 /// add() through them is a checked no-op, so emit sites can keep handles
 /// unconditionally and only registration is gated on telemetry.
@@ -55,6 +59,11 @@ struct HistogramSnapshot {
   double min = 0.0;
   double max = 0.0;
 };
+
+/// Writes `h`'s members — name, count, sum, min, max, bounds, counts — into
+/// the object `w` has open: the one spelling of a histogram that the metrics
+/// file and the rollup sidecar share.
+void write_histogram_members(json::Writer& w, const HistogramSnapshot& h);
 
 /// Detached copy of a registry's counters and histograms — what a RunResult
 /// can carry after the registry (and the run that owned it) is gone.  Gauges

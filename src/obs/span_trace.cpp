@@ -1,33 +1,11 @@
 #include "obs/span_trace.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <string>
 
+#include "obs/json.hpp"
+
 namespace spms::obs {
-
-namespace {
-
-void append_u64(std::string& s, std::uint64_t v) {
-  char buf[24];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  s.append(buf, p);
-}
-
-void append_double(std::string& s, double v) {
-  char buf[32];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  s.append(buf, p);
-}
-
-void append_item(std::string& s, net::DataId item) {
-  s += 'n';
-  append_u64(s, item.origin.v);
-  s += '#';
-  append_u64(s, item.seq);
-}
-
-}  // namespace
 
 Span& SpanTrace::span_of(net::DataId item, net::NodeId node) {
   const auto [it, fresh] = index_.try_emplace(Key{item, node}, spans_.size());
@@ -153,62 +131,38 @@ void SpanTrace::write_jsonl(std::ostream& out, std::uint64_t ring_dropped) const
   std::string line;
   for (const auto& s : spans_) {
     line.clear();
-    line += R"({"type":"span","item":")";
-    append_item(line, s.item);
-    line += R"(","node":)";
-    append_u64(line, s.node.v);
-    if (s.parent.valid()) {
-      line += R"(,"parent":)";
-      append_u64(line, s.parent.v);
-    }
-    if (s.data_src.valid() && s.data_src != s.parent) {
-      line += R"(,"data_src":)";
-      append_u64(line, s.data_src.v);
-    }
-    line += R"(,"t_start_ms":)";
-    append_double(line, s.t_start_ms);
-    if (s.t_first_req_ms >= 0.0) {
-      line += R"(,"t_first_req_ms":)";
-      append_double(line, s.t_first_req_ms);
-    }
-    if (s.t_data_ms >= 0.0) {
-      line += R"(,"t_data_ms":)";
-      append_double(line, s.t_data_ms);
-    }
-    if (s.delivered) {
-      line += R"(,"delay_ms":)";
-      append_double(line, s.delay_ms);
-    }
-    line += R"(,"requests":)";
-    append_u64(line, s.requests);
+    json::Writer w{line};
+    w.begin_object().str("type", "span").item("item", s.item).u64("node", s.node.v);
+    if (s.parent.valid()) w.u64("parent", s.parent.v);
+    if (s.data_src.valid() && s.data_src != s.parent) w.u64("data_src", s.data_src.v);
+    w.d("t_start_ms", s.t_start_ms);
+    if (s.t_first_req_ms >= 0.0) w.d("t_first_req_ms", s.t_first_req_ms);
+    if (s.t_data_ms >= 0.0) w.d("t_data_ms", s.t_data_ms);
+    if (s.delivered) w.d("delay_ms", s.delay_ms);
+    w.u64("requests", s.requests);
     const int depth = depth_of(s);
-    if (depth >= 0) {
-      line += R"(,"depth":)";
-      append_u64(line, static_cast<std::uint64_t>(depth));
-    }
-    if (s.root) line += R"(,"root":1)";
-    if (s.delivered) line += R"(,"delivered":1)";
-    if (s.gave_up) line += R"(,"gave_up":1)";
-    line += "}\n";
+    if (depth >= 0) w.u64("depth", static_cast<std::uint64_t>(depth));
+    if (s.root) w.u64("root", 1);
+    if (s.delivered) w.u64("delivered", 1);
+    if (s.gave_up) w.u64("gave_up", 1);
+    w.end_object();
+    line += '\n';
     out << line;
   }
   const JourneyStats js = journey_stats();
   line.clear();
-  line += R"({"type":"span-summary","spans":)";
-  append_u64(line, js.spans);
-  line += R"(,"delivered":)";
-  append_u64(line, js.delivered);
-  line += R"(,"complete":)";
-  append_u64(line, js.complete);
-  line += R"(,"orphaned":)";
-  append_u64(line, js.orphaned);
-  line += R"(,"max_depth":)";
-  append_u64(line, js.max_depth);
-  line += R"(,"records_seen":)";
-  append_u64(line, records_seen_);
-  line += R"(,"ring_dropped":)";
-  append_u64(line, ring_dropped);
-  line += "}\n";
+  json::Writer{line}
+      .begin_object()
+      .str("type", "span-summary")
+      .u64("spans", js.spans)
+      .u64("delivered", js.delivered)
+      .u64("complete", js.complete)
+      .u64("orphaned", js.orphaned)
+      .u64("max_depth", js.max_depth)
+      .u64("records_seen", records_seen_)
+      .u64("ring_dropped", ring_dropped)
+      .end_object();
+  line += '\n';
   out << line;
 }
 
@@ -216,13 +170,13 @@ void SpanTrace::write_perfetto(std::ostream& out) const {
   // Chrome trace-event format: timestamps in microseconds.  Each item maps
   // to one pid (its first-seen index) so the UI groups a journey's slices;
   // tid is the node.  Flow events draw the parent->child causality arrows.
+  // One event per line inside the traceEvents array.
   std::string line;
   out << "{\"traceEvents\":[";
   bool first = true;
-  const auto emit = [&](const std::string& ev) {
-    if (!first) out << ',';
+  const auto emit = [&] {
+    out << (first ? "\n" : ",\n") << line;
     first = false;
-    out << '\n' << ev;
   };
 
   std::unordered_map<net::DataId, std::size_t> item_pid;
@@ -230,62 +184,63 @@ void SpanTrace::write_perfetto(std::ostream& out) const {
     return item_pid.try_emplace(item, item_pid.size()).first->second;
   };
 
+  std::string name;
   for (std::size_t i = 0; i < spans_.size(); ++i) {
     const Span& s = spans_[i];
     if (s.t_start_ms < 0.0) continue;
     const double end_ms = s.t_data_ms >= 0.0 ? s.t_data_ms : s.t_start_ms;
+    name.clear();
+    json::append_item_id(name, s.item);
+    name += "@n";
+    json::append_u64(name, s.node.v);
     line.clear();
-    line += R"({"name":")";
-    append_item(line, s.item);
-    line += "@n";
-    append_u64(line, s.node.v);
-    line += R"(","cat":"span","ph":"X","ts":)";
-    append_double(line, s.t_start_ms * 1000.0);
-    line += R"(,"dur":)";
-    append_double(line, (end_ms - s.t_start_ms) * 1000.0);
-    line += R"(,"pid":)";
-    append_u64(line, pid_of(s.item));
-    line += R"(,"tid":)";
-    append_u64(line, s.node.v);
-    line += R"(,"args":{"requests":)";
-    append_u64(line, s.requests);
-    if (s.parent.valid()) {
-      line += R"(,"parent":)";
-      append_u64(line, s.parent.v);
-    }
-    if (s.delivered) {
-      line += R"(,"delay_ms":)";
-      append_double(line, s.delay_ms);
-    }
-    line += s.root ? R"(,"root":1}})" : "}}";
-    emit(line);
+    json::Writer w{line};
+    w.begin_object()
+        .str("name", name)
+        .str("cat", "span")
+        .str("ph", "X")
+        .d("ts", s.t_start_ms * 1000.0)
+        .d("dur", (end_ms - s.t_start_ms) * 1000.0)
+        .u64("pid", pid_of(s.item))
+        .u64("tid", s.node.v)
+        .key("args")
+        .begin_object()
+        .u64("requests", s.requests);
+    if (s.parent.valid()) w.u64("parent", s.parent.v);
+    if (s.delivered) w.d("delay_ms", s.delay_ms);
+    if (s.root) w.u64("root", 1);
+    w.end_object().end_object();
+    emit();
 
     // Flow arrow from the parent's completion to this span's completion.
     const Span* up = parent_of(s);
     if (up == nullptr || up->t_data_ms < 0.0 || s.t_data_ms < 0.0) continue;
     const std::uint64_t flow_id = static_cast<std::uint64_t>(i) + 1;
     line.clear();
-    line += R"({"name":"hop","cat":"hop","ph":"s","id":)";
-    append_u64(line, flow_id);
-    line += R"(,"ts":)";
-    append_double(line, up->t_data_ms * 1000.0);
-    line += R"(,"pid":)";
-    append_u64(line, pid_of(s.item));
-    line += R"(,"tid":)";
-    append_u64(line, up->node.v);
-    line += '}';
-    emit(line);
+    json::Writer{line}
+        .begin_object()
+        .str("name", "hop")
+        .str("cat", "hop")
+        .str("ph", "s")
+        .u64("id", flow_id)
+        .d("ts", up->t_data_ms * 1000.0)
+        .u64("pid", pid_of(s.item))
+        .u64("tid", up->node.v)
+        .end_object();
+    emit();
     line.clear();
-    line += R"({"name":"hop","cat":"hop","ph":"f","bp":"e","id":)";
-    append_u64(line, flow_id);
-    line += R"(,"ts":)";
-    append_double(line, s.t_data_ms * 1000.0);
-    line += R"(,"pid":)";
-    append_u64(line, pid_of(s.item));
-    line += R"(,"tid":)";
-    append_u64(line, s.node.v);
-    line += '}';
-    emit(line);
+    json::Writer{line}
+        .begin_object()
+        .str("name", "hop")
+        .str("cat", "hop")
+        .str("ph", "f")
+        .str("bp", "e")
+        .u64("id", flow_id)
+        .d("ts", s.t_data_ms * 1000.0)
+        .u64("pid", pid_of(s.item))
+        .u64("tid", s.node.v)
+        .end_object();
+    emit();
   }
   out << "\n]}\n";
 }

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "obs/event_trace.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 
@@ -184,7 +185,8 @@ TEST(AppendRecordJson, RendersOnlyPopulatedFields) {
                    .node = net::NodeId{6},
                    .peer = net::NodeId{1},
                    .item = net::DataId{net::NodeId{1}, 3}};
-  append_record_json(drop, out);
+  json::Writer first{out};
+  append_record_json(drop, first);
   EXPECT_EQ(out,
             R"({"t_ms":2,"kind":"frame-drop","cause":"link-fault","node":6,"peer":1,)"
             R"("item":"n1#3","value":0})");
@@ -194,7 +196,8 @@ TEST(AppendRecordJson, RendersOnlyPopulatedFields) {
                       .node = net::NodeId{0},
                       .item = net::DataId{net::NodeId{0}, 0},
                       .value = 15.0};
-  append_record_json(publish, out);
+  json::Writer second{out};
+  append_record_json(publish, second);
   // No cause member (kind carries none), no peer/via (invalid ids omitted).
   EXPECT_EQ(out, R"({"t_ms":0,"kind":"publish","node":0,"item":"n0#0","value":15})");
 }
