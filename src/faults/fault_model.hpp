@@ -38,9 +38,8 @@ class FaultModel {
   [[nodiscard]] virtual std::uint64_t events_injected() const = 0;
 };
 
-/// RNG sub-stream ids, one per model.  kCrashStream deliberately matches
-/// net::FailureInjector's historical stream so a crash-only FaultPlan
-/// reproduces the legacy injector's timeline exactly.
+/// RNG sub-stream ids, one per model.  A model's stream fixes its timeline,
+/// so changing an id moves every run that enables the model.
 inline constexpr std::uint64_t kCrashStream = 0xFA11;
 inline constexpr std::uint64_t kRegionStream = 0xFA12;
 inline constexpr std::uint64_t kBatteryStream = 0xFA13;

@@ -90,8 +90,6 @@ std::optional<LegacyLine> format_legacy(const TraceRecord& r) {
       append_node(m, r.peer);
       return LegacyLine{"spin", std::move(m)};
     }
-    case TraceKind::kNodeDown:
-      return LegacyLine{"failure", "node down"};
     default:
       return std::nullopt;
   }
@@ -116,7 +114,6 @@ const char* trace_kind_name(TraceKind k) {
     case TraceKind::kSpinAdv: return "spin-adv";
     case TraceKind::kSpinReq: return "spin-req";
     case TraceKind::kSpinData: return "spin-data";
-    case TraceKind::kNodeDown: return "node-down";
     case TraceKind::kFloodData: return "flood-data";
     case TraceKind::kGiveUp: return "give-up";
   }

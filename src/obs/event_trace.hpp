@@ -54,7 +54,6 @@ enum class TraceKind : std::uint8_t {
   kSpinAdv,
   kSpinReq,               ///< REQ of `item` to `peer`
   kSpinData,              ///< DATA of `item` from `peer`
-  kNodeDown,              ///< legacy FailureInjector crash notice
   kFloodData,             ///< flooding: first copy of `item` reached `node` from `peer`
   kGiveUp,                ///< acquisition abandoned after max retries; value = attempts
 };

@@ -166,12 +166,6 @@ TEST(FormatLegacy, ReproducesStringEraRenderings) {
   EXPECT_EQ(line->category, "spin");
   EXPECT_EQ(line->message, "data n2 n9#0 from n9");
 
-  TraceRecord down{.kind = TraceKind::kNodeDown, .node = net::NodeId{4}};
-  line = format_legacy(down);
-  ASSERT_TRUE(line.has_value());
-  EXPECT_EQ(line->category, "failure");
-  EXPECT_EQ(line->message, "node down");  // string era carried no node id
-
   // Cross-layer records never had a string rendering.
   EXPECT_FALSE(format_legacy(TraceRecord{.kind = TraceKind::kDelivery}).has_value());
   EXPECT_FALSE(format_legacy(TraceRecord{.kind = TraceKind::kFrameDrop}).has_value());
