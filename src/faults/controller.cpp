@@ -42,8 +42,8 @@ FaultController::FaultController(sim::Simulation& sim, net::Network& net,
         std::make_unique<LinkDegradationModel>(*this, plan.link, root.fork(kLinkStream)));
   }
   if (plan.sink_churn.enabled) {
-    models_.push_back(std::make_unique<SinkChurnModel>(*this, plan.sink_churn, focus,
-                                                       root.fork(kSinkChurnStream)));
+    models_.push_back(std::make_unique<CrashRepairModel>(*this, plan.sink_churn, focus,
+                                                         root.fork(kSinkChurnStream)));
   }
 }
 

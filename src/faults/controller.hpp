@@ -49,9 +49,6 @@ class FaultController {
   [[nodiscard]] const FaultObserver& observer() const { return observer_; }
   [[nodiscard]] const FaultStats& stats() const { return observer_.stats(); }
 
-  /// Node-level crash transitions — the legacy "failures injected" metric.
-  [[nodiscard]] std::uint64_t failures_injected() const { return observer_.stats().node_downs; }
-
   [[nodiscard]] const std::vector<std::unique_ptr<FaultModel>>& models() const {
     return models_;
   }

@@ -9,16 +9,63 @@ namespace spms::faults {
 
 // --- CrashRepairModel --------------------------------------------------------
 
-CrashRepairModel::CrashRepairModel(FaultController& ctrl, CrashRepairParams params,
+namespace {
+
+/// The nodes within `hops` zone-radius hops of `sink` (sink excluded),
+/// ascending id: BFS over the zone-radius connectivity graph on the
+/// deployment as it stands now.
+std::vector<net::NodeId> k_hop_neighborhood(net::Network& net, net::NodeId sink,
+                                            std::uint32_t hops) {
+  std::vector<bool> seen(net.size(), false);
+  seen[sink.v] = true;
+  std::vector<net::NodeId> frontier{sink};
+  std::vector<net::NodeId> zone;  // scratch reused across the whole BFS
+  std::vector<net::NodeId> found;
+  for (std::uint32_t depth = 0; depth < hops && !frontier.empty(); ++depth) {
+    std::vector<net::NodeId> next;
+    for (const auto id : frontier) {
+      net.neighbors_within(id, net.zone_radius(), /*include_down=*/true, zone);
+      for (const auto nb : zone) {
+        if (seen[nb.v]) continue;
+        seen[nb.v] = true;
+        next.push_back(nb);
+        found.push_back(nb);
+      }
+    }
+    frontier = std::move(next);
+  }
+  std::sort(found.begin(), found.end(),
+            [](net::NodeId a, net::NodeId b) { return a.v < b.v; });
+  return found;
+}
+
+}  // namespace
+
+CrashRepairModel::CrashRepairModel(FaultController& ctrl, const CrashRepairParams& params,
                                    sim::Rng rng)
     : ctrl_(ctrl), params_(params), rng_(rng) {}
+
+CrashRepairModel::CrashRepairModel(FaultController& ctrl, const SinkChurnParams& params,
+                                   net::NodeId sink, sim::Rng rng)
+    : ctrl_(ctrl),
+      name_("sink-churn"),
+      params_{.enabled = params.enabled,
+              .mean_time_between_failures = params.mean_time_between_failures,
+              .repair_min = params.repair_min,
+              .repair_max = params.repair_max},
+      sink_(sink),
+      hops_(params.hops),
+      rng_(rng) {}
 
 void CrashRepairModel::start(sim::TimePoint horizon) {
   horizon_ = horizon;
   auto& net = ctrl_.network();
-  for (std::size_t i = 0; i < net.size(); ++i) {
-    schedule_failure(net::NodeId{static_cast<std::uint32_t>(i)});
+  if (!sink_.valid()) {
+    for (std::uint32_t i = 0; i < net.size(); ++i) schedule_failure(net::NodeId{i});
+    return;
   }
+  targets_ = k_hop_neighborhood(net, sink_, hops_);
+  for (const auto id : targets_) schedule_failure(id);
 }
 
 void CrashRepairModel::schedule_failure(net::NodeId id) {
@@ -123,59 +170,6 @@ double LinkDegradationModel::drop_probability(sim::TimePoint at) const {
   if (!started_ || at >= horizon_ || horizon_ <= start_) return 0.0;
   const double f = (at - start_) / (horizon_ - start_);
   return params_.drop_start + (params_.drop_end - params_.drop_start) * f;
-}
-
-// --- SinkChurnModel ----------------------------------------------------------
-
-SinkChurnModel::SinkChurnModel(FaultController& ctrl, SinkChurnParams params,
-                               net::NodeId sink, sim::Rng rng)
-    : ctrl_(ctrl), params_(params), sink_(sink), rng_(rng) {}
-
-void SinkChurnModel::start(sim::TimePoint horizon) {
-  horizon_ = horizon;
-  auto& net = ctrl_.network();
-  // BFS over the zone-radius connectivity graph, depth params_.hops, on the
-  // deployment as it stands at start time.
-  std::vector<bool> seen(net.size(), false);
-  seen[sink_.v] = true;
-  std::vector<net::NodeId> frontier{sink_};
-  std::vector<net::NodeId> zone;  // scratch reused across the whole BFS
-  for (std::uint32_t depth = 0; depth < params_.hops && !frontier.empty(); ++depth) {
-    std::vector<net::NodeId> next;
-    for (const auto id : frontier) {
-      net.neighbors_within(id, net.zone_radius(), /*include_down=*/true, zone);
-      for (const auto nb : zone) {
-        if (seen[nb.v]) continue;
-        seen[nb.v] = true;
-        next.push_back(nb);
-        targets_.push_back(nb);
-      }
-    }
-    frontier = std::move(next);
-  }
-  std::sort(targets_.begin(), targets_.end(),
-            [](net::NodeId a, net::NodeId b) { return a.v < b.v; });
-  for (const auto id : targets_) schedule_failure(id);
-}
-
-void SinkChurnModel::schedule_failure(net::NodeId id) {
-  auto& sim = ctrl_.simulation();
-  const auto wait = rng_.exponential(params_.mean_time_between_failures);
-  const auto when = sim.now() + wait;
-  if (when >= horizon_) return;
-  sim.at(when, [this, id] { crash(id); });
-}
-
-void SinkChurnModel::crash(net::NodeId id) {
-  auto& sim = ctrl_.simulation();
-  ++events_;
-  ctrl_.observer().record_event(name(), sim.now(), 1);
-  ctrl_.fail(id);
-  const auto repair = rng_.uniform(params_.repair_min, params_.repair_max);
-  sim.after(repair, [this, id] {
-    ctrl_.repair(id);
-    schedule_failure(id);
-  });
 }
 
 }  // namespace spms::faults

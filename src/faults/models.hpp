@@ -10,32 +10,49 @@
 #include "sim/time.hpp"
 
 /// \file models.hpp
-/// The five built-in fault models.  Each is constructed with its plan
-/// params and a private RNG (forked by the FaultController with the model's
-/// stream id) and drives node state exclusively through the controller.
+/// The built-in fault models behind the five plan entries (crash and
+/// sink-churn share one renewal).  Each is constructed with its plan params
+/// and a private RNG (forked by the FaultController with the model's stream
+/// id) and drives node state exclusively through the controller.
 
 namespace spms::faults {
 
 class FaultController;
 
-/// (a) Per-node transient crash/repair renewal: the paper's Section 5.1.2
-/// process on every node.
+/// (a) and (e) Per-node transient crash/repair renewal, the paper's
+/// Section 5.1.2 process: each target node fails after an exponential wait,
+/// is repaired after ~U(repair_min, repair_max), and renews.  "crash"
+/// targets every node; "sink-churn" targets the nodes within `hops`
+/// zone-radius hops of the sink (sink excluded), found by BFS on the
+/// deployment at start().
 class CrashRepairModel final : public FaultModel {
  public:
-  CrashRepairModel(FaultController& ctrl, CrashRepairParams params, sim::Rng rng);
+  /// "crash": every node.
+  CrashRepairModel(FaultController& ctrl, const CrashRepairParams& params, sim::Rng rng);
+  /// "sink-churn": the sink's k-hop neighborhood.
+  CrashRepairModel(FaultController& ctrl, const SinkChurnParams& params, net::NodeId sink,
+                   sim::Rng rng);
 
-  [[nodiscard]] std::string_view name() const override { return "crash"; }
+  [[nodiscard]] std::string_view name() const override { return name_; }
   void start(sim::TimePoint horizon) override;
   [[nodiscard]] std::uint64_t events_injected() const override { return events_; }
+
+  /// The sink-churn node set, ascending id (known after start(); empty for
+  /// "crash", which targets every node).
+  [[nodiscard]] const std::vector<net::NodeId>& targets() const { return targets_; }
 
  private:
   void schedule_failure(net::NodeId id);
   void crash(net::NodeId id);
 
   FaultController& ctrl_;
+  std::string_view name_ = "crash";
   CrashRepairParams params_;
+  net::NodeId sink_;        ///< invalid for "crash"
+  std::uint32_t hops_ = 0;  ///< sink-churn radius in zone-radius hops
   sim::Rng rng_;
   sim::TimePoint horizon_;
+  std::vector<net::NodeId> targets_;
   std::uint64_t events_ = 0;
 };
 
@@ -116,33 +133,6 @@ class LinkDegradationModel final : public FaultModel {
   sim::TimePoint horizon_;
   bool started_ = false;
   std::uint64_t drops_ = 0;
-};
-
-/// (e) Sink-neighborhood churn: the crash/repair renewal restricted to the
-/// nodes within `hops` zone-radius hops of the sink (sink excluded),
-/// computed by BFS on the deployment at start().
-class SinkChurnModel final : public FaultModel {
- public:
-  SinkChurnModel(FaultController& ctrl, SinkChurnParams params, net::NodeId sink, sim::Rng rng);
-
-  [[nodiscard]] std::string_view name() const override { return "sink-churn"; }
-  void start(sim::TimePoint horizon) override;
-  [[nodiscard]] std::uint64_t events_injected() const override { return events_; }
-
-  /// The churned node set, ascending id (known after start()).
-  [[nodiscard]] const std::vector<net::NodeId>& targets() const { return targets_; }
-
- private:
-  void schedule_failure(net::NodeId id);
-  void crash(net::NodeId id);
-
-  FaultController& ctrl_;
-  SinkChurnParams params_;
-  net::NodeId sink_;
-  sim::Rng rng_;
-  sim::TimePoint horizon_;
-  std::vector<net::NodeId> targets_;
-  std::uint64_t events_ = 0;
 };
 
 }  // namespace spms::faults

@@ -209,7 +209,7 @@ TEST(SinkChurnTest, TargetsExactlyTheKHopNeighborhood) {
   FaultController ctrl(h.sim, h.net, plan, sink);
   ctrl.start(sim::TimePoint::at(sim::Duration::ms(200)));
 
-  const auto* churn = dynamic_cast<SinkChurnModel*>(ctrl.model("sink-churn"));
+  const auto* churn = dynamic_cast<CrashRepairModel*>(ctrl.model("sink-churn"));
   ASSERT_NE(churn, nullptr);
   const auto expected = h.net.neighbors_within(sink, h.net.zone_radius());
   const std::set<std::uint32_t> expected_ids = [&] {
