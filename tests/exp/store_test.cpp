@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <set>
 
 #include "exp/batch.hpp"
@@ -247,6 +249,20 @@ TEST(CanonicalTest, ResultRoundTripsBitExactly) {
   ASSERT_TRUE(parsed.has_value());
   expect_bit_identical(original, *parsed);
   // Canonical: re-serializing the parse reproduces the bytes.
+  EXPECT_EQ(result_to_json(*parsed), json);
+}
+
+TEST(CanonicalTest, NonFiniteResultFieldsReadBackAsNaN) {
+  RunResult r = awkward_result();
+  r.mean_delay_ms = std::numeric_limits<double>::quiet_NaN();
+  r.max_delay_ms = std::numeric_limits<double>::infinity();
+  const std::string json = result_to_json(r);
+  EXPECT_NE(json.find(R"("mean_delay_ms":null,"p95_delay_ms":0.1,"max_delay_ms":null)"),
+            std::string::npos);
+  const auto parsed = result_from_json(json);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_TRUE(std::isnan(parsed->mean_delay_ms));
+  EXPECT_TRUE(std::isnan(parsed->max_delay_ms));
   EXPECT_EQ(result_to_json(*parsed), json);
 }
 
