@@ -5,6 +5,17 @@
 
 namespace spms::obs::json {
 
+namespace {
+
+template <typename Int>
+void append_integer(std::string& out, Int v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+}  // namespace
+
 void append_string(std::string& out, std::string_view s) {
   static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
@@ -40,17 +51,9 @@ void append_double(std::string& out, double v) {
   out.append(buf, res.ptr);
 }
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
+void append_u64(std::string& out, std::uint64_t v) { append_integer(out, v); }
 
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  out.append(buf, res.ptr);
-}
+void append_i64(std::string& out, std::int64_t v) { append_integer(out, v); }
 
 void append_item_id(std::string& out, net::DataId item) {
   out += 'n';
@@ -61,58 +64,6 @@ void append_item_id(std::string& out, net::DataId item) {
   }
   out += '#';
   append_u64(out, item.seq);
-}
-
-Writer& Writer::key(std::string_view k) {
-  value_start();
-  append_string(out_, k);
-  out_ += ':';
-  need_comma_ = false;
-  return *this;
-}
-
-Writer& Writer::str(std::string_view v) {
-  value_start();
-  append_string(out_, v);
-  return *this;
-}
-
-Writer& Writer::u64(std::uint64_t v) {
-  value_start();
-  append_u64(out_, v);
-  return *this;
-}
-
-Writer& Writer::i64(std::int64_t v) {
-  value_start();
-  append_i64(out_, v);
-  return *this;
-}
-
-Writer& Writer::d(double v) {
-  value_start();
-  append_double(out_, v);
-  return *this;
-}
-
-Writer& Writer::b(bool v) {
-  value_start();
-  out_ += v ? "true" : "false";
-  return *this;
-}
-
-Writer& Writer::item(net::DataId v) {
-  value_start();
-  out_ += '"';
-  append_item_id(out_, v);
-  out_ += '"';
-  return *this;
-}
-
-Writer& Writer::raw(std::string_view json) {
-  value_start();
-  out_ += json;
-  return *this;
 }
 
 }  // namespace spms::obs::json

@@ -53,17 +53,32 @@ class Writer {
   Writer& begin_array() { return open('['); }
   Writer& end_array() { return close(']'); }
 
-  /// Starts the member `key`; the next value written is its value.
-  Writer& key(std::string_view k);
+  /// Starts the member `k`; the next value written is its value.
+  Writer& key(std::string_view k) {
+    str(k);
+    out_ += ':';
+    need_comma_ = false;
+    return *this;
+  }
 
-  Writer& str(std::string_view v);
-  Writer& u64(std::uint64_t v);
-  Writer& i64(std::int64_t v);
-  Writer& d(double v);
-  Writer& b(bool v);
-  Writer& item(net::DataId v);
+  Writer& str(std::string_view v) { return value(append_string, v); }
+  Writer& u64(std::uint64_t v) { return value(append_u64, v); }
+  Writer& i64(std::int64_t v) { return value(append_i64, v); }
+  Writer& d(double v) { return value(append_double, v); }
+  Writer& b(bool v) { return raw(v ? "true" : "false"); }
+  Writer& item(net::DataId v) {
+    value_start();
+    out_ += '"';
+    append_item_id(out_, v);
+    out_ += '"';
+    return *this;
+  }
   /// An already-rendered JSON value, copied verbatim.
-  Writer& raw(std::string_view json);
+  Writer& raw(std::string_view json) {
+    value_start();
+    out_ += json;
+    return *this;
+  }
 
   Writer& str(std::string_view k, std::string_view v) { return key(k).str(v); }
   Writer& u64(std::string_view k, std::uint64_t v) { return key(k).u64(v); }
@@ -78,6 +93,13 @@ class Writer {
   void value_start() {
     if (need_comma_) out_ += ',';
     need_comma_ = true;
+  }
+  /// Writes one scalar with its append_* spelling.
+  template <typename T>
+  Writer& value(void (*append)(std::string&, T), T v) {
+    value_start();
+    append(out_, v);
+    return *this;
   }
   Writer& open(char c) {
     value_start();

@@ -98,9 +98,10 @@ CrashRun run_crash_only(std::uint64_t seed, sim::Duration horizon) {
 }
 
 TEST(FaultControllerTest, CrashOnlyPlanMatchesLegacyFailureInjectorTimeline) {
-  // The crash timeline is pinned: the standalone injector this model
-  // replaced drew from the same stream in the same order and injected 139
-  // failures here; the Table 1 failure figures rest on that timeline.
+  // The crash timeline is pinned: kCrashStream, one exponential wait per
+  // node in id order at start, then a repair draw and the next wait per
+  // failure.  This grid, seed and horizon give 139 failures; the Table 1
+  // failure figures rest on that timeline.
   const auto run = run_crash_only(9, sim::Duration::ms(500));
   EXPECT_EQ(run.stats.node_downs, 139u);
   // Every repair completes even past the horizon: the run ends fully up.
