@@ -108,6 +108,15 @@ TEST(FaultControllerTest, CrashOnlyPlanMatchesLegacyFailureInjectorTimeline) {
   EXPECT_TRUE(run.ends_up);
 }
 
+// The FailureInjectorTest cases keep the names they had when
+// net::FailureInjector, the crash model a crash-only plan replaced, ran them.
+TEST(FailureInjectorTest, InjectsAndAlwaysRepairs) {
+  const auto run = run_crash_only(9, sim::Duration::ms(500));
+  EXPECT_GT(run.stats.node_downs, 0u);
+  EXPECT_EQ(run.stats.node_repairs, run.stats.node_downs);
+  EXPECT_TRUE(run.ends_up);
+}
+
 TEST(CrashRepairTest, FailureCountScalesWithHorizon) {
   const auto short_run = run_crash_only(9, sim::Duration::ms(100));
   const auto long_run = run_crash_only(9, sim::Duration::ms(1000));
@@ -297,29 +306,32 @@ TEST(StreamIndependenceTest, TogglingOneModelNeverPerturbsAnother) {
   EXPECT_EQ(streams.size(), 5u);
 }
 
-TEST(HorizonBoundaryTest, ModelsNeverInitiateAtOrAfterTheHorizon) {
-  // The renewal treats the horizon itself as past.  With a single node the
-  // crash model's first draw is reproducible from the same fork, so the
-  // horizon can be aimed exactly at the first failure instant.
-  sim::Simulation probe{13};
+/// Crash failures a crash-only plan injects on one node whose horizon lies
+/// `past_first` after that node's first failure instant.  With a single
+/// node the first draw is reproducible from the same fork, so the horizon
+/// can be aimed exactly at that instant.
+std::uint64_t single_node_downs(std::uint64_t seed, sim::Duration past_first) {
+  sim::Simulation probe{seed};
   auto preview = probe.rng().fork(kCrashStream);
-  CrashRepairParams params;
-  const auto first_wait = preview.exponential(params.mean_time_between_failures);
+  const auto first_wait = preview.exponential(CrashRepairParams{}.mean_time_between_failures);
   FaultPlan plan;
   plan.crash.enabled = true;
-
-  Harness h(1, 13);
+  Harness h(1, seed);
   FaultController ctrl(h.sim, h.net, plan, net::NodeId{0});
-  ctrl.start(h.sim.now() + first_wait);
+  ctrl.start(h.sim.now() + first_wait + past_first);
   h.sim.run();
-  EXPECT_EQ(ctrl.stats().node_downs, 0u);
+  return ctrl.stats().node_downs;
+}
 
+TEST(HorizonBoundaryTest, ModelsNeverInitiateAtOrAfterTheHorizon) {
+  // The renewal treats the horizon itself as past.
+  EXPECT_EQ(single_node_downs(13, sim::Duration::zero()), 0u);
+}
+
+TEST(FailureInjectorTest, FailureLandingExactlyOnTheHorizonIsNotInitiated) {
+  EXPECT_EQ(single_node_downs(9, sim::Duration::zero()), 0u);
   // One nanosecond later the same failure is strictly inside the horizon.
-  Harness inside(1, 13);
-  FaultController ctrl_inside(inside.sim, inside.net, plan, net::NodeId{0});
-  ctrl_inside.start(inside.sim.now() + first_wait + sim::Duration::nanos(1));
-  inside.sim.run();
-  EXPECT_EQ(ctrl_inside.stats().node_downs, 1u);
+  EXPECT_EQ(single_node_downs(9, sim::Duration::nanos(1)), 1u);
 }
 
 TEST(HorizonBoundaryTest, ZeroHorizonInjectsNothing) {
