@@ -61,7 +61,7 @@ RunResult awkward_result() {
   r.energy.protocol_tx_uj = 1234.5678901234567;
   r.energy.protocol_rx_uj = 2.2250738585072014e-308;
   r.energy.routing_tx_uj = 9e18;
-  r.energy.routing_rx_uj = 0.0;
+  r.energy.routing_rx_uj = -0.0;  // signed zero: written "-0", read back negative
   r.energy.idle_uj = 0.7000000000000001;
   r.energy_per_item_uj = 3.3333333333333335;
   r.protocol_energy_per_item_uj = 0.30000000000000004;
@@ -101,10 +101,11 @@ RunResult awkward_result() {
   r.fault_stats.repairs_unrecovered = 1;
   r.fault_stats.time_to_first_death_ms = 41.99999999999999;
   r.fault_stats.time_to_10pct_dead_ms = 123.00000000000001;
-  r.fault_stats.half_life_ms = -1.0;  // the "never reached" sentinel round-trips
+  r.fault_stats.half_life_ms = -0.5;  // negative, like the -1 "never reached" sentinel
   r.failures_injected = 13;
   r.mobility_epochs = 14;
   r.given_up = 15;
+  r.unknown_item_deliveries = 16;
   r.sim_time_ms = 12345.000000000001;
   r.events_executed = 1'000'000'007;
   r.event_limit_hit = true;
@@ -173,6 +174,15 @@ void expect_bit_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.sim_time_ms, b.sim_time_ms);
   EXPECT_EQ(a.events_executed, b.events_executed);
   EXPECT_EQ(a.event_limit_hit, b.event_limit_hit);
+}
+
+/// 64-bit FNV-1a, the store's key hash; `h` continues an earlier call.
+std::uint64_t fnv1a(std::string_view bytes, std::uint64_t h = 14695981039346656037ULL) {
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
 }
 
 SweepSpec small_spec() {
@@ -250,6 +260,12 @@ TEST(CanonicalTest, ResultRoundTripsBitExactly) {
   expect_bit_identical(original, *parsed);
   // Canonical: re-serializing the parse reproduces the bytes.
   EXPECT_EQ(result_to_json(*parsed), json);
+  // Pinned: a stored result byte that moves orphans every stored result.
+  char hex[19];
+  std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(fnv1a(json)));
+  EXPECT_EQ(fnv1a(json), 0x82a8d0036db8a727ULL)
+      << "stored result bytes hash to " << hex
+      << " now; a change of their shape bumps kSchemaVersion and re-records this pin";
 }
 
 TEST(CanonicalTest, NonFiniteResultFieldsReadBackAsNaN) {
@@ -285,17 +301,12 @@ TEST(CanonicalTest, GoldenDigestMatchesTheGoldenFiles) {
     return a.filename().string() < b.filename().string();
   });
   ASSERT_FALSE(files.empty());
-  std::uint64_t h = 14695981039346656037ULL;
-  const auto mix = [&h](std::string_view bytes) {
-    for (const char c : bytes) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ULL;
-    }
-  };
+  std::uint64_t h = fnv1a("");
   for (const auto& file : files) {
-    mix(file.filename().string());
+    h = fnv1a(file.filename().string(), h);
     std::ifstream in{file, std::ios::binary};
-    mix(std::string{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}});
+    h = fnv1a(std::string{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}},
+              h);
   }
   char hex[19];
   std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(h));
@@ -312,16 +323,13 @@ TEST(CanonicalTest, ConfigBytesArePinned) {
   // order, two consecutive seeds), with kGoldenDigest's FNV-1a constants.
   // The key is salted with kSchemaVersion, so a schema bump moves it and
   // the same change re-records it; the registry hash covers the bytes alone.
-  std::uint64_t h = 14695981039346656037ULL;
+  std::uint64_t h = fnv1a("");
   std::size_t jobs = 0;
   for (const auto& info : scenario_registry()) {
     auto spec = info.make();
     spec.use_consecutive_seeds(2);
     for (const auto& job : spec.expand()) {
-      for (const char c : canonical_config_json(job.config)) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-      }
+      h = fnv1a(canonical_config_json(job.config), h);
       ++jobs;
     }
   }
