@@ -88,6 +88,78 @@ struct RunResult {
   std::vector<double> node_energy_uj;
 };
 
+/// The one list of stored result fields, the result-side twin of
+/// visit_fields: calls `f(key, field)` for every field of `r` (const or not)
+/// that the result store keeps, under its store key, in stored order.  The
+/// store writes and reads results by walking it (store::result_to_json,
+/// store::result_from_json); the in-memory telemetry members (`series`,
+/// `spans`, `metrics`, `node_energy_uj`) are not on it.
+template <class Result, class Fn>
+void visit_result_fields(Result& r, Fn&& f) {
+  f("protocol", r.protocol);
+  f("label", r.label);
+  f("nodes", r.nodes);
+  f("zone_radius_m", r.zone_radius_m);
+  f("items_published", r.items_published);
+  f("expected_deliveries", r.expected_deliveries);
+  f("deliveries", r.deliveries);
+  f("delivery_ratio", r.delivery_ratio);
+  f("mean_delay_ms", r.mean_delay_ms);
+  f("p95_delay_ms", r.p95_delay_ms);
+  f("max_delay_ms", r.max_delay_ms);
+  f("energy.protocol_tx_uj", r.energy.protocol_tx_uj);
+  f("energy.protocol_rx_uj", r.energy.protocol_rx_uj);
+  f("energy.routing_tx_uj", r.energy.routing_tx_uj);
+  f("energy.routing_rx_uj", r.energy.routing_rx_uj);
+  f("energy.idle_uj", r.energy.idle_uj);
+  f("energy_per_item_uj", r.energy_per_item_uj);
+  f("protocol_energy_per_item_uj", r.protocol_energy_per_item_uj);
+  f("battery.depleted_nodes", r.battery.depleted_nodes);
+  f("battery.initial_total_uj", r.battery.initial_total_uj);
+  f("battery.spent_total_uj", r.battery.spent_total_uj);
+  f("battery.residual_mean_uj", r.battery.residual_mean_uj);
+  f("battery.residual_stddev_uj", r.battery.residual_stddev_uj);
+  f("battery.residual_min_uj", r.battery.residual_min_uj);
+  f("battery.residual_gini", r.battery.residual_gini);
+  f("net.tx_adv", r.net_counters.tx_adv);
+  f("net.tx_req", r.net_counters.tx_req);
+  f("net.tx_data", r.net_counters.tx_data);
+  f("net.tx_route", r.net_counters.tx_route);
+  f("net.tx_bytes", r.net_counters.tx_bytes);
+  f("net.deliveries", r.net_counters.deliveries);
+  f("net.dropped_sender_down", r.net_counters.dropped_sender_down);
+  f("net.dropped_out_of_range", r.net_counters.dropped_out_of_range);
+  f("net.dropped_receiver_down", r.net_counters.dropped_receiver_down);
+  f("net.dropped_link_fault", r.net_counters.dropped_link_fault);
+  f("net.dropped_battery_dead", r.net_counters.dropped_battery_dead);
+  f("dbf.rounds", r.dbf_total.rounds);
+  f("dbf.messages", r.dbf_total.messages);
+  f("dbf.message_bytes", r.dbf_total.message_bytes);
+  f("dbf.energy_uj", r.dbf_total.energy_uj);
+  f("dbf.converged", r.dbf_total.converged);
+  f("faults.events", r.fault_stats.fault_events);
+  f("faults.node_downs", r.fault_stats.node_downs);
+  f("faults.node_repairs", r.fault_stats.node_repairs);
+  f("faults.permanent_deaths", r.fault_stats.permanent_deaths);
+  f("faults.max_concurrent_down", r.fault_stats.max_concurrent_down);
+  f("faults.total_downtime_ms", r.fault_stats.total_downtime_ms);
+  f("faults.outage_time_ms", r.fault_stats.outage_time_ms);
+  f("faults.outage_deliveries", r.fault_stats.deliveries_during_outage);
+  f("faults.recoveries_sampled", r.fault_stats.recoveries_sampled);
+  f("faults.mean_recovery_latency_ms", r.fault_stats.mean_recovery_latency_ms);
+  f("faults.repairs_unrecovered", r.fault_stats.repairs_unrecovered);
+  f("faults.time_to_first_death_ms", r.fault_stats.time_to_first_death_ms);
+  f("faults.time_to_10pct_dead_ms", r.fault_stats.time_to_10pct_dead_ms);
+  f("faults.half_life_ms", r.fault_stats.half_life_ms);
+  f("failures_injected", r.failures_injected);
+  f("mobility_epochs", r.mobility_epochs);
+  f("given_up", r.given_up);
+  f("unknown_item_deliveries", r.unknown_item_deliveries);
+  f("sim_time_ms", r.sim_time_ms);
+  f("events_executed", r.events_executed);
+  f("event_limit_hit", r.event_limit_hit);
+}
+
 /// Builds, runs and summarizes one experiment.
 [[nodiscard]] RunResult run_experiment(const ExperimentConfig& config);
 

@@ -1,11 +1,13 @@
 #include "exp/store/canonical.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <system_error>
 #include <type_traits>
+#include <vector>
 
 #include "obs/json.hpp"
 
@@ -185,14 +187,14 @@ std::uint64_t fnv1a(std::string_view bytes, std::uint64_t h = 146959810393466560
   return h;
 }
 
-}  // namespace
+/// The one typed field writer: writes one field of visit_fields or
+/// visit_result_fields under its store key.  Enums go by name, durations as
+/// integer nanoseconds.
+struct FieldWriter {
+  obs::json::Writer& w;
 
-std::string canonical_config_json(const ExperimentConfig& c) {
-  std::string out;
-  obs::json::Writer w{out};
-  w.begin_object();
-  visit_fields(c, [&w](std::string_view key, const auto& v) {
-    using T = std::decay_t<decltype(v)>;
+  template <class T>
+  void operator()(std::string_view key, const T& v) const {
     if constexpr (std::is_same_v<T, std::string>) {
       w.str(key, v);
     } else if constexpr (std::is_enum_v<T>) {
@@ -208,7 +210,30 @@ std::string canonical_config_json(const ExperimentConfig& c) {
     } else {
       w.u64(key, v);
     }
-  });
+  }
+};
+
+/// Parses one raw member value into a result field of its type.
+template <class T>
+bool read_field(std::string_view raw, T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return parse_raw_string(raw, v);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return parse_raw_bool(raw, v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return parse_raw_double(raw, v);
+  } else {
+    return parse_raw_int(raw, v);
+  }
+}
+
+}  // namespace
+
+std::string canonical_config_json(const ExperimentConfig& c) {
+  std::string out;
+  obs::json::Writer w{out};
+  w.begin_object();
+  visit_fields(c, FieldWriter{w});
   w.end_object();
   return out;
 }
@@ -229,160 +254,41 @@ std::string result_to_json(const RunResult& r) {
   std::string out;
   obs::json::Writer w{out};
   w.begin_object();
-  w.str("protocol", r.protocol);
-  w.str("label", r.label);
-  w.u64("nodes", r.nodes);
-  w.d("zone_radius_m", r.zone_radius_m);
-  w.u64("items_published", r.items_published);
-  w.u64("expected_deliveries", r.expected_deliveries);
-  w.u64("deliveries", r.deliveries);
-  w.d("delivery_ratio", r.delivery_ratio);
-  w.d("mean_delay_ms", r.mean_delay_ms);
-  w.d("p95_delay_ms", r.p95_delay_ms);
-  w.d("max_delay_ms", r.max_delay_ms);
-  w.d("energy.protocol_tx_uj", r.energy.protocol_tx_uj);
-  w.d("energy.protocol_rx_uj", r.energy.protocol_rx_uj);
-  w.d("energy.routing_tx_uj", r.energy.routing_tx_uj);
-  w.d("energy.routing_rx_uj", r.energy.routing_rx_uj);
-  w.d("energy.idle_uj", r.energy.idle_uj);
-  w.d("energy_per_item_uj", r.energy_per_item_uj);
-  w.d("protocol_energy_per_item_uj", r.protocol_energy_per_item_uj);
-  w.u64("battery.depleted_nodes", r.battery.depleted_nodes);
-  w.d("battery.initial_total_uj", r.battery.initial_total_uj);
-  w.d("battery.spent_total_uj", r.battery.spent_total_uj);
-  w.d("battery.residual_mean_uj", r.battery.residual_mean_uj);
-  w.d("battery.residual_stddev_uj", r.battery.residual_stddev_uj);
-  w.d("battery.residual_min_uj", r.battery.residual_min_uj);
-  w.d("battery.residual_gini", r.battery.residual_gini);
-  w.u64("net.tx_adv", r.net_counters.tx_adv);
-  w.u64("net.tx_req", r.net_counters.tx_req);
-  w.u64("net.tx_data", r.net_counters.tx_data);
-  w.u64("net.tx_route", r.net_counters.tx_route);
-  w.u64("net.tx_bytes", r.net_counters.tx_bytes);
-  w.u64("net.deliveries", r.net_counters.deliveries);
-  w.u64("net.dropped_sender_down", r.net_counters.dropped_sender_down);
-  w.u64("net.dropped_out_of_range", r.net_counters.dropped_out_of_range);
-  w.u64("net.dropped_receiver_down", r.net_counters.dropped_receiver_down);
-  w.u64("net.dropped_link_fault", r.net_counters.dropped_link_fault);
-  w.u64("net.dropped_battery_dead", r.net_counters.dropped_battery_dead);
-  w.u64("dbf.rounds", r.dbf_total.rounds);
-  w.u64("dbf.messages", r.dbf_total.messages);
-  w.u64("dbf.message_bytes", r.dbf_total.message_bytes);
-  w.d("dbf.energy_uj", r.dbf_total.energy_uj);
-  w.b("dbf.converged", r.dbf_total.converged);
-  w.u64("faults.events", r.fault_stats.fault_events);
-  w.u64("faults.node_downs", r.fault_stats.node_downs);
-  w.u64("faults.node_repairs", r.fault_stats.node_repairs);
-  w.u64("faults.permanent_deaths", r.fault_stats.permanent_deaths);
-  w.u64("faults.max_concurrent_down", r.fault_stats.max_concurrent_down);
-  w.d("faults.total_downtime_ms", r.fault_stats.total_downtime_ms);
-  w.d("faults.outage_time_ms", r.fault_stats.outage_time_ms);
-  w.u64("faults.outage_deliveries", r.fault_stats.deliveries_during_outage);
-  w.u64("faults.recoveries_sampled", r.fault_stats.recoveries_sampled);
-  w.d("faults.mean_recovery_latency_ms", r.fault_stats.mean_recovery_latency_ms);
-  w.u64("faults.repairs_unrecovered", r.fault_stats.repairs_unrecovered);
-  w.d("faults.time_to_first_death_ms", r.fault_stats.time_to_first_death_ms);
-  w.d("faults.time_to_10pct_dead_ms", r.fault_stats.time_to_10pct_dead_ms);
-  w.d("faults.half_life_ms", r.fault_stats.half_life_ms);
-  w.u64("failures_injected", r.failures_injected);
-  w.u64("mobility_epochs", r.mobility_epochs);
-  w.u64("given_up", r.given_up);
-  w.u64("unknown_item_deliveries", r.unknown_item_deliveries);
-  w.d("sim_time_ms", r.sim_time_ms);
-  w.u64("events_executed", r.events_executed);
-  w.b("event_limit_hit", r.event_limit_hit);
+  visit_result_fields(r, FieldWriter{w});
   w.end_object();
   return out;
 }
 
 std::optional<RunResult> result_from_json(std::string_view json) {
+  // The stored keys in list order.  A line result_to_json wrote holds them
+  // in this order, so each member is checked against the key after the one
+  // before it, and the list is searched only when that check fails.
+  static const std::vector<std::string_view> keys = [] {
+    std::vector<std::string_view> k;
+    const RunResult defaults;
+    visit_result_fields(defaults, [&k](std::string_view key, const auto&) { k.push_back(key); });
+    return k;
+  }();
+  std::vector<std::string_view> raw_of(keys.size());  // member value per field; empty = absent
+  std::size_t next = 0;
+  const bool syntax_ok = scan_object(json, [&](const std::string& key, std::string_view raw) {
+    std::size_t i = next;
+    if (i >= keys.size() || keys[i] != key) {
+      i = static_cast<std::size_t>(std::find(keys.begin(), keys.end(), key) - keys.begin());
+      if (i == keys.size()) return true;  // unknown member: tolerated (forward compatibility)
+    }
+    raw_of[i] = raw;
+    next = i + 1;
+    return true;
+  });
+  if (!syntax_ok) return std::nullopt;
+
   RunResult r;
-  const bool ok = scan_object(json, [&](const std::string& key, std::string_view raw) {
-    if (key == "protocol") return parse_raw_string(raw, r.protocol);
-    if (key == "label") return parse_raw_string(raw, r.label);
-    if (key == "nodes") return parse_raw_int(raw, r.nodes);
-    if (key == "zone_radius_m") return parse_raw_double(raw, r.zone_radius_m);
-    if (key == "items_published") return parse_raw_int(raw, r.items_published);
-    if (key == "expected_deliveries") return parse_raw_int(raw, r.expected_deliveries);
-    if (key == "deliveries") return parse_raw_int(raw, r.deliveries);
-    if (key == "delivery_ratio") return parse_raw_double(raw, r.delivery_ratio);
-    if (key == "mean_delay_ms") return parse_raw_double(raw, r.mean_delay_ms);
-    if (key == "p95_delay_ms") return parse_raw_double(raw, r.p95_delay_ms);
-    if (key == "max_delay_ms") return parse_raw_double(raw, r.max_delay_ms);
-    if (key == "energy.protocol_tx_uj") return parse_raw_double(raw, r.energy.protocol_tx_uj);
-    if (key == "energy.protocol_rx_uj") return parse_raw_double(raw, r.energy.protocol_rx_uj);
-    if (key == "energy.routing_tx_uj") return parse_raw_double(raw, r.energy.routing_tx_uj);
-    if (key == "energy.routing_rx_uj") return parse_raw_double(raw, r.energy.routing_rx_uj);
-    if (key == "energy.idle_uj") return parse_raw_double(raw, r.energy.idle_uj);
-    if (key == "energy_per_item_uj") return parse_raw_double(raw, r.energy_per_item_uj);
-    if (key == "protocol_energy_per_item_uj")
-      return parse_raw_double(raw, r.protocol_energy_per_item_uj);
-    if (key == "battery.depleted_nodes") return parse_raw_int(raw, r.battery.depleted_nodes);
-    if (key == "battery.initial_total_uj")
-      return parse_raw_double(raw, r.battery.initial_total_uj);
-    if (key == "battery.spent_total_uj") return parse_raw_double(raw, r.battery.spent_total_uj);
-    if (key == "battery.residual_mean_uj")
-      return parse_raw_double(raw, r.battery.residual_mean_uj);
-    if (key == "battery.residual_stddev_uj")
-      return parse_raw_double(raw, r.battery.residual_stddev_uj);
-    if (key == "battery.residual_min_uj")
-      return parse_raw_double(raw, r.battery.residual_min_uj);
-    if (key == "battery.residual_gini") return parse_raw_double(raw, r.battery.residual_gini);
-    if (key == "net.tx_adv") return parse_raw_int(raw, r.net_counters.tx_adv);
-    if (key == "net.tx_req") return parse_raw_int(raw, r.net_counters.tx_req);
-    if (key == "net.tx_data") return parse_raw_int(raw, r.net_counters.tx_data);
-    if (key == "net.tx_route") return parse_raw_int(raw, r.net_counters.tx_route);
-    if (key == "net.tx_bytes") return parse_raw_int(raw, r.net_counters.tx_bytes);
-    if (key == "net.deliveries") return parse_raw_int(raw, r.net_counters.deliveries);
-    if (key == "net.dropped_sender_down")
-      return parse_raw_int(raw, r.net_counters.dropped_sender_down);
-    if (key == "net.dropped_out_of_range")
-      return parse_raw_int(raw, r.net_counters.dropped_out_of_range);
-    if (key == "net.dropped_receiver_down")
-      return parse_raw_int(raw, r.net_counters.dropped_receiver_down);
-    if (key == "net.dropped_link_fault")
-      return parse_raw_int(raw, r.net_counters.dropped_link_fault);
-    if (key == "net.dropped_battery_dead")
-      return parse_raw_int(raw, r.net_counters.dropped_battery_dead);
-    if (key == "dbf.rounds") return parse_raw_int(raw, r.dbf_total.rounds);
-    if (key == "dbf.messages") return parse_raw_int(raw, r.dbf_total.messages);
-    if (key == "dbf.message_bytes") return parse_raw_int(raw, r.dbf_total.message_bytes);
-    if (key == "dbf.energy_uj") return parse_raw_double(raw, r.dbf_total.energy_uj);
-    if (key == "dbf.converged") return parse_raw_bool(raw, r.dbf_total.converged);
-    if (key == "faults.events") return parse_raw_int(raw, r.fault_stats.fault_events);
-    if (key == "faults.node_downs") return parse_raw_int(raw, r.fault_stats.node_downs);
-    if (key == "faults.node_repairs") return parse_raw_int(raw, r.fault_stats.node_repairs);
-    if (key == "faults.permanent_deaths")
-      return parse_raw_int(raw, r.fault_stats.permanent_deaths);
-    if (key == "faults.max_concurrent_down")
-      return parse_raw_int(raw, r.fault_stats.max_concurrent_down);
-    if (key == "faults.total_downtime_ms")
-      return parse_raw_double(raw, r.fault_stats.total_downtime_ms);
-    if (key == "faults.outage_time_ms")
-      return parse_raw_double(raw, r.fault_stats.outage_time_ms);
-    if (key == "faults.outage_deliveries")
-      return parse_raw_int(raw, r.fault_stats.deliveries_during_outage);
-    if (key == "faults.recoveries_sampled")
-      return parse_raw_int(raw, r.fault_stats.recoveries_sampled);
-    if (key == "faults.mean_recovery_latency_ms")
-      return parse_raw_double(raw, r.fault_stats.mean_recovery_latency_ms);
-    if (key == "faults.repairs_unrecovered")
-      return parse_raw_int(raw, r.fault_stats.repairs_unrecovered);
-    if (key == "faults.time_to_first_death_ms")
-      return parse_raw_double(raw, r.fault_stats.time_to_first_death_ms);
-    if (key == "faults.time_to_10pct_dead_ms")
-      return parse_raw_double(raw, r.fault_stats.time_to_10pct_dead_ms);
-    if (key == "faults.half_life_ms")
-      return parse_raw_double(raw, r.fault_stats.half_life_ms);
-    if (key == "failures_injected") return parse_raw_int(raw, r.failures_injected);
-    if (key == "mobility_epochs") return parse_raw_int(raw, r.mobility_epochs);
-    if (key == "given_up") return parse_raw_int(raw, r.given_up);
-    if (key == "unknown_item_deliveries")
-      return parse_raw_int(raw, r.unknown_item_deliveries);
-    if (key == "sim_time_ms") return parse_raw_double(raw, r.sim_time_ms);
-    if (key == "events_executed") return parse_raw_int(raw, r.events_executed);
-    if (key == "event_limit_hit") return parse_raw_bool(raw, r.event_limit_hit);
-    return true;  // unknown member: tolerated (forward compatibility)
+  bool ok = true;
+  std::size_t i = 0;
+  visit_result_fields(r, [&](std::string_view, auto& field) {
+    const std::string_view raw = raw_of[i++];
+    if (!raw.empty() && !read_field(raw, field)) ok = false;
   });
   if (!ok) return std::nullopt;
   return r;

@@ -72,12 +72,14 @@ inline constexpr std::uint64_t kGoldenDigest = 0x5db8f25d498f3685ULL;
 /// also used by the loader to validate stored keys against stored configs).
 [[nodiscard]] std::string key_for_canonical(std::string_view canonical_config);
 
-/// Stable field-ordered JSON object holding every RunResult field.
+/// Stable field-ordered JSON object holding every stored RunResult field:
+/// the fields, order and keys of exp::visit_result_fields.
 [[nodiscard]] std::string result_to_json(const RunResult& result);
 
-/// Parses result_to_json output.  Returns nullopt on malformed input
-/// (corruption tolerance: the caller skips the record).  Doubles recover
-/// bit-exactly; absent fields keep their defaults.
+/// Parses result_to_json output.  Returns nullopt on malformed input or a
+/// stored key whose value does not parse (corruption tolerance: the caller
+/// skips the record).  Doubles recover bit-exactly; absent fields keep their
+/// defaults and unknown members are ignored.
 [[nodiscard]] std::optional<RunResult> result_from_json(std::string_view json);
 
 /// One store record as parsed off a JSONL line (schema/key/raw config

@@ -25,6 +25,52 @@ std::vector<fs::path> jsonl_files(const fs::path& dir) {
   return files;
 }
 
+/// What one line of a store file is.
+enum class LineKind {
+  kBlank,          ///< whitespace only: not counted anywhere
+  kCorrupt,        ///< not a record line (a truncated tail, editor noise)
+  kForeignSchema,  ///< a record of another schema version: invisible, not corrupt
+  kKeyMismatch,    ///< a current-schema record whose key does not hash from its
+                   ///< config, or whose result does not parse: bit rot or a hand edit
+  kCurrent,        ///< a record load() serves
+};
+
+struct StoreLine {
+  LineKind kind = LineKind::kBlank;
+  std::optional<RawRecord> record;  ///< set unless blank or corrupt
+  std::optional<RunResult> result;  ///< set for kCurrent
+};
+
+StoreLine classify(std::string_view text) {
+  StoreLine line;
+  if (text.find_first_not_of(" \t\r") == std::string_view::npos) return line;
+  line.record = parse_record_line(text);
+  if (!line.record) {
+    line.kind = LineKind::kCorrupt;
+  } else if (line.record->schema != kSchemaVersion) {
+    line.kind = LineKind::kForeignSchema;
+  } else {
+    if (key_for_canonical(line.record->config_json) == line.record->key) {
+      line.result = result_from_json(line.record->result_json);
+    }
+    line.kind = line.result ? LineKind::kCurrent : LineKind::kKeyMismatch;
+  }
+  return line;
+}
+
+/// Reads and classifies every line of one store file, in order: the one
+/// line scan of load, inventory and gc.
+template <class Fn>
+void for_each_line(const fs::path& file, Fn&& on_line) {
+  std::ifstream in{file};
+  std::string text;
+  while (std::getline(in, text)) on_line(classify(text));
+}
+
+bool is_corrupt(LineKind kind) {
+  return kind == LineKind::kCorrupt || kind == LineKind::kKeyMismatch;
+}
+
 }  // namespace
 
 ResultStore::ResultStore(fs::path dir) : dir_(std::move(dir)) {
@@ -40,27 +86,12 @@ void ResultStore::load() {
 std::size_t ResultStore::read_disk_locked(std::map<std::string, Record>& into) const {
   std::size_t corrupt = 0;
   for (const auto& file : jsonl_files(dir_)) {
-    std::ifstream in{file};
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      const auto rec = parse_record_line(line);
-      if (!rec) {
-        ++corrupt;
-        continue;
-      }
-      if (rec->schema != kSchemaVersion) continue;  // foreign schema: invisible, not corrupt
-      if (key_for_canonical(rec->config_json) != rec->key) {
-        ++corrupt;  // config bytes and key disagree: bit rot or a hand edit
-        continue;
-      }
-      auto result = result_from_json(rec->result_json);
-      if (!result) {
-        ++corrupt;
-        continue;
-      }
-      into.insert_or_assign(rec->key, Record{std::move(rec->config_json), *std::move(result)});
-    }
+    for_each_line(file, [&](StoreLine line) {
+      if (is_corrupt(line.kind)) ++corrupt;
+      if (line.kind != LineKind::kCurrent) return;
+      into.insert_or_assign(line.record->key,
+                            Record{std::move(line.record->config_json), *std::move(line.result)});
+    });
   }
   return corrupt;
 }
@@ -75,20 +106,16 @@ std::optional<RunResult> ResultStore::find(const std::string& key,
 
 void ResultStore::put(const std::string& key, std::string canonical_config,
                       const RunResult& result) {
-  // Keep only the serialization-faithful view in memory: the telemetry
-  // payloads (sampled series, span assembly, metrics snapshot, per-node
-  // energy) never round-trip through the schema, so an in-process hit must
-  // replay exactly what a fresh instance would read back from disk.
-  RunResult stored = result;
-  stored.series = {};
-  stored.spans.reset();
-  stored.metrics = {};
-  stored.node_energy_uj.clear();
+  // Hold the result as its line reads back, so an in-process hit replays
+  // exactly what a fresh instance reads from disk (the telemetry payloads
+  // are not stored fields).
+  const std::string result_json = result_to_json(result);
+  RunResult stored = result_from_json(result_json).value();
   const std::lock_guard<std::mutex> lock{mu_};
-  const auto [it, inserted] =
-      records_.insert_or_assign(key, Record{std::move(canonical_config), std::move(stored)});
-  static_cast<void>(inserted);
-  append_line_locked(key, it->second);
+  const auto it =
+      records_.insert_or_assign(key, Record{std::move(canonical_config), std::move(stored)})
+          .first;
+  append_line_locked(key, it->second.config, result_json);
 }
 
 std::size_t ResultStore::size() const {
@@ -109,7 +136,7 @@ std::size_t ResultStore::merge_from(const ResultStore& other) {
     const auto [it, inserted] = records_.try_emplace(key, rec);
     static_cast<void>(it);
     if (!inserted) continue;
-    append_line_locked(key, rec);
+    append_line_locked(key, rec.config, result_to_json(rec.result));
     ++added;
   }
   return added;
@@ -123,33 +150,17 @@ StoreInventory ResultStore::inventory() const {
   std::map<std::string, std::string> scenario_of_key;
   for (const auto& file : jsonl_files(dir_)) {
     ++inv.files;
-    std::ifstream in{file};
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    for_each_line(file, [&](const StoreLine& line) {
+      if (line.kind == LineKind::kBlank) return;
       ++inv.total_lines;
-      const auto rec = parse_record_line(line);
-      if (!rec) {
-        ++inv.corrupt_lines;
-        continue;
-      }
-      ++inv.schema_lines[rec->schema];
-      if (rec->schema != kSchemaVersion) continue;
-      if (key_for_canonical(rec->config_json) != rec->key) {
-        ++inv.corrupt_lines;
-        continue;
-      }
-      const auto result = result_from_json(rec->result_json);
-      if (!result) {
-        ++inv.corrupt_lines;
-        continue;
-      }
-      const auto slash = result->label.find('/');
-      std::string scenario =
-          slash == std::string::npos ? result->label : result->label.substr(0, slash);
+      if (line.record) ++inv.schema_lines[line.record->schema];
+      if (is_corrupt(line.kind)) ++inv.corrupt_lines;
+      if (line.kind != LineKind::kCurrent) return;
+      const std::string& label = line.result->label;
+      std::string scenario = label.substr(0, label.find('/'));
       if (scenario.empty()) scenario = "(unlabeled)";
-      scenario_of_key.insert_or_assign(rec->key, std::move(scenario));
-    }
+      scenario_of_key.insert_or_assign(line.record->key, std::move(scenario));
+    });
   }
   for (const auto& [key, scenario] : scenario_of_key) {
     static_cast<void>(key);
@@ -164,8 +175,7 @@ GcReport ResultStore::gc(const GcOptions& options) {
   report.dry_run = options.dry_run;
 
   const auto now = fs::file_time_type::clock::now();
-  std::map<std::string, Record> keep;     // current-schema survivors, deduplicated
-  std::vector<std::string> keep_foreign;  // raw foreign-schema lines (when not evicting)
+  std::map<std::string, Record> keep;  // current-schema survivors, deduplicated
   for (const auto& file : jsonl_files(dir_)) {
     ++report.files;
     bool aged_out = false;
@@ -178,58 +188,22 @@ GcReport ResultStore::gc(const GcOptions& options) {
           std::chrono::duration<double, std::ratio<86400>>(age).count();
       aged_out = days > *options.max_age_days;
     }
-    std::ifstream in{file};
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      const auto rec = parse_record_line(line);
-      if (!rec) {
-        ++report.dropped_corrupt;
-        continue;
-      }
-      if (rec->schema != kSchemaVersion) {
-        if (options.evict_foreign_schema) {
-          ++report.evicted_schema;
-        } else {
-          keep_foreign.push_back(line);
-        }
-        continue;
-      }
-      if (key_for_canonical(rec->config_json) != rec->key) {
-        ++report.dropped_corrupt;
-        continue;
-      }
-      auto result = result_from_json(rec->result_json);
-      if (!result) {
-        ++report.dropped_corrupt;
-        continue;
-      }
+    for_each_line(file, [&](StoreLine line) {
+      if (is_corrupt(line.kind)) ++report.dropped_corrupt;
+      if (line.kind == LineKind::kForeignSchema) ++report.evicted_schema;
+      if (line.kind != LineKind::kCurrent) return;
       if (aged_out) {
         ++report.evicted_age;
-        continue;
+        return;
       }
-      keep.insert_or_assign(rec->key, Record{std::move(rec->config_json), *std::move(result)});
-    }
+      keep.insert_or_assign(line.record->key,
+                            Record{std::move(line.record->config_json), *std::move(line.result)});
+    });
   }
-  report.kept = keep.size() + keep_foreign.size();
+  report.kept = keep.size();
   if (options.dry_run) return report;
 
-  // Rewrite like compact(): tmp file, atomic rename, then drop siblings.
-  out_.close();
-  const fs::path tmp = dir_ / "results.jsonl.tmp";
-  {
-    std::ofstream out{tmp, std::ios::trunc};
-    for (const auto& [key, rec] : keep) {
-      out << make_record_line(key, rec.config, result_to_json(rec.result)) << '\n';
-    }
-    for (const auto& raw : keep_foreign) out << raw << '\n';
-    out.flush();
-    if (!out) throw std::runtime_error{"ResultStore: cannot write " + tmp.string()};
-  }
-  fs::rename(tmp, dir_ / kResultsFile);
-  for (const auto& file : jsonl_files(dir_)) {
-    if (file.filename() != kResultsFile) fs::remove(file);
-  }
+  rewrite_locked(keep);
   records_ = std::move(keep);
   corrupt_ = 0;
   return report;
@@ -237,7 +211,6 @@ GcReport ResultStore::gc(const GcOptions& options) {
 
 void ResultStore::compact() {
   const std::lock_guard<std::mutex> lock{mu_};
-  out_.close();
   // Fold in whatever is on disk but not in memory, so compacting a store
   // that was never load()ed (or was written to by another process) can only
   // ever add records, never erase them.  Memory wins ties: it is newest.
@@ -245,10 +218,15 @@ void ResultStore::compact() {
   read_disk_locked(all);
   for (const auto& [key, rec] : records_) all.insert_or_assign(key, rec);
   records_ = std::move(all);
+  rewrite_locked(records_);
+}
+
+void ResultStore::rewrite_locked(const std::map<std::string, Record>& records) {
+  out_.close();
   const fs::path tmp = dir_ / "results.jsonl.tmp";
   {
     std::ofstream out{tmp, std::ios::trunc};
-    for (const auto& [key, rec] : records_) {
+    for (const auto& [key, rec] : records) {
       out << make_record_line(key, rec.config, result_to_json(rec.result)) << '\n';
     }
     out.flush();
@@ -256,20 +234,21 @@ void ResultStore::compact() {
   }
   // Atomically replace the main file first; only then drop the others.  A
   // crash anywhere in between leaves every record reachable (at worst both
-  // the compacted file and a superseded sibling, which load() tolerates).
+  // the rewritten file and a superseded sibling, which load() tolerates).
   fs::rename(tmp, dir_ / kResultsFile);
   for (const auto& file : jsonl_files(dir_)) {
     if (file.filename() != kResultsFile) fs::remove(file);
   }
 }
 
-void ResultStore::append_line_locked(const std::string& key, const Record& rec) {
+void ResultStore::append_line_locked(const std::string& key, std::string_view config,
+                                     std::string_view result_json) {
   if (!out_.is_open()) {
     out_.open(dir_ / kResultsFile, std::ios::app);
     if (!out_) throw std::runtime_error{"ResultStore: cannot append to " +
                                         (dir_ / kResultsFile).string()};
   }
-  out_ << make_record_line(key, rec.config, result_to_json(rec.result)) << '\n' << std::flush;
+  out_ << make_record_line(key, config, result_json) << '\n' << std::flush;
   if (!out_) {
     // A silent no-op here would break the resume promise (the caller thinks
     // the result is durable); fail loudly instead — disk full, quota, …

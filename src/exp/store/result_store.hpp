@@ -31,11 +31,6 @@ namespace spms::exp::store {
 
 /// Eviction policy of ResultStore::gc.
 struct GcOptions {
-  /// Evict parseable record lines whose schema version differs from
-  /// kSchemaVersion (stale v1/v2 cache entries: invisible to load() but
-  /// still occupying disk).  Corrupt lines are always dropped by a live gc.
-  bool evict_foreign_schema = true;
-
   /// When set, additionally evict current-schema records from files whose
   /// last-write time is older than this many days (line granularity is
   /// file granularity: JSONL lines carry no timestamps, so a file's mtime
@@ -113,12 +108,12 @@ class ResultStore {
   /// Reads disk only; the in-memory view is untouched.
   [[nodiscard]] StoreInventory inventory() const;
 
-  /// Evicts stale lines per `options`: foreign-schema records (the v1/v2
-  /// leftovers a schema bump orphans), optionally whole files' worth of
-  /// current-schema records older than max_age_days, and — on a live run —
-  /// corrupt lines.  A live gc rewrites the directory like compact()
-  /// (crash-safe rename, key-sorted, deduplicated) and refreshes the
-  /// in-memory view from the survivors; a dry run only counts.
+  /// Evicts stale lines: foreign-schema records (the leftovers a schema
+  /// bump orphans), corrupt lines, and optionally whole files' worth of
+  /// current-schema records older than `options.max_age_days`.  A live gc
+  /// rewrites the directory like compact() (crash-safe rename, key-sorted,
+  /// deduplicated) and refreshes the in-memory view from the survivors; a
+  /// dry run only counts.
   GcReport gc(const GcOptions& options);
 
   /// Rewrites the whole store as a single `results.jsonl`, key-sorted, one
@@ -137,10 +132,14 @@ class ResultStore {
     RunResult result;
   };
 
-  void append_line_locked(const std::string& key, const Record& rec);
+  void append_line_locked(const std::string& key, std::string_view config,
+                          std::string_view result_json);
   /// Parses every *.jsonl record into `into` (last complete record wins);
   /// returns the count of corrupt lines skipped.  Caller holds mu_.
   std::size_t read_disk_locked(std::map<std::string, Record>& into) const;
+  /// Replaces the directory's files with one key-sorted results.jsonl
+  /// holding `records`.  Caller holds mu_.
+  void rewrite_locked(const std::map<std::string, Record>& records);
 
   std::filesystem::path dir_;
   std::map<std::string, Record> records_;

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "exp/scenario_registry.hpp"
+#include "stored_fields.hpp"
 
 /// Batch-engine invariants: deterministic expansion, bit-identical results
 /// whatever the worker count, correct grouping/lookup, and registry sanity.
@@ -27,37 +28,6 @@ SweepSpec small_spec() {
   spec.protocols = {ProtocolKind::kSpms, ProtocolKind::kSpin};
   spec.seeds = {1, 2, 3, 4};
   return spec;
-}
-
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.protocol, b.protocol);
-  EXPECT_EQ(a.label, b.label);
-  EXPECT_EQ(a.nodes, b.nodes);
-  EXPECT_EQ(a.items_published, b.items_published);
-  EXPECT_EQ(a.expected_deliveries, b.expected_deliveries);
-  EXPECT_EQ(a.deliveries, b.deliveries);
-  // Exact bit equality: parallel runs share nothing, so the doubles must
-  // match to the last ulp, not just approximately.
-  EXPECT_EQ(a.delivery_ratio, b.delivery_ratio);
-  EXPECT_EQ(a.mean_delay_ms, b.mean_delay_ms);
-  EXPECT_EQ(a.p95_delay_ms, b.p95_delay_ms);
-  EXPECT_EQ(a.max_delay_ms, b.max_delay_ms);
-  EXPECT_EQ(a.energy_per_item_uj, b.energy_per_item_uj);
-  EXPECT_EQ(a.protocol_energy_per_item_uj, b.protocol_energy_per_item_uj);
-  EXPECT_EQ(a.energy.protocol_tx_uj, b.energy.protocol_tx_uj);
-  EXPECT_EQ(a.energy.protocol_rx_uj, b.energy.protocol_rx_uj);
-  EXPECT_EQ(a.energy.routing_tx_uj, b.energy.routing_tx_uj);
-  EXPECT_EQ(a.energy.routing_rx_uj, b.energy.routing_rx_uj);
-  EXPECT_EQ(a.net_counters.tx_adv, b.net_counters.tx_adv);
-  EXPECT_EQ(a.net_counters.tx_req, b.net_counters.tx_req);
-  EXPECT_EQ(a.net_counters.tx_data, b.net_counters.tx_data);
-  EXPECT_EQ(a.net_counters.tx_route, b.net_counters.tx_route);
-  EXPECT_EQ(a.net_counters.tx_bytes, b.net_counters.tx_bytes);
-  EXPECT_EQ(a.failures_injected, b.failures_injected);
-  EXPECT_EQ(a.given_up, b.given_up);
-  EXPECT_EQ(a.sim_time_ms, b.sim_time_ms);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.event_limit_hit, b.event_limit_hit);
 }
 
 TEST(SweepSpecTest, EmptyAxesExpandToOneJobFromBase) {
@@ -124,7 +94,7 @@ TEST(BatchRunnerTest, ParallelRunsAreBitIdenticalToSerial) {
   ASSERT_EQ(a.runs().size(), 8u);
   ASSERT_EQ(b.runs().size(), 8u);
   for (std::size_t i = 0; i < a.runs().size(); ++i) {
-    expect_identical(a.runs()[i], b.runs()[i]);
+    expect_bit_identical(a.runs()[i], b.runs()[i]);
   }
 }
 

@@ -15,6 +15,7 @@
 #include "exp/batch.hpp"
 #include "exp/scenario_registry.hpp"
 #include "exp/store/canonical.hpp"
+#include "stored_fields.hpp"
 
 /// Persistent-store invariants: canonical serialization is stable and
 /// bit-exact, the config key reacts to every knob, the store survives
@@ -112,70 +113,6 @@ RunResult awkward_result() {
   return r;
 }
 
-void expect_bit_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.protocol, b.protocol);
-  EXPECT_EQ(a.label, b.label);
-  EXPECT_EQ(a.nodes, b.nodes);
-  EXPECT_EQ(a.zone_radius_m, b.zone_radius_m);
-  EXPECT_EQ(a.items_published, b.items_published);
-  EXPECT_EQ(a.expected_deliveries, b.expected_deliveries);
-  EXPECT_EQ(a.deliveries, b.deliveries);
-  EXPECT_EQ(a.delivery_ratio, b.delivery_ratio);
-  EXPECT_EQ(a.mean_delay_ms, b.mean_delay_ms);
-  EXPECT_EQ(a.p95_delay_ms, b.p95_delay_ms);
-  EXPECT_EQ(a.max_delay_ms, b.max_delay_ms);
-  EXPECT_EQ(a.energy.protocol_tx_uj, b.energy.protocol_tx_uj);
-  EXPECT_EQ(a.energy.protocol_rx_uj, b.energy.protocol_rx_uj);
-  EXPECT_EQ(a.energy.routing_tx_uj, b.energy.routing_tx_uj);
-  EXPECT_EQ(a.energy.routing_rx_uj, b.energy.routing_rx_uj);
-  EXPECT_EQ(a.energy_per_item_uj, b.energy_per_item_uj);
-  EXPECT_EQ(a.protocol_energy_per_item_uj, b.protocol_energy_per_item_uj);
-  EXPECT_EQ(a.net_counters.tx_adv, b.net_counters.tx_adv);
-  EXPECT_EQ(a.net_counters.tx_req, b.net_counters.tx_req);
-  EXPECT_EQ(a.net_counters.tx_data, b.net_counters.tx_data);
-  EXPECT_EQ(a.net_counters.tx_route, b.net_counters.tx_route);
-  EXPECT_EQ(a.net_counters.tx_bytes, b.net_counters.tx_bytes);
-  EXPECT_EQ(a.net_counters.deliveries, b.net_counters.deliveries);
-  EXPECT_EQ(a.net_counters.dropped_sender_down, b.net_counters.dropped_sender_down);
-  EXPECT_EQ(a.net_counters.dropped_out_of_range, b.net_counters.dropped_out_of_range);
-  EXPECT_EQ(a.net_counters.dropped_receiver_down, b.net_counters.dropped_receiver_down);
-  EXPECT_EQ(a.net_counters.dropped_link_fault, b.net_counters.dropped_link_fault);
-  EXPECT_EQ(a.net_counters.dropped_battery_dead, b.net_counters.dropped_battery_dead);
-  EXPECT_EQ(a.energy.idle_uj, b.energy.idle_uj);
-  EXPECT_EQ(a.battery.depleted_nodes, b.battery.depleted_nodes);
-  EXPECT_EQ(a.battery.initial_total_uj, b.battery.initial_total_uj);
-  EXPECT_EQ(a.battery.spent_total_uj, b.battery.spent_total_uj);
-  EXPECT_EQ(a.battery.residual_mean_uj, b.battery.residual_mean_uj);
-  EXPECT_EQ(a.battery.residual_stddev_uj, b.battery.residual_stddev_uj);
-  EXPECT_EQ(a.battery.residual_min_uj, b.battery.residual_min_uj);
-  EXPECT_EQ(a.battery.residual_gini, b.battery.residual_gini);
-  EXPECT_EQ(a.fault_stats.time_to_first_death_ms, b.fault_stats.time_to_first_death_ms);
-  EXPECT_EQ(a.fault_stats.time_to_10pct_dead_ms, b.fault_stats.time_to_10pct_dead_ms);
-  EXPECT_EQ(a.fault_stats.half_life_ms, b.fault_stats.half_life_ms);
-  EXPECT_EQ(a.fault_stats.fault_events, b.fault_stats.fault_events);
-  EXPECT_EQ(a.fault_stats.node_downs, b.fault_stats.node_downs);
-  EXPECT_EQ(a.fault_stats.node_repairs, b.fault_stats.node_repairs);
-  EXPECT_EQ(a.fault_stats.permanent_deaths, b.fault_stats.permanent_deaths);
-  EXPECT_EQ(a.fault_stats.max_concurrent_down, b.fault_stats.max_concurrent_down);
-  EXPECT_EQ(a.fault_stats.total_downtime_ms, b.fault_stats.total_downtime_ms);
-  EXPECT_EQ(a.fault_stats.outage_time_ms, b.fault_stats.outage_time_ms);
-  EXPECT_EQ(a.fault_stats.deliveries_during_outage, b.fault_stats.deliveries_during_outage);
-  EXPECT_EQ(a.fault_stats.recoveries_sampled, b.fault_stats.recoveries_sampled);
-  EXPECT_EQ(a.fault_stats.mean_recovery_latency_ms, b.fault_stats.mean_recovery_latency_ms);
-  EXPECT_EQ(a.fault_stats.repairs_unrecovered, b.fault_stats.repairs_unrecovered);
-  EXPECT_EQ(a.dbf_total.rounds, b.dbf_total.rounds);
-  EXPECT_EQ(a.dbf_total.messages, b.dbf_total.messages);
-  EXPECT_EQ(a.dbf_total.message_bytes, b.dbf_total.message_bytes);
-  EXPECT_EQ(a.dbf_total.energy_uj, b.dbf_total.energy_uj);
-  EXPECT_EQ(a.dbf_total.converged, b.dbf_total.converged);
-  EXPECT_EQ(a.failures_injected, b.failures_injected);
-  EXPECT_EQ(a.mobility_epochs, b.mobility_epochs);
-  EXPECT_EQ(a.given_up, b.given_up);
-  EXPECT_EQ(a.sim_time_ms, b.sim_time_ms);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_EQ(a.event_limit_hit, b.event_limit_hit);
-}
-
 /// 64-bit FNV-1a, the store's key hash; `h` continues an earlier call.
 std::uint64_t fnv1a(std::string_view bytes, std::uint64_t h = 14695981039346656037ULL) {
   for (const char c : bytes) {
@@ -266,6 +203,18 @@ TEST(CanonicalTest, ResultRoundTripsBitExactly) {
   EXPECT_EQ(fnv1a(json), 0x82a8d0036db8a727ULL)
       << "stored result bytes hash to " << hex
       << " now; a change of their shape bumps kSchemaVersion and re-records this pin";
+}
+
+TEST(CanonicalTest, SampleResultSetsEveryStoredField) {
+  // The round trip cannot see a reader that drops a field the sample holds
+  // at its default value, so the sample holds none.
+  const auto sample = stored_fields(awkward_result());
+  const auto defaults = stored_fields(RunResult{});
+  ASSERT_EQ(sample.size(), defaults.size());
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    EXPECT_NE(sample[i].second, defaults[i].second)
+        << sample[i].first << " is at its default in awkward_result()";
+  }
 }
 
 TEST(CanonicalTest, NonFiniteResultFieldsReadBackAsNaN) {
