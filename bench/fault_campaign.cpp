@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     const auto& s = p.stats;
     t.add_row({s.protocol, std::to_string(s.nodes), p.variant.empty() ? "-" : p.variant,
                exp::fmt_pct(s.delivery_ratio.mean), exp::fmt(s.mean_delay_ms.mean, 2),
-               exp::fmt(s.failures_injected.mean, 1), exp::fmt(s.fault_downtime_ms.mean, 0),
+               exp::fmt(s.fault_node_downs.mean, 1), exp::fmt(s.fault_downtime_ms.mean, 0),
                exp::fmt(s.fault_outage_deliveries.mean, 0),
                exp::fmt(s.fault_recovery_latency_ms.mean, 2),
                exp::fmt(s.fault_permanent_deaths.mean, 1)});

@@ -446,7 +446,7 @@ int run_scenario_mode(const std::string& name, const ScenarioOptions& opt) {
                  exp::fmt(r.delivery_ratio, 6), exp::fmt(r.mean_delay_ms, 6),
                  exp::fmt(r.p95_delay_ms, 6), exp::fmt(r.max_delay_ms, 6),
                  exp::fmt(r.protocol_energy_per_item_uj, 6), exp::fmt(r.energy_per_item_uj, 6),
-                 std::to_string(r.failures_injected),
+                 std::to_string(r.fault_stats.node_downs),
                  std::to_string(r.fault_stats.permanent_deaths),
                  exp::fmt(r.fault_stats.time_to_first_death_ms, 3),
                  exp::fmt(r.battery.residual_gini, 6), std::to_string(r.given_up),

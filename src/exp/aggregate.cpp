@@ -35,7 +35,6 @@ AggregateResult aggregate(const std::vector<RunResult>& runs) {
       over(runs, [](const RunResult& r) { return r.protocol_energy_per_item_uj; });
   a.routing_energy_uj = over(runs, [](const RunResult& r) { return r.energy.routing_uj(); });
   a.total_energy_uj = over(runs, [](const RunResult& r) { return r.energy.total_uj(); });
-  a.failures_injected = over(runs, [](const RunResult& r) { return r.failures_injected; });
   a.mobility_epochs = over(runs, [](const RunResult& r) { return r.mobility_epochs; });
   a.given_up = over(runs, [](const RunResult& r) { return r.given_up; });
   a.unknown_item_deliveries =
@@ -43,6 +42,7 @@ AggregateResult aggregate(const std::vector<RunResult>& runs) {
   a.sim_time_ms = over(runs, [](const RunResult& r) { return r.sim_time_ms; });
   a.events_executed = over(runs, [](const RunResult& r) { return r.events_executed; });
   a.fault_events = over(runs, [](const RunResult& r) { return r.fault_stats.fault_events; });
+  a.fault_node_downs = over(runs, [](const RunResult& r) { return r.fault_stats.node_downs; });
   a.fault_downtime_ms =
       over(runs, [](const RunResult& r) { return r.fault_stats.total_downtime_ms; });
   a.fault_outage_time_ms =

@@ -33,7 +33,6 @@ struct AggregateResult {
   stats::Aggregate protocol_energy_per_item_uj;
   stats::Aggregate routing_energy_uj;
   stats::Aggregate total_energy_uj;
-  stats::Aggregate failures_injected;
   stats::Aggregate mobility_epochs;
   stats::Aggregate given_up;
   stats::Aggregate unknown_item_deliveries;
@@ -42,6 +41,7 @@ struct AggregateResult {
 
   // Fault-campaign recovery metrics (all zero-mean without faults).
   stats::Aggregate fault_events;
+  stats::Aggregate fault_node_downs;
   stats::Aggregate fault_downtime_ms;
   stats::Aggregate fault_outage_time_ms;
   stats::Aggregate fault_recovery_latency_ms;

@@ -45,7 +45,6 @@ RunResult run_experiment(const ExperimentConfig& config, const TelemetryOptions&
   if (s.faults() != nullptr) {
     s.faults()->finalize();  // close open downtime / outage intervals
     r.fault_stats = s.faults()->stats();
-    r.failures_injected = r.fault_stats.node_downs;
   }
   if (s.mobility() != nullptr) r.mobility_epochs = s.mobility()->epochs();
   r.given_up = s.protocol().given_up();

@@ -54,9 +54,6 @@ struct RunResult {
   routing::DbfStats dbf_total;   ///< zeros for protocols without routing
   /// Recovery metrics of the run's FaultPlan (all zeros without faults).
   faults::FaultStats fault_stats;
-  /// Node-level crash transitions (== fault_stats.node_downs; kept as the
-  /// legacy headline metric).
-  std::uint64_t failures_injected = 0;
   std::uint64_t mobility_epochs = 0;
   std::uint64_t given_up = 0;
   /// Deliveries of items the collector never saw published.  Always zero for
@@ -151,7 +148,6 @@ void visit_result_fields(Result& r, Fn&& f) {
   f("faults.time_to_first_death_ms", r.fault_stats.time_to_first_death_ms);
   f("faults.time_to_10pct_dead_ms", r.fault_stats.time_to_10pct_dead_ms);
   f("faults.half_life_ms", r.fault_stats.half_life_ms);
-  f("failures_injected", r.failures_injected);
   f("mobility_epochs", r.mobility_epochs);
   f("given_up", r.given_up);
   f("unknown_item_deliveries", r.unknown_item_deliveries);

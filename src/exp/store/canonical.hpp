@@ -53,7 +53,9 @@ namespace spms::exp::store {
 /// exact) and mobility.field_side_m (the scenario always replaced it with
 /// the deployment's field side).  No golden moved (EXPERIMENTS.md "Store
 /// schema v6 → v7").
-inline constexpr int kSchemaVersion = 7;
+/// v8: results lost failures_injected, a second copy of faults.node_downs.
+/// No golden moved (EXPERIMENTS.md "Store schema v7 → v8").
+inline constexpr int kSchemaVersion = 8;
 
 /// 64-bit FNV-1a over every tests/golden/*.csv in file-name order (each
 /// file's name, then its bytes).  A test recomputes it, so a re-pinned

@@ -179,7 +179,7 @@ TEST(FaultCampaignTest, FaultStatsAggregateAcrossSeeds) {
   const auto batch = BatchRunner{opts}.run(spec);
   bool saw_faulty_point = false;
   for (const auto& p : batch.points()) {
-    if (p.stats.failures_injected.mean > 0.0 || p.stats.fault_permanent_deaths.mean > 0.0) {
+    if (p.stats.fault_node_downs.mean > 0.0 || p.stats.fault_permanent_deaths.mean > 0.0) {
       saw_faulty_point = true;
       EXPECT_GE(p.stats.fault_downtime_ms.mean, 0.0);
     }

@@ -64,7 +64,7 @@ TEST_P(FailureSweep, SurvivesTransientFailureChurn) {
   cfg.seed = 3;
 
   const auto r = run_experiment(cfg);
-  EXPECT_GT(r.failures_injected, 0u);
+  EXPECT_GT(r.fault_stats.node_downs, 0u);
   // Transient churn costs some deliveries but the protocol must not collapse.
   EXPECT_GT(r.delivery_ratio, 0.5) << r.protocol;
   EXPECT_FALSE(r.event_limit_hit);
@@ -131,7 +131,7 @@ TEST(HeadlineComparison, FailuresIncreaseDelay) {
   cfg.faults.crash.enabled = true;
   cfg.activity_horizon = sim::Duration::ms(500);
   const auto faulty = run_experiment(cfg);
-  ASSERT_GT(faulty.failures_injected, 0u);
+  ASSERT_GT(faulty.fault_stats.node_downs, 0u);
   EXPECT_GT(faulty.mean_delay_ms, clean.mean_delay_ms);
 }
 

@@ -105,8 +105,7 @@ TEST(RunnerTest, FailureRunReportsInjections) {
   cfg.faults.crash.enabled = true;
   cfg.activity_horizon = sim::Duration::ms(200);
   const auto r = run_experiment(cfg);
-  EXPECT_GT(r.failures_injected, 0u);
-  EXPECT_EQ(r.failures_injected, r.fault_stats.node_downs);
+  EXPECT_GT(r.fault_stats.node_downs, 0u);
   EXPECT_GT(r.fault_stats.total_downtime_ms, 0.0);
   EXPECT_GT(r.delivery_ratio, 0.5);
 }
