@@ -29,24 +29,17 @@ AggregateResult aggregate(const std::vector<RunResult>& runs) {
   a.delivery_ratio = over(runs, [](const RunResult& r) { return r.delivery_ratio; });
   a.mean_delay_ms = over(runs, [](const RunResult& r) { return r.mean_delay_ms; });
   a.p95_delay_ms = over(runs, [](const RunResult& r) { return r.p95_delay_ms; });
-  a.max_delay_ms = over(runs, [](const RunResult& r) { return r.max_delay_ms; });
   a.energy_per_item_uj = over(runs, [](const RunResult& r) { return r.energy_per_item_uj; });
   a.protocol_energy_per_item_uj =
       over(runs, [](const RunResult& r) { return r.protocol_energy_per_item_uj; });
   a.routing_energy_uj = over(runs, [](const RunResult& r) { return r.energy.routing_uj(); });
-  a.total_energy_uj = over(runs, [](const RunResult& r) { return r.energy.total_uj(); });
   a.mobility_epochs = over(runs, [](const RunResult& r) { return r.mobility_epochs; });
   a.given_up = over(runs, [](const RunResult& r) { return r.given_up; });
   a.unknown_item_deliveries =
       over(runs, [](const RunResult& r) { return r.unknown_item_deliveries; });
-  a.sim_time_ms = over(runs, [](const RunResult& r) { return r.sim_time_ms; });
-  a.events_executed = over(runs, [](const RunResult& r) { return r.events_executed; });
-  a.fault_events = over(runs, [](const RunResult& r) { return r.fault_stats.fault_events; });
   a.fault_node_downs = over(runs, [](const RunResult& r) { return r.fault_stats.node_downs; });
   a.fault_downtime_ms =
       over(runs, [](const RunResult& r) { return r.fault_stats.total_downtime_ms; });
-  a.fault_outage_time_ms =
-      over(runs, [](const RunResult& r) { return r.fault_stats.outage_time_ms; });
   a.fault_recovery_latency_ms =
       over(runs, [](const RunResult& r) { return r.fault_stats.mean_recovery_latency_ms; });
   a.fault_permanent_deaths =

@@ -28,22 +28,16 @@ struct AggregateResult {
   stats::Aggregate delivery_ratio;
   stats::Aggregate mean_delay_ms;
   stats::Aggregate p95_delay_ms;
-  stats::Aggregate max_delay_ms;
   stats::Aggregate energy_per_item_uj;
   stats::Aggregate protocol_energy_per_item_uj;
   stats::Aggregate routing_energy_uj;
-  stats::Aggregate total_energy_uj;
   stats::Aggregate mobility_epochs;
   stats::Aggregate given_up;
   stats::Aggregate unknown_item_deliveries;
-  stats::Aggregate sim_time_ms;
-  stats::Aggregate events_executed;
 
   // Fault-campaign recovery metrics (all zero-mean without faults).
-  stats::Aggregate fault_events;
   stats::Aggregate fault_node_downs;
   stats::Aggregate fault_downtime_ms;
-  stats::Aggregate fault_outage_time_ms;
   stats::Aggregate fault_recovery_latency_ms;
   stats::Aggregate fault_permanent_deaths;
   stats::Aggregate fault_outage_deliveries;
