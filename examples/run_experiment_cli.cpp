@@ -320,7 +320,9 @@ void print_trace_report(const exp::RunResult& r) {
   constexpr std::size_t kTopRelays = 10;  // the busiest carriers; the tail is noise
   for (std::size_t i = 0; i < report.relays.size() && i < kTopRelays; ++i) {
     const auto& row = report.relays[i];
-    relays.add_row({"n" + std::to_string(row.node.v), std::to_string(row.relayed_req),
+    std::string node;
+    net::append_node(node, row.node);
+    relays.add_row({node, std::to_string(row.relayed_req),
                     std::to_string(row.relayed_data), std::to_string(row.served),
                     exp::fmt(row.energy_uj, 1)});
   }

@@ -1,10 +1,12 @@
 #pragma once
 
+#include <charconv>
 #include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <ostream>
+#include <string>
 
 /// \file ids.hpp
 /// Strong identifier types shared across the network and protocol layers.
@@ -38,13 +40,36 @@ struct DataId {
   auto operator<=>(const DataId&) const = default;
 };
 
+/// Appends the one text spelling of a node, `n<id>` (`n?` when invalid),
+/// used by operator<<, the legacy trace text and every JSON writer.
+inline void append_node(std::string& out, NodeId id) {
+  out += 'n';
+  if (!id.valid()) {
+    out += '?';
+    return;
+  }
+  char buf[10];  // the digits of any uint32
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, id.v).ptr);
+}
+
+/// Appends the one text spelling of an item, `n<origin>#<seq>`.
+inline void append_item(std::string& out, DataId d) {
+  append_node(out, d.origin);
+  out += '#';
+  char buf[10];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, d.seq).ptr);
+}
+
 inline std::ostream& operator<<(std::ostream& os, NodeId id) {
-  if (!id.valid()) return os << "n?";
-  return os << "n" << id.v;
+  std::string s;
+  append_node(s, id);
+  return os << s;
 }
 
 inline std::ostream& operator<<(std::ostream& os, DataId d) {
-  return os << d.origin << "#" << d.seq;
+  std::string s;
+  append_item(s, d);
+  return os << s;
 }
 
 }  // namespace spms::net

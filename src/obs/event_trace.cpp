@@ -6,23 +6,13 @@ namespace spms::obs {
 
 namespace {
 
-/// The legacy node spelling `n<id>` (`n?` when invalid).
-void append_node(std::string& s, net::NodeId id) {
-  s += 'n';
-  if (id.valid()) {
-    json::append_u64(s, id.v);
-  } else {
-    s += '?';
-  }
-}
-
 /// message = "<verb> <node> <item>" + optional suffix pieces.
 std::string verb_line(const char* verb, const TraceRecord& r) {
   std::string m{verb};
   m += ' ';
-  append_node(m, r.node);
+  net::append_node(m, r.node);
   m += ' ';
-  json::append_item_id(m, r.item);
+  net::append_item(m, r.item);
   return m;
 }
 
@@ -35,23 +25,23 @@ std::optional<LegacyLine> format_legacy(const TraceRecord& r) {
     case TraceKind::kSpmsReqDirect: {
       auto m = verb_line("req-direct", r);
       m += " to ";
-      append_node(m, r.peer);
+      net::append_node(m, r.peer);
       return LegacyLine{"spms", std::move(m)};
     }
     case TraceKind::kSpmsReqMultihop: {
       auto m = verb_line("req-multihop", r);
       m += " to ";
-      append_node(m, r.peer);
+      net::append_node(m, r.peer);
       m += " via ";
-      append_node(m, r.via);
+      net::append_node(m, r.via);
       return LegacyLine{"spms", std::move(m)};
     }
     case TraceKind::kSpmsReqCrosszone: {
       auto m = verb_line("req-crosszone", r);
       m += " to ";
-      append_node(m, r.peer);
+      net::append_node(m, r.peer);
       m += " via ";
-      append_node(m, r.via);
+      net::append_node(m, r.via);
       return LegacyLine{"spms", std::move(m)};
     }
     case TraceKind::kSpmsCourierAdv:
@@ -59,21 +49,21 @@ std::optional<LegacyLine> format_legacy(const TraceRecord& r) {
     case TraceKind::kSpmsRelayReq: {
       auto m = verb_line("relay-req", r);
       m += " for ";
-      append_node(m, r.peer);
+      net::append_node(m, r.peer);
       m += " to ";
-      append_node(m, r.via);
+      net::append_node(m, r.via);
       return LegacyLine{"spms", std::move(m)};
     }
     case TraceKind::kSpmsRelayData: {
       auto m = verb_line("relay-data", r);
       m += " for ";
-      append_node(m, r.peer);
+      net::append_node(m, r.peer);
       return LegacyLine{"spms", std::move(m)};
     }
     case TraceKind::kSpmsData: {
       auto m = verb_line("data", r);
       m += " from ";
-      append_node(m, r.peer);
+      net::append_node(m, r.peer);
       return LegacyLine{"spms", std::move(m)};
     }
     case TraceKind::kSpinAdv:
@@ -81,13 +71,13 @@ std::optional<LegacyLine> format_legacy(const TraceRecord& r) {
     case TraceKind::kSpinReq: {
       auto m = verb_line("req", r);
       m += " to ";
-      append_node(m, r.peer);
+      net::append_node(m, r.peer);
       return LegacyLine{"spin", std::move(m)};
     }
     case TraceKind::kSpinData: {
       auto m = verb_line("data", r);
       m += " from ";
-      append_node(m, r.peer);
+      net::append_node(m, r.peer);
       return LegacyLine{"spin", std::move(m)};
     }
     default:

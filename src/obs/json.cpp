@@ -55,15 +55,4 @@ void append_u64(std::string& out, std::uint64_t v) { append_integer(out, v); }
 
 void append_i64(std::string& out, std::int64_t v) { append_integer(out, v); }
 
-void append_item_id(std::string& out, net::DataId item) {
-  out += 'n';
-  if (item.origin.valid()) {
-    append_u64(out, item.origin.v);
-  } else {
-    out += '?';
-  }
-  out += '#';
-  append_u64(out, item.seq);
-}
-
 }  // namespace spms::obs::json

@@ -21,7 +21,7 @@
 ///  * non-finite doubles (NaN, +-inf) are `null`: JSON has no spelling for
 ///    them, and null says "no number" instead of fabricating one (the rule
 ///    of stats/percentiles.hpp).  The store reads null back as NaN;
-///  * item ids: the string `n<origin>#<seq>`;
+///  * item ids: the string `n<origin>#<seq>` (net::append_item);
 ///  * layout: compact, with no whitespace; ',' between members and between
 ///    elements.
 ///
@@ -36,9 +36,6 @@ void append_string(std::string& out, std::string_view s);
 void append_double(std::string& out, double v);
 void append_u64(std::string& out, std::uint64_t v);
 void append_i64(std::string& out, std::int64_t v);
-/// Appends the bare (unquoted) item id `n<origin>#<seq>`; an invalid origin
-/// reads `n?`.
-void append_item_id(std::string& out, net::DataId item);
 
 /// Writes one JSON value (usually an object) into `out`, placing the commas
 /// and braces.  Inside an object, call key() or a two-argument member
@@ -69,7 +66,7 @@ class Writer {
   Writer& item(net::DataId v) {
     value_start();
     out_ += '"';
-    append_item_id(out_, v);
+    net::append_item(out_, v);
     out_ += '"';
     return *this;
   }

@@ -190,9 +190,9 @@ void SpanTrace::write_perfetto(std::ostream& out) const {
     if (s.t_start_ms < 0.0) continue;
     const double end_ms = s.t_data_ms >= 0.0 ? s.t_data_ms : s.t_start_ms;
     name.clear();
-    json::append_item_id(name, s.item);
-    name += "@n";
-    json::append_u64(name, s.node.v);
+    net::append_item(name, s.item);
+    name += '@';
+    net::append_node(name, s.node);
     line.clear();
     json::Writer w{line};
     w.begin_object()

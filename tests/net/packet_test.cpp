@@ -70,8 +70,9 @@ TEST(IdsTest, HashDistinguishesOriginAndSeq) {
 
 TEST(IdsTest, StreamFormats) {
   std::ostringstream os;
-  os << NodeId{3} << " " << kNoNode << " " << DataId{NodeId{7}, 9};
-  EXPECT_EQ(os.str(), "n3 n? n7#9");
+  os << NodeId{3} << " " << kNoNode << " " << DataId{NodeId{7}, 9} << " "
+     << DataId{kNoNode, 4294967295u} << " " << NodeId{4294967294u};
+  EXPECT_EQ(os.str(), "n3 n? n7#9 n?#4294967295 n4294967294");
 }
 
 }  // namespace
