@@ -156,25 +156,8 @@ bool parse_raw_string(std::string_view raw, std::string& out) {
   return c.eof();
 }
 
-bool parse_raw_bool(std::string_view raw, bool& out) {
-  if (raw == "true") out = true;
-  else if (raw == "false") out = false;
-  else return false;
-  return true;
-}
-
-template <typename Int>
-bool parse_raw_int(std::string_view raw, Int& out) {
-  const auto res = std::from_chars(raw.data(), raw.data() + raw.size(), out);
-  return res.ec == std::errc{} && res.ptr == raw.data() + raw.size();
-}
-
-/// The writer spells a non-finite double as null; it reads back as NaN.
-bool parse_raw_double(std::string_view raw, double& out) {
-  if (raw == "null") {
-    out = std::numeric_limits<double>::quiet_NaN();
-    return true;
-  }
+template <typename Number>
+bool parse_raw_number(std::string_view raw, Number& out) {
   const auto res = std::from_chars(raw.data(), raw.data() + raw.size(), out);
   return res.ec == std::errc{} && res.ptr == raw.data() + raw.size();
 }
@@ -219,11 +202,16 @@ bool read_field(std::string_view raw, T& v) {
   if constexpr (std::is_same_v<T, std::string>) {
     return parse_raw_string(raw, v);
   } else if constexpr (std::is_same_v<T, bool>) {
-    return parse_raw_bool(raw, v);
+    v = raw == "true";
+    return v || raw == "false";
   } else if constexpr (std::is_same_v<T, double>) {
-    return parse_raw_double(raw, v);
+    if (raw == "null") {  // the writer's spelling of a non-finite double
+      v = std::numeric_limits<double>::quiet_NaN();
+      return true;
+    }
+    return parse_raw_number(raw, v);
   } else {
-    return parse_raw_int(raw, v);
+    return parse_raw_number(raw, v);
   }
 }
 
@@ -300,7 +288,7 @@ std::optional<RawRecord> parse_record_line(std::string_view line) {
   const bool ok = scan_object(line, [&](const std::string& key, std::string_view raw) {
     if (key == "schema") {
       have_schema = true;
-      return parse_raw_int(raw, rec.schema);
+      return parse_raw_number(raw, rec.schema);
     }
     if (key == "key") {
       have_key = true;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <charconv>
 #include <compare>
 #include <cstddef>
 #include <cstdint>
@@ -44,20 +43,14 @@ struct DataId {
 /// used by operator<<, the legacy trace text and every JSON writer.
 inline void append_node(std::string& out, NodeId id) {
   out += 'n';
-  if (!id.valid()) {
-    out += '?';
-    return;
-  }
-  char buf[10];  // the digits of any uint32
-  out.append(buf, std::to_chars(buf, buf + sizeof buf, id.v).ptr);
+  out += id.valid() ? std::to_string(id.v) : "?";
 }
 
 /// Appends the one text spelling of an item, `n<origin>#<seq>`.
 inline void append_item(std::string& out, DataId d) {
   append_node(out, d.origin);
   out += '#';
-  char buf[10];
-  out.append(buf, std::to_chars(buf, buf + sizeof buf, d.seq).ptr);
+  out += std::to_string(d.seq);
 }
 
 inline std::ostream& operator<<(std::ostream& os, NodeId id) {
