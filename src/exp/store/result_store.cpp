@@ -35,6 +35,7 @@ enum class LineKind {
   kCurrent,        ///< a record load() serves
 };
 
+/// One line of a store file as read: its kind, and what of it parsed.
 struct StoreLine {
   LineKind kind = LineKind::kBlank;
   std::optional<RawRecord> record;  ///< set unless blank or corrupt
@@ -67,6 +68,7 @@ void for_each_line(const fs::path& file, Fn&& on_line) {
   while (std::getline(in, text)) on_line(classify(text));
 }
 
+/// The lines load() counts as corrupt and a live gc drops.
 bool is_corrupt(LineKind kind) {
   return kind == LineKind::kCorrupt || kind == LineKind::kKeyMismatch;
 }
