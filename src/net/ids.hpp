@@ -40,7 +40,7 @@ struct DataId {
 };
 
 /// Appends the one text spelling of a node, `n<id>` (`n?` when invalid),
-/// used by operator<<, the legacy trace text and every JSON writer.
+/// used by operator<<, the legacy trace text and the JSON writer.
 inline void append_node(std::string& out, NodeId id) {
   out += 'n';
   out += id.valid() ? std::to_string(id.v) : "?";

@@ -6,13 +6,16 @@ namespace spms::obs {
 
 namespace {
 
+using net::append_item;
+using net::append_node;
+
 /// message = "<verb> <node> <item>" + optional suffix pieces.
 std::string verb_line(const char* verb, const TraceRecord& r) {
   std::string m{verb};
   m += ' ';
-  net::append_node(m, r.node);
+  append_node(m, r.node);
   m += ' ';
-  net::append_item(m, r.item);
+  append_item(m, r.item);
   return m;
 }
 
@@ -25,23 +28,23 @@ std::optional<LegacyLine> format_legacy(const TraceRecord& r) {
     case TraceKind::kSpmsReqDirect: {
       auto m = verb_line("req-direct", r);
       m += " to ";
-      net::append_node(m, r.peer);
+      append_node(m, r.peer);
       return LegacyLine{"spms", std::move(m)};
     }
     case TraceKind::kSpmsReqMultihop: {
       auto m = verb_line("req-multihop", r);
       m += " to ";
-      net::append_node(m, r.peer);
+      append_node(m, r.peer);
       m += " via ";
-      net::append_node(m, r.via);
+      append_node(m, r.via);
       return LegacyLine{"spms", std::move(m)};
     }
     case TraceKind::kSpmsReqCrosszone: {
       auto m = verb_line("req-crosszone", r);
       m += " to ";
-      net::append_node(m, r.peer);
+      append_node(m, r.peer);
       m += " via ";
-      net::append_node(m, r.via);
+      append_node(m, r.via);
       return LegacyLine{"spms", std::move(m)};
     }
     case TraceKind::kSpmsCourierAdv:
@@ -49,21 +52,21 @@ std::optional<LegacyLine> format_legacy(const TraceRecord& r) {
     case TraceKind::kSpmsRelayReq: {
       auto m = verb_line("relay-req", r);
       m += " for ";
-      net::append_node(m, r.peer);
+      append_node(m, r.peer);
       m += " to ";
-      net::append_node(m, r.via);
+      append_node(m, r.via);
       return LegacyLine{"spms", std::move(m)};
     }
     case TraceKind::kSpmsRelayData: {
       auto m = verb_line("relay-data", r);
       m += " for ";
-      net::append_node(m, r.peer);
+      append_node(m, r.peer);
       return LegacyLine{"spms", std::move(m)};
     }
     case TraceKind::kSpmsData: {
       auto m = verb_line("data", r);
       m += " from ";
-      net::append_node(m, r.peer);
+      append_node(m, r.peer);
       return LegacyLine{"spms", std::move(m)};
     }
     case TraceKind::kSpinAdv:
@@ -71,13 +74,13 @@ std::optional<LegacyLine> format_legacy(const TraceRecord& r) {
     case TraceKind::kSpinReq: {
       auto m = verb_line("req", r);
       m += " to ";
-      net::append_node(m, r.peer);
+      append_node(m, r.peer);
       return LegacyLine{"spin", std::move(m)};
     }
     case TraceKind::kSpinData: {
       auto m = verb_line("data", r);
       m += " from ";
-      net::append_node(m, r.peer);
+      append_node(m, r.peer);
       return LegacyLine{"spin", std::move(m)};
     }
     default:
