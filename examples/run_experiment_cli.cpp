@@ -405,8 +405,9 @@ int run_scenario_mode(const std::string& name, const ScenarioOptions& opt) {
   try {
     ran.emplace(exp::BatchRunner{options}.run(spec));
   } catch (const std::exception& e) {
-    // E.g. a store write failing mid-sweep (disk full): the store already
-    // flushed everything that finished, so a rerun resumes from there.
+    // E.g. a failing job, or a store write failing mid-sweep (disk full):
+    // the store already holds every result recorded before it, so a rerun
+    // resumes from there.
     std::cerr << "scenario " << name << ": " << e.what() << "\n";
     return 2;
   }
@@ -525,6 +526,10 @@ int main(int argc, char** argv) {
       sopt.seeds = parse_size(next(), argv[0]);
     } else if (arg == "--jobs") {
       sopt.jobs = parse_size(next(), argv[0]);
+      if (sopt.jobs > exp::kMaxJobs) {
+        std::cerr << "--jobs " << sopt.jobs << ": at most " << exp::kMaxJobs << " workers\n";
+        std::exit(2);
+      }
     } else if (arg == "--format") {
       sopt.format = parse_format(next(), argv[0]);
     } else if (arg == "--per-seed") {

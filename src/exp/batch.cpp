@@ -5,9 +5,10 @@
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <future>
 #include <map>
-#include <mutex>
 #include <stdexcept>
+#include <stop_token>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -158,48 +159,47 @@ BatchResult BatchRunner::run(const SweepSpec& spec) const {
   // The rollup aggregates each executed job's final counters/histograms.
   if (!options_.rollup_out.empty()) job_telemetry.metrics = true;
 
-  std::mutex mu;  // guards on_result + done counter
-  std::size_t done = 0;
-  const auto execute = [&](const SweepJob& job) {
-    auto result = run_experiment(job.config, job_telemetry);
-    if (options_.store != nullptr) {
-      options_.store->put(keys[job.index], canonical[job.index], result);
-    }
-    if (options_.on_result) {
-      const std::lock_guard<std::mutex> lock{mu};
-      runs[job.index] = std::move(result);
-      options_.on_result(job, runs[job.index], ++done, pending.size());
-    } else {
-      // Distinct slots; no lock needed for the write itself.
-      runs[job.index] = std::move(result);
-    }
-  };
-
-  if (workers <= 1) {
-    for (const auto i : pending) execute(jobs[i]);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::exception_ptr first_error;
-    std::mutex error_mu;
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= pending.size()) return;
-          try {
-            execute(jobs[pending[i]]);
-          } catch (...) {
-            const std::lock_guard<std::mutex> lock{error_mu};
-            if (!first_error) first_error = std::current_exception();
-          }
-        }
-      });
-    }
-    for (auto& t : pool) t.join();
-    if (first_error) std::rethrow_exception(first_error);
+  // Workers only simulate; this thread records the results in pending
+  // (expansion) order.  With one worker each task runs inline, just before
+  // it is recorded.
+  std::vector<std::packaged_task<RunResult()>> tasks;
+  std::vector<std::future<RunResult>> results;
+  for (const auto i : pending) {
+    tasks.emplace_back([&job = jobs[i], &job_telemetry] {
+      return run_experiment(job.config, job_telemetry);
+    });
+    results.push_back(tasks.back().get_future());
   }
+  std::atomic<std::size_t> next{0};
+  // Declared after the tasks, so an exception leaving the loop below stops
+  // and joins the pool before the tasks are destroyed.
+  std::vector<std::jthread> pool;
+  for (std::size_t w = 0; workers > 1 && w < workers; ++w) {
+    pool.emplace_back([&](std::stop_token stop) {
+      while (!stop.stop_requested()) {
+        const std::size_t t = next++;
+        if (t >= tasks.size()) return;
+        tasks[t]();
+      }
+    });
+  }
+
+  std::exception_ptr first_error;  // the earliest failing job's, in expansion order
+  for (std::size_t n = 0; n < pending.size(); ++n) {
+    if (pool.empty()) tasks[n]();
+    const SweepJob& job = jobs[pending[n]];
+    try {
+      runs[job.index] = results[n].get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+      continue;
+    }
+    if (options_.store != nullptr) {
+      options_.store->put(keys[job.index], canonical[job.index], runs[job.index]);
+    }
+    if (options_.on_result) options_.on_result(job, runs[job.index], n + 1, pending.size());
+  }
+  if (first_error) std::rethrow_exception(first_error);
 
   BatchResult result{std::move(jobs), std::move(runs), cached};
   if (!options_.rollup_out.empty()) write_rollups(spec, result, options_.rollup_out);

@@ -87,9 +87,10 @@ struct BatchOptions {
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
 
-  /// Invoked after each *executed* job completes (serialized; any thread's
-  /// jobs).  `total` counts the executed jobs only — cache hits never pass
-  /// through, so `done/total` is real progress, not replayed history.
+  /// Invoked on the calling thread, in expansion order, for each *executed*
+  /// job that returned, after its store write.  `done` is the job's 1-based
+  /// position among the executed jobs and `total` their count — cache hits
+  /// never pass through, so `done/total` is real progress, not replayed history.
   std::function<void(const SweepJob&, const RunResult&, std::size_t done, std::size_t total)>
       on_result;
 
@@ -117,8 +118,12 @@ class BatchRunner {
  public:
   explicit BatchRunner(BatchOptions options = {}) : options_(std::move(options)) {}
 
-  /// Expands and runs the spec.  Exceptions thrown by a job are rethrown on
-  /// the calling thread (the first one, after all workers drain).
+  /// Expands and runs the spec.  Workers only simulate; the calling thread
+  /// records each result in expansion order (its runs() slot, the store,
+  /// then on_result), so store lines and progress reports are the same at
+  /// any `jobs`.  Failing jobs are skipped, and once every other job has
+  /// been recorded the earliest one's exception is rethrown.  A store or
+  /// on_result exception leaves at once, after the running jobs finish.
   [[nodiscard]] BatchResult run(const SweepSpec& spec) const;
 
  private:
@@ -129,8 +134,9 @@ class BatchRunner {
 /// parses to something sane, else std::thread::hardware_concurrency (min 1).
 [[nodiscard]] std::size_t default_jobs();
 
-/// Upper bound a worker-count override is clamped to; far above any machine
-/// this runs on, low enough that a stray "999999999" cannot fork-bomb it.
+/// Upper bound on a worker count: SPMS_JOBS clamps to it and the CLI's
+/// --jobs refuses anything above it.  Far above any machine this runs on,
+/// low enough that a stray "999999999" cannot fork-bomb it.
 inline constexpr std::size_t kMaxJobs = 1024;
 
 /// Parses an SPMS_JOBS-style override.  Accepts plain decimal digits only;

@@ -117,7 +117,17 @@ void ResultStore::put(const std::string& key, std::string canonical_config,
   const auto it =
       records_.insert_or_assign(key, Record{std::move(canonical_config), std::move(stored)})
           .first;
-  append_line_locked(key, it->second.config, result_json);
+  const fs::path file = dir_ / kResultsFile;
+  if (!out_.is_open()) {
+    out_.open(file, std::ios::app);
+    if (!out_) throw std::runtime_error{"ResultStore: cannot append to " + file.string()};
+  }
+  out_ << make_record_line(key, it->second.config, result_json) << '\n' << std::flush;
+  if (!out_) {
+    // A silent no-op here would break the resume promise (the caller thinks
+    // the result is durable); fail loudly instead — disk full, quota, …
+    throw std::runtime_error{"ResultStore: write failed on " + file.string()};
+  }
 }
 
 std::size_t ResultStore::size() const {
@@ -135,11 +145,7 @@ std::size_t ResultStore::merge_from(const ResultStore& other) {
   const std::scoped_lock lock{mu_, other.mu_};
   std::size_t added = 0;
   for (const auto& [key, rec] : other.records_) {
-    const auto [it, inserted] = records_.try_emplace(key, rec);
-    static_cast<void>(it);
-    if (!inserted) continue;
-    append_line_locked(key, rec.config, result_to_json(rec.result));
-    ++added;
+    if (records_.try_emplace(key, rec).second) ++added;
   }
   return added;
 }
@@ -240,21 +246,6 @@ void ResultStore::rewrite_locked(const std::map<std::string, Record>& records) {
   fs::rename(tmp, dir_ / kResultsFile);
   for (const auto& file : jsonl_files(dir_)) {
     if (file.filename() != kResultsFile) fs::remove(file);
-  }
-}
-
-void ResultStore::append_line_locked(const std::string& key, std::string_view config,
-                                     std::string_view result_json) {
-  if (!out_.is_open()) {
-    out_.open(dir_ / kResultsFile, std::ios::app);
-    if (!out_) throw std::runtime_error{"ResultStore: cannot append to " +
-                                        (dir_ / kResultsFile).string()};
-  }
-  out_ << make_record_line(key, config, result_json) << '\n' << std::flush;
-  if (!out_) {
-    // A silent no-op here would break the resume promise (the caller thinks
-    // the result is durable); fail loudly instead — disk full, quota, …
-    throw std::runtime_error{"ResultStore: write failed on " + (dir_ / kResultsFile).string()};
   }
 }
 

@@ -90,7 +90,9 @@ class ResultStore {
                                               std::string_view canonical_config) const;
 
   /// Inserts or replaces a record and appends it to disk (flushed).
-  /// Thread-safe: BatchRunner workers call this concurrently.
+  /// Thread-safe, like every member.  BatchRunner calls it only on the
+  /// thread that called run(), in expansion order, so a batch appends its
+  /// lines in expansion order at any worker count.
   void put(const std::string& key, std::string canonical_config, const RunResult& result);
 
   /// Records currently loaded/written (deduplicated by key).
@@ -99,9 +101,11 @@ class ResultStore {
   /// Lines the last load() skipped as unparseable or key-mismatched.
   [[nodiscard]] std::size_t corrupt_lines() const;
 
-  /// Copies every record `other` has and this store lacks (both in memory
-  /// and onto disk).  Records present on both sides are kept as-is — equal
-  /// keys mean equal configs mean equal results.  Returns the number added.
+  /// Copies into memory every record `other` has and this store lacks; the
+  /// files on disk stay untouched until compact() writes them (the CLI's
+  /// `merge` compacts once, so each record is written once).  Records
+  /// present on both sides are kept as-is — equal keys mean equal configs
+  /// mean equal results.  Returns the number added.
   std::size_t merge_from(const ResultStore& other);
 
   /// Scans the directory's files and summarizes them (see StoreInventory).
@@ -132,8 +136,6 @@ class ResultStore {
     RunResult result;
   };
 
-  void append_line_locked(const std::string& key, std::string_view config,
-                          std::string_view result_json);
   /// Parses every *.jsonl record into `into` (last complete record wins);
   /// returns the count of corrupt lines skipped.  Caller holds mu_.
   std::size_t read_disk_locked(std::map<std::string, Record>& into) const;

@@ -211,7 +211,7 @@ void TelemetrySession::finish(RunResult& result) {
       if (!out) {
         throw std::runtime_error{"TelemetrySession: cannot open spans file " + options_.spans_out};
       }
-      span_trace_->write_jsonl(out, scenario_.simulation().events().dropped());
+      span_trace_->write_jsonl(out);
     }
     if (!options_.perfetto_out.empty()) {
       std::ofstream out{options_.perfetto_out, std::ios::out | std::ios::trunc};

@@ -127,7 +127,7 @@ std::vector<std::pair<net::NodeId, RelayLoad>> SpanTrace::relay_loads() const {
   return out;
 }
 
-void SpanTrace::write_jsonl(std::ostream& out, std::uint64_t ring_dropped) const {
+void SpanTrace::write_jsonl(std::ostream& out) const {
   std::string line;
   for (const auto& s : spans_) {
     line.clear();
@@ -160,7 +160,6 @@ void SpanTrace::write_jsonl(std::ostream& out, std::uint64_t ring_dropped) const
       .u64("orphaned", js.orphaned)
       .u64("max_depth", js.max_depth)
       .u64("records_seen", records_seen_)
-      .u64("ring_dropped", ring_dropped)
       .end_object();
   line += '\n';
   out << line;

@@ -62,7 +62,7 @@ struct JourneyStats {
   std::size_t spans = 0;       ///< spans assembled in total
   std::size_t delivered = 0;   ///< spans with a kDelivery record
   std::size_t complete = 0;    ///< delivered spans whose parent chain reaches a root
-  std::size_t orphaned = 0;    ///< delivered spans with a broken chain (evicted parent)
+  std::size_t orphaned = 0;    ///< delivered spans with a broken chain (parent never seen)
   std::size_t max_depth = 0;   ///< longest complete chain (hops from the origin)
 
   [[nodiscard]] double completeness() const {
@@ -84,8 +84,8 @@ class SpanTrace {
   [[nodiscard]] const Span* find(net::DataId item, net::NodeId node) const;
 
   /// Hops from the origin's root span (root = 0), or -1 when the parent
-  /// chain is broken — the parent's span was never observed (e.g. it fell
-  /// off a bounded ring before assembly started).
+  /// chain is broken — a span on it names no parent, or a parent whose span
+  /// the fed records never opened (a partial stream).
   [[nodiscard]] int depth_of(const Span& s) const;
 
   [[nodiscard]] JourneyStats journey_stats() const;
@@ -94,10 +94,9 @@ class SpanTrace {
   [[nodiscard]] std::vector<std::pair<net::NodeId, RelayLoad>> relay_loads() const;
 
   /// Queryable JSONL: one {"type":"span",...} line per span plus a final
-  /// {"type":"span-summary",...} line carrying the journey census and
-  /// `ring_dropped` (records the bounded ring evicted before assembly —
-  /// the accounting for any sub-100% completeness).
-  void write_jsonl(std::ostream& out, std::uint64_t ring_dropped = 0) const;
+  /// {"type":"span-summary",...} line carrying the journey census and the
+  /// count of records consumed.
+  void write_jsonl(std::ostream& out) const;
 
   /// Chrome/Perfetto trace-event JSON: one complete ("X") slice per span
   /// (pid = item, tid = node) and a flow arrow ("s"/"f") per resolved

@@ -7,6 +7,9 @@
 # `merge` serve the same CSV; `store ls` lists smoke's 4 entries and counts
 # an appended garbage line as corrupt; `store gc` drops that line, and a
 # warm pass after it still executes nothing and prints the same CSV.
+# Cold `faults-smoke --seeds 2` passes at --jobs 1 and twice at --jobs 4
+# write byte-identical store files, and a --jobs above exp::kMaxJobs is
+# refused before anything runs.
 foreach(var CLI WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_store_cli.cmake: -D${var}=... is required")
@@ -72,3 +75,30 @@ run(ls err store ls st/)
 expect_match("store ls after gc" "4 record line\\(s\\), 4 live entries \\(schema v[0-9]+\\)\n"
              "${err}")
 expect_warm("warm pass after gc" st/)
+
+# Records are appended in expansion order at any --jobs.
+run(out err --scenario faults-smoke --seeds 2 --jobs 1 --store j1/ --quiet)
+run(out err --scenario faults-smoke --seeds 2 --jobs 4 --store j4/ --quiet)
+run(out err --scenario faults-smoke --seeds 2 --jobs 4 --store j4-again/ --quiet)
+foreach(store j4 j4-again)
+  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files j1/results.jsonl
+                          ${store}/results.jsonl
+                  WORKING_DIRECTORY "${WORK_DIR}"
+                  RESULT_VARIABLE differ)
+  if(NOT differ EQUAL 0)
+    message(FATAL_ERROR "${store}/results.jsonl (--jobs 4) differs from j1/results.jsonl "
+                        "(--jobs 1)")
+  endif()
+endforeach()
+
+# --jobs above exp::kMaxJobs = 1024: a usage error, before any job runs or
+# the store directory is made.
+execute_process(COMMAND "${CLI}" --scenario smoke --seeds 2 --jobs 1025 --store big/
+                WORKING_DIRECTORY "${WORK_DIR}"
+                OUTPUT_QUIET
+                ERROR_VARIABLE err
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2 OR err MATCHES "executed" OR EXISTS "${WORK_DIR}/big")
+  message(FATAL_ERROR "--jobs 1025: expected exit 2 before anything runs, got exit ${rc}\n${err}")
+endif()
+expect_match("--jobs 1025" "at most 1024 workers" "${err}")

@@ -5,12 +5,16 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "exp/scenario_registry.hpp"
+#include "exp/store/result_store.hpp"
 #include "stored_fields.hpp"
 
 /// Batch-engine invariants: deterministic expansion, bit-identical results
@@ -135,6 +139,76 @@ TEST(BatchRunnerTest, OnResultReportsEveryJobExactlyOnce) {
   EXPECT_EQ(batch.runs().size(), 8u);
   EXPECT_EQ(seen.size(), 8u);
   EXPECT_EQ(max_done, 8u);
+}
+
+TEST(BatchRunnerTest, FailingJobsRethrowTheEarliestAfterRecordingTheRest) {
+  // Good jobs before, between and after two kinds that throw at
+  // construction.  Expansion order: good-a (jobs 0-1), far (2-3), good-b
+  // (4-5), mobile-cluster (6-7), good-c (8-9).
+  SweepSpec spec = small_spec();
+  spec.protocols = {ProtocolKind::kSpms};
+  spec.seeds = {1, 2};
+  spec.variants = {{"good-a", nullptr},
+                   {"far", [](ExperimentConfig& c) { c.zone_radius_m = 1000.0; }},
+                   {"good-b", nullptr},
+                   {"mobile-cluster",
+                    [](ExperimentConfig& c) {
+                      c.mobility = true;
+                      c.pattern = TrafficPattern::kCluster;
+                    }},
+                   {"good-c", nullptr}};
+  const std::set<std::size_t> good = {0, 1, 4, 5, 8, 9};
+  const auto jobs = spec.expand();
+  ASSERT_EQ(jobs.size(), 10u);
+
+  for (const std::size_t workers : {1, 4}) {
+    SCOPED_TRACE("jobs = " + std::to_string(workers));
+    const auto dir = std::filesystem::path{::testing::TempDir()} / "spms_batch_failing";
+    std::filesystem::remove_all(dir);
+    store::ResultStore store{dir};
+    BatchOptions options;
+    options.jobs = workers;
+    options.store = &store;
+    std::set<std::size_t> reported;
+    options.on_result = [&](const SweepJob& job, const RunResult&, std::size_t, std::size_t) {
+      reported.insert(job.index);
+    };
+    try {
+      static_cast<void>(BatchRunner{options}.run(spec));
+      ADD_FAILURE() << "the failing jobs did not throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "Network: zone radius outside the radio's reach");
+    }
+    EXPECT_EQ(reported, good);
+
+    store::ResultStore reloaded{dir};
+    reloaded.load();
+    EXPECT_EQ(reloaded.size(), good.size());
+    for (const auto& job : jobs) {
+      const std::string canonical = store::canonical_config_json(job.config);
+      EXPECT_EQ(reloaded.find(store::key_for_canonical(canonical), canonical).has_value(),
+                good.count(job.index) == 1)
+          << job.config.label;
+    }
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(BatchRunnerTest, OnResultRunsOnTheCallingThreadInExpansionOrder) {
+  const auto caller = std::this_thread::get_id();
+  BatchOptions options;
+  options.jobs = 4;
+  std::vector<std::size_t> indices;
+  options.on_result = [&](const SweepJob& job, const RunResult&, std::size_t done,
+                          std::size_t total) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_TRUE(indices.empty() || indices.back() < job.index) << job.index;
+    indices.push_back(job.index);
+    EXPECT_EQ(done, indices.size());
+    EXPECT_EQ(total, 8u);
+  };
+  static_cast<void>(BatchRunner{options}.run(small_spec()));
+  EXPECT_EQ(indices.size(), 8u);
 }
 
 TEST(BatchRunnerTest, FileOutputsFollowOneJobAndRefuseSeveral) {

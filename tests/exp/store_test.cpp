@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <set>
 
 #include "exp/batch.hpp"
@@ -428,10 +429,28 @@ TEST_F(StoreTest, MergeUnionsDisjointAndOverlappingStores) {
   ResultStore b{dir_b};
   b.put(config_key(shared), canonical_config_json(shared), awkward_result());
   b.put(config_key(only_b), canonical_config_json(only_b), awkward_result());
+  // Every file of a's directory, name and bytes.
+  const auto files_of_a = [&] {
+    std::map<std::string, std::string> files;
+    for (const auto& e : fs::directory_iterator{dir_a}) {
+      std::ifstream in{e.path(), std::ios::binary};
+      files[e.path().filename().string()] =
+          std::string{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+    }
+    return files;
+  };
+  const auto before = files_of_a();
   EXPECT_EQ(a.merge_from(b), 1u);  // the shared record is not duplicated
   EXPECT_EQ(a.size(), 2u);
   EXPECT_EQ(a.merge_from(a), 0u);  // self-merge is a no-op
-  // The merge reached disk, not just memory.
+  EXPECT_EQ(files_of_a(), before) << "merge_from must not write; compact() does";
+
+  // compact() writes the union, each record once.
+  a.compact();
+  const auto after = files_of_a();
+  ASSERT_EQ(after.size(), 1u);
+  const std::string& lines = after.at("results.jsonl");
+  EXPECT_EQ(std::count(lines.begin(), lines.end(), '\n'), 2);
   ResultStore reloaded{dir_a};
   reloaded.load();
   EXPECT_EQ(reloaded.size(), 2u);

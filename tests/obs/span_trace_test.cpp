@@ -147,16 +147,15 @@ TEST(SpanTrace, JsonlExportCarriesSpansAndSummary) {
   SpanTrace spans;
   feed_three_hop_journey(spans);
   std::ostringstream out;
-  spans.write_jsonl(out, /*ring_dropped=*/7);
+  spans.write_jsonl(out);
   const std::string text = out.str();
 
   EXPECT_NE(text.find(R"("type":"span","item":"n0#0","node":0)"), std::string::npos);
   EXPECT_NE(text.find(R"("parent":1)"), std::string::npos);
   EXPECT_NE(text.find(R"("data_src":9)"), std::string::npos);
   EXPECT_NE(text.find(R"("type":"span-summary","spans":3,"delivered":2,"complete":2,)"
-                      R"("orphaned":0,"max_depth":2)"),
+                      R"("orphaned":0,"max_depth":2,"records_seen":10})"),
             std::string::npos);
-  EXPECT_NE(text.find(R"("ring_dropped":7)"), std::string::npos);
   // Exactly one line per span plus the summary.
   EXPECT_EQ(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')), 4u);
 }
