@@ -3,32 +3,16 @@
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <new>
 #include <string>
 
-#include "exp/batch.hpp"
-#include "exp/runner.hpp"
-#include "exp/scenario_registry.hpp"
-#include "exp/store/result_store.hpp"
-#include "exp/table.hpp"
 #include "obs/process_stats.hpp"
 
 /// \file bench_common.hpp
-/// Shared scaffolding for the figure-reproduction binaries.
-///
-/// Each bench is a thin wrapper: it pulls its grid from the scenario
-/// registry (src/exp/scenario_registry.hpp), executes it on the parallel
-/// batch engine, and formats the rows the paper's figure plots.  The
-/// reference workload follows Table 1 except where EXPERIMENTS.md documents
-/// a calibration: packets_per_node is 2 instead of 10 so the whole bench
-/// suite completes in minutes (run a scenario through run_experiment_cli
-/// with --set traffic.packets_per_node=10 for the paper's full load; no
-/// environment variable changes a config).  SPMS_BENCH_SEEDS=K averages
-/// every cell over K seeds; SPMS_JOBS caps the worker pool;
-/// SPMS_BENCH_STORE=DIR routes every bench through the persistent result
-/// store, so a figure rerun after a calibration tweak only pays for the
-/// changed cells.
+/// Shared scaffolding for the bench binaries (the closed-form tables and the
+/// perf harnesses) and the macro benchmark's driver: an optional counting
+/// allocation hook, peak RSS, and the standard header line.  Registry
+/// scenarios have no bench binary of their own: run_experiment_cli runs them.
 
 // --- memory / allocation instrumentation -------------------------------------
 //
@@ -64,6 +48,13 @@ void* operator new[](std::size_t size, std::align_val_t align) {
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) return p;
   throw std::bad_alloc{};
 }
+// GCC inlines these into a caller whose pointer came from the replaced
+// operator new above and reports the free() as a mismatched deallocation;
+// every pointer here came from malloc or aligned_alloc, which free pairs with.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -72,6 +63,9 @@ void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 #endif  // SPMS_BENCH_COUNT_ALLOCS
 
@@ -90,69 +84,6 @@ inline std::size_t alloc_count() {
 /// Peak resident set size, in bytes — the shared utility the telemetry
 /// gauge `process.peak_rss_bytes` also reads (obs/process_stats.hpp).
 inline std::size_t peak_rss_bytes() { return obs::peak_rss_bytes(); }
-
-/// Reference experiment configuration (delegates to the registry).
-inline exp::ExperimentConfig reference_config() { return exp::reference_config(); }
-
-/// Transient-failure regime for the failure figures (see the registry).
-inline void scaled_failures(exp::ExperimentConfig& cfg) { exp::scaled_failures(cfg); }
-
-/// Looks up a registry scenario (aborts loudly on a typo) and returns its
-/// SweepSpec, fanned out to K consecutive seeds when SPMS_BENCH_SEEDS=K is
-/// set (cells then report means).  Benches iterate the spec's axes to lay
-/// out their tables.
-inline exp::SweepSpec make_spec(const std::string& name) {
-  const auto* info = exp::find_scenario(name);
-  if (info == nullptr) {
-    std::cerr << "bench: unknown scenario '" << name << "'\n";
-    std::exit(2);
-  }
-  auto spec = info->make();
-  std::size_t count = 1;
-  if (const char* env = std::getenv("SPMS_BENCH_SEEDS")) {
-    const long v = std::atol(env);
-    if (v > 0) count = static_cast<std::size_t>(v);
-  }
-  spec.use_consecutive_seeds(count);
-  return spec;
-}
-
-/// The process-wide bench store (opened lazily from SPMS_BENCH_STORE, null
-/// when unset).  One instance serves every run_spec call of the binary so
-/// back-to-back sweeps share the cache and the append handle.
-inline exp::store::ResultStore* bench_store() {
-  static const std::unique_ptr<exp::store::ResultStore> store =
-      []() -> std::unique_ptr<exp::store::ResultStore> {
-    const char* dir = std::getenv("SPMS_BENCH_STORE");
-    if (dir == nullptr || *dir == '\0') return nullptr;
-    try {
-      auto s = std::make_unique<exp::store::ResultStore>(dir);
-      s->load();
-      if (s->corrupt_lines() > 0) {
-        std::cerr << "bench store: skipped " << s->corrupt_lines() << " corrupt lines\n";
-      }
-      return s;
-    } catch (const std::exception& e) {
-      std::cerr << "bench: SPMS_BENCH_STORE=" << dir << ": " << e.what() << "\n";
-      std::exit(2);
-    }
-  }();
-  return store.get();
-}
-
-/// Executes a spec on the batch engine with the default worker pool,
-/// resolved against the SPMS_BENCH_STORE cache when one is configured.
-inline exp::BatchResult run_spec(const exp::SweepSpec& spec) {
-  exp::BatchOptions options;
-  options.jobs = 0;  // SPMS_JOBS env or hardware concurrency
-  options.store = bench_store();
-  auto batch = exp::BatchRunner{options}.run(spec);
-  if (options.store != nullptr) {
-    std::cerr << spec.name << ": executed " << batch.executed() << " jobs ("
-              << batch.cached() << " cached)\n";
-  }
-  return batch;
-}
 
 /// Standard bench header.
 inline void print_header(const std::string& id, const std::string& title,

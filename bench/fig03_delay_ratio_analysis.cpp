@@ -8,6 +8,7 @@
 
 #include "analysis/delay_model.hpp"
 #include "bench_common.hpp"
+#include "exp/table.hpp"
 
 int main() {
   using namespace spms;

@@ -7,6 +7,7 @@
 
 #include "analysis/energy_model.hpp"
 #include "bench_common.hpp"
+#include "exp/table.hpp"
 
 int main() {
   using namespace spms;

@@ -12,7 +12,7 @@
 ///    counted by the override below; the pooling/SBO work drives this down.
 ///
 /// Emit a machine-readable snapshot with:
-///   bench_micro_core --benchmark_out=BENCH_micro_core.json \
+///   bench_micro_core --benchmark_out=BENCH_micro_core.json
 ///                    --benchmark_out_format=json
 
 #include <benchmark/benchmark.h>

@@ -13,10 +13,8 @@
 ///  * allocs/run     — global operator-new count for the run (counted by the
 ///                     bench_common.hpp overrides).
 ///
-/// Wired through the shared store plumbing like every other bench:
-/// SPMS_BENCH_STORE=DIR caches results by config key (wall-clock and RSS are
-/// then meaningless for cached rows — the `cached` column says so).  For a
-/// metrics rollup, run the scenario through the CLI:
+/// Every run executes: a cached result carries no timing, so no store is
+/// consulted.  For a metrics rollup, run the scenario through the CLI:
 /// `run_experiment_cli --scenario scale-1k --jobs 1 --rollup-out FILE`.
 
 #include <chrono>
@@ -27,6 +25,10 @@
 
 #define SPMS_BENCH_COUNT_ALLOCS
 #include "bench_common.hpp"
+
+#include "exp/batch.hpp"
+#include "exp/scenario_registry.hpp"
+#include "exp/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace spms;
@@ -39,13 +41,17 @@ int main(int argc, char** argv) {
                       "throughput harness, not a paper figure (EXPERIMENTS.md \"Scaling\")");
 
   exp::Table t({"scenario", "nodes", "events", "wall s", "events/s", "peak RSS MB",
-                "bytes/node", "allocs/run", "delivery", "cached"});
+                "bytes/node", "allocs/run", "delivery"});
   for (const auto& size : sizes) {
-    const auto spec = bench::make_spec("scale-" + size);
+    const auto* info = exp::find_scenario("scale-" + size);
+    if (info == nullptr) {
+      std::cerr << "bench_scale: no scenario scale-" << size << " (sizes: 1k 10k 100k 1m)\n";
+      return 2;
+    }
+    const auto spec = info->make();
 
     exp::BatchOptions options;
     options.jobs = 1;  // one job per scenario anyway; keep timing honest
-    options.store = bench::bench_store();
 
     const auto allocs_before = bench::alloc_count();
     const auto t0 = std::chrono::steady_clock::now();
@@ -66,8 +72,7 @@ int main(int argc, char** argv) {
                exp::fmt(wall_s, 2), exp::fmt(static_cast<double>(events) / wall_s, 0),
                exp::fmt(static_cast<double>(rss) / (1024.0 * 1024.0), 1),
                exp::fmt(static_cast<double>(rss) / static_cast<double>(nodes), 0),
-               std::to_string(allocs), exp::fmt_pct(delivery),
-               std::to_string(batch.cached())});
+               std::to_string(allocs), exp::fmt_pct(delivery)});
   }
   t.print(std::cout);
   return 0;

@@ -7,11 +7,13 @@
 
 #include "analysis/delay_model.hpp"
 #include "bench_common.hpp"
+#include "exp/scenario_registry.hpp"
+#include "exp/table.hpp"
 #include "net/radio.hpp"
 
 int main() {
   using namespace spms;
-  const auto cfg = bench::reference_config();
+  const auto cfg = exp::reference_config();
 
   bench::print_header("Table 1", "simulation parameters",
                       "MICA2 radio table, 0.05 ms/byte, ADV=REQ=2 B, DATA:REQ=20, "

@@ -36,7 +36,6 @@ int main() {
     collector.record_delivery(node, item, at);
   });
 
-  const char* names[] = {"A ", "r1", "r2", "C "};
   bool crash_armed = true;
   sim.events().set_sink([&](const obs::TraceRecord& r) {
     const auto line = obs::format_legacy(r);

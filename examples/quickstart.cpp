@@ -47,6 +47,6 @@ int main(int argc, char** argv) {
             << "\n(dissemination energy, as in the paper's static figures; SPMS's one-off\n"
                " DBF table build added another "
             << exp::fmt(spms_result.energy.routing_uj(), 1)
-            << " uJ — see bench/breakeven_mobility)\n";
+            << " uJ — see run_experiment_cli --scenario mobility_breakeven)\n";
   return 0;
 }

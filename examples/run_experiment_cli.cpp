@@ -7,7 +7,7 @@
 ///    engine, optionally narrowed to part of its grid:
 ///      run_experiment_cli --scenario fig08 --seeds 8 --jobs 8 --format csv
 ///      run_experiment_cli --scenario fig08 --store results/ --shard 0/2
-///      run_experiment_cli --scenario fig13 --variant failures \
+///      run_experiment_cli --scenario fig13 --variant failures
 ///          --set zone_radius_m=15 --set protocol=SPIN --set seed=2005
 ///      run_experiment_cli --list
 ///    Prints one row per grid point with cross-seed mean/stddev (add
@@ -245,7 +245,8 @@ int store_mode(int argc, char** argv) {
 
   exp::Table schemas({"schema", "lines", "status"});
   for (const auto& [version, lines] : inv.schema_lines) {
-    schemas.add_row({"v" + std::to_string(version), std::to_string(lines),
+    // append, not "v" + ...: GCC 12's -Wrestrict misfires on that operator+.
+    schemas.add_row({std::string{"v"}.append(std::to_string(version)), std::to_string(lines),
                      version == exp::store::kSchemaVersion ? "current" : "stale (invisible)"});
   }
   schemas.print(std::cout);
@@ -260,9 +261,9 @@ int store_mode(int argc, char** argv) {
 }
 
 int list_scenarios() {
-  exp::Table t({"scenario", "jobs/seed", "what it measures"});
+  exp::Table t({"scenario", "jobs/seed", "what it measures", "paper claim"});
   for (const auto& s : exp::scenario_registry()) {
-    t.add_row({s.name, std::to_string(s.make().point_count()), s.title});
+    t.add_row({s.name, std::to_string(s.make().point_count()), s.title, s.paper_claim});
   }
   t.print(std::cout);
   return 0;
@@ -298,7 +299,9 @@ const std::vector<std::string> kPerSeedHeaders = {
 const std::vector<std::string> kAggregateHeaders = {
     "protocol", "nodes", "radius_m", "variant", "seeds", "delivery", "mean_delay_ms",
     "delay_sd", "p95_delay_ms", "uj_per_pkt_proto", "energy_sd", "uj_per_pkt_total",
-    "dead", "first_death_ms", "half_life_ms", "res_gini", "given_up"};
+    "routing_uj", "frames", "epochs", "failures", "downtime_ms", "outage_dlv", "recovery_ms",
+    "dead", "first_death_ms", "t10pct_ms", "half_life_ms", "res_mean_uj", "res_sd_uj",
+    "res_gini", "given_up"};
 
 /// --trace-report: journey census, per-depth hop latencies, busiest relays.
 void print_trace_report(const exp::RunResult& r) {
@@ -416,8 +419,8 @@ int run_scenario_mode(const std::string& name, const ScenarioOptions& opt) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   if (!opt.quiet) {
     std::cerr << "executed " << batch.executed() << " jobs (" << batch.cached()
-              << " cached) in " << exp::fmt(elapsed, 2) << " s ("
-              << (opt.jobs == 0 ? exp::default_jobs() : opt.jobs) << " workers)\n";
+              << " cached) in " << exp::fmt(elapsed, 2) << " s (" << batch.workers()
+              << " workers)\n";
   }
 
   // Gnuplot axis defaults: x is whichever deployment axis the sweep varies
@@ -464,13 +467,18 @@ int run_scenario_mode(const std::string& name, const ScenarioOptions& opt) {
                  p.variant.empty() ? "-" : p.variant, std::to_string(s.runs),
                  exp::fmt(s.delivery_ratio.mean, 4), exp::fmt(s.mean_delay_ms.mean, 3),
                  exp::fmt(s.mean_delay_ms.stddev, 3), exp::fmt(s.p95_delay_ms.mean, 3),
-                 exp::fmt(s.protocol_energy_per_item_uj.mean, 3),
-                 exp::fmt(s.protocol_energy_per_item_uj.stddev, 3),
-                 exp::fmt(s.energy_per_item_uj.mean, 3),
+                 exp::fmt(s.protocol_energy_per_item_uj.mean, 6),
+                 exp::fmt(s.protocol_energy_per_item_uj.stddev, 6),
+                 exp::fmt(s.energy_per_item_uj.mean, 6), exp::fmt(s.routing_energy_uj.mean, 3),
+                 exp::fmt(s.tx_frames.mean, 1), exp::fmt(s.mobility_epochs.mean, 1),
+                 exp::fmt(s.fault_node_downs.mean, 1), exp::fmt(s.fault_downtime_ms.mean, 3),
+                 exp::fmt(s.fault_outage_deliveries.mean, 1),
+                 exp::fmt(s.fault_recovery_latency_ms.mean, 3),
                  exp::fmt(s.fault_permanent_deaths.mean, 1),
                  exp::fmt(s.time_to_first_death_ms.mean, 3),
-                 exp::fmt(s.half_life_ms.mean, 3), exp::fmt(s.residual_gini.mean, 4),
-                 exp::fmt(s.given_up.mean, 1)});
+                 exp::fmt(s.time_to_10pct_dead_ms.mean, 3), exp::fmt(s.half_life_ms.mean, 3),
+                 exp::fmt(s.residual_mean_uj.mean, 3), exp::fmt(s.residual_stddev_uj.mean, 3),
+                 exp::fmt(s.residual_gini.mean, 4), exp::fmt(s.given_up.mean, 1)});
     }
     print_formatted(t, opt.format, plot);
   }

@@ -36,7 +36,7 @@ struct EnergyRatioParams {
 [[nodiscard]] double spin_to_spms_energy_ratio(double k, const EnergyRatioParams& p = {});
 
 /// Radius (k) at which the Fig. 5 ratio peaks, found numerically on a unit
-/// grid; used by the ablation bench to discuss the curve's shape.
+/// grid; bench_fig05 prints it to discuss the curve's shape.
 [[nodiscard]] double energy_ratio_peak_k(const EnergyRatioParams& p = {}, double k_max = 64.0);
 
 /// Section 5.1.3 break-even: the minimum number of successfully transmitted

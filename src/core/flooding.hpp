@@ -9,8 +9,8 @@
 ///
 /// No negotiation: the full DATA frame floods at maximum power; a node
 /// rebroadcasts each item exactly once (the only state kept).  Included for
-/// the ablation benches that quantify what SPIN's negotiation and SPMS's
-/// power control each buy.
+/// the flooding_baseline and lifetime-race scenarios, which quantify what
+/// SPIN's negotiation and SPMS's power control each buy.
 
 namespace spms::core {
 

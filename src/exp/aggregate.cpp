@@ -33,6 +33,7 @@ AggregateResult aggregate(const std::vector<RunResult>& runs) {
   a.protocol_energy_per_item_uj =
       over(runs, [](const RunResult& r) { return r.protocol_energy_per_item_uj; });
   a.routing_energy_uj = over(runs, [](const RunResult& r) { return r.energy.routing_uj(); });
+  a.tx_frames = over(runs, [](const RunResult& r) { return r.net_counters.tx_total(); });
   a.mobility_epochs = over(runs, [](const RunResult& r) { return r.mobility_epochs; });
   a.given_up = over(runs, [](const RunResult& r) { return r.given_up; });
   a.unknown_item_deliveries =
@@ -51,7 +52,6 @@ AggregateResult aggregate(const std::vector<RunResult>& runs) {
   a.time_to_10pct_dead_ms =
       over(runs, [](const RunResult& r) { return r.fault_stats.time_to_10pct_dead_ms; });
   a.half_life_ms = over(runs, [](const RunResult& r) { return r.fault_stats.half_life_ms; });
-  a.depleted_nodes = over(runs, [](const RunResult& r) { return r.battery.depleted_nodes; });
   a.residual_mean_uj =
       over(runs, [](const RunResult& r) { return r.battery.residual_mean_uj; });
   a.residual_stddev_uj =

@@ -8,7 +8,7 @@
 
 /// \file aggregate.hpp
 /// Cross-seed dispersion statistics of a RunResult population: the one way
-/// every sweep, bench and the CLI condense the runs of one experiment point.
+/// every sweep and the CLI condense the runs of one experiment point.
 /// AggregateResult keeps mean / stddev / stderr / min / max per metric so
 /// figures can carry error bars, as the multi-seed methodology of the
 /// related evaluations requires.
@@ -31,6 +31,7 @@ struct AggregateResult {
   stats::Aggregate energy_per_item_uj;
   stats::Aggregate protocol_energy_per_item_uj;
   stats::Aggregate routing_energy_uj;
+  stats::Aggregate tx_frames;  ///< frames sent, every type (NetCounters::tx_total)
   stats::Aggregate mobility_epochs;
   stats::Aggregate given_up;
   stats::Aggregate unknown_item_deliveries;
@@ -48,7 +49,6 @@ struct AggregateResult {
   stats::Aggregate time_to_first_death_ms;
   stats::Aggregate time_to_10pct_dead_ms;
   stats::Aggregate half_life_ms;
-  stats::Aggregate depleted_nodes;
   stats::Aggregate residual_mean_uj;
   stats::Aggregate residual_stddev_uj;
   stats::Aggregate residual_gini;

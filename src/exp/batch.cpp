@@ -79,8 +79,8 @@ void write_rollups(const SweepSpec& spec, const BatchResult& result, const std::
 }  // namespace
 
 BatchResult::BatchResult(std::vector<SweepJob> jobs, std::vector<RunResult> runs,
-                         std::size_t cached)
-    : jobs_(std::move(jobs)), runs_(std::move(runs)), cached_(cached) {
+                         std::size_t cached, std::size_t workers)
+    : jobs_(std::move(jobs)), runs_(std::move(runs)), cached_(cached), workers_(workers) {
   // Group the flat results by grid point, first-seen order (== grid order,
   // since expansion emits each point's jobs before the next point's; shard
   // slices preserve that order and may simply skip points entirely).
@@ -201,7 +201,7 @@ BatchResult BatchRunner::run(const SweepSpec& spec) const {
   }
   if (first_error) std::rethrow_exception(first_error);
 
-  BatchResult result{std::move(jobs), std::move(runs), cached};
+  BatchResult result{std::move(jobs), std::move(runs), cached, workers};
   if (!options_.rollup_out.empty()) write_rollups(spec, result, options_.rollup_out);
   return result;
 }

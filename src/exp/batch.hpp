@@ -37,7 +37,8 @@ struct PointResult {
 /// Everything a batch produced.
 class BatchResult {
  public:
-  BatchResult(std::vector<SweepJob> jobs, std::vector<RunResult> runs, std::size_t cached = 0);
+  BatchResult(std::vector<SweepJob> jobs, std::vector<RunResult> runs, std::size_t cached,
+              std::size_t workers);
 
   /// Per-job results, expansion order (parallel to `jobs()`).
   [[nodiscard]] const std::vector<RunResult>& runs() const { return runs_; }
@@ -52,6 +53,11 @@ class BatchResult {
   [[nodiscard]] std::size_t cached() const { return cached_; }
   [[nodiscard]] std::size_t executed() const { return runs_.size() - cached_; }
 
+  /// How many workers executed those jobs: the requested count capped at
+  /// executed(), so 0 when every job was cached.  One worker is the calling
+  /// thread itself; more are threads of their own.
+  [[nodiscard]] std::size_t workers() const { return workers_; }
+
   /// Looks up one grid point by its axis coordinates.  Throws
   /// std::out_of_range if the batch holds no such point.
   [[nodiscard]] const PointResult& point(ProtocolKind protocol, std::size_t node_count,
@@ -63,6 +69,7 @@ class BatchResult {
   std::vector<RunResult> runs_;
   std::vector<PointResult> points_;
   std::size_t cached_ = 0;
+  std::size_t workers_ = 0;
 };
 
 /// Engine knobs.

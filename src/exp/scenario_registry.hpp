@@ -10,9 +10,9 @@
 
 /// \file scenario_registry.hpp
 /// Named experiment scenarios: the paper's figures/tables and this repo's
-/// ablations as declarative SweepSpecs.  Benches, tests and the CLI all pull
-/// their grids from here, so a figure's definition lives in exactly one
-/// place.  EXPERIMENTS.md documents every entry and its calibration.
+/// ablations as declarative SweepSpecs.  The CLI, the tests and the scale
+/// bench pull their grids from here, so a figure's definition lives in
+/// exactly one place.  EXPERIMENTS.md documents every entry and its calibration.
 
 namespace spms::exp {
 
@@ -32,8 +32,8 @@ struct ScenarioInfo {
 
 /// Reference experiment configuration (paper Table 1 on the 5 m grid of
 /// EXPERIMENTS.md's "Calibration notes").
-/// packets_per_node is 2 instead of Table 1's 10 so the whole bench suite
-/// completes in minutes; `--set traffic.packets_per_node=10` runs the
+/// packets_per_node is 2 instead of Table 1's 10 so the paper-figure
+/// scenarios complete in minutes; `--set traffic.packets_per_node=10` runs the
 /// paper's load (see EXPERIMENTS.md).
 [[nodiscard]] ExperimentConfig reference_config();
 

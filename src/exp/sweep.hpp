@@ -69,8 +69,7 @@ struct SweepSpec {
   void select_variant(const std::string& variant);
 
   /// Replaces the seed axis with `count` consecutive seeds starting at
-  /// base.seed (which `set("seed", ...)` moves) — the convention shared by
-  /// the CLI's --seeds and the benches' SPMS_BENCH_SEEDS.
+  /// base.seed (which `set("seed", ...)` moves) — the CLI's --seeds.
   void use_consecutive_seeds(std::size_t count);
 
   /// Number of grid points (product of the non-seed axes).

@@ -5,8 +5,8 @@
 #include <vector>
 
 /// \file table.hpp
-/// Minimal aligned-table / CSV emitters for the bench binaries, which print
-/// the rows the paper's figures plot.
+/// Aligned-table, CSV, JSON and gnuplot emitters for the rows the CLI and
+/// the bench binaries print.
 
 namespace spms::exp {
 

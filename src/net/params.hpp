@@ -19,7 +19,7 @@ struct MacParams {
   /// (with a fresh backoff) while their local channel is busy.  This is the
   /// physical effect behind the paper's delay result — SPMS's low-power
   /// frames contend only in a small disc, SPIN's max-power frames block the
-  /// whole zone.  Disable for the ablation bench.
+  /// whole zone.  The ablation_mac scenario disables it.
   bool carrier_sense = true;
 
   /// Paper-style MAC: every frame contends and airs independently — no
@@ -55,14 +55,14 @@ struct EnergyModelParams {
   /// comparable to a mid TX level, and only with such a cost do the paper's
   /// simulated savings bands (26-43% all-to-all) come out — with Er = Em the
   /// savings overshoot to ~70%+.  Default: 0.15 mW (between levels 2 and 3).
-  /// EXPERIMENTS.md documents the calibration; the ablation bench sweeps it.
+  /// EXPERIMENTS.md documents the calibration; the ablation_mac scenario sweeps it.
   double rx_power_mw = 0.15;
 
   /// When true, every node inside the coverage disc of a unicast pays
   /// receive energy (promiscuous overhearing); when false only addressed
   /// receivers (and all hearers of broadcasts) pay.  The paper's analysis
   /// "omit[s] the energy wasted in redundant reception", so false is the
-  /// default; the flag exists to quantify that choice (ablation bench).
+  /// default; the flag exists to quantify that choice (ablation_mac scenario).
   bool charge_overhearing = false;
 };
 

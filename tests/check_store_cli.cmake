@@ -9,7 +9,8 @@
 # warm pass after it still executes nothing and prints the same CSV.
 # Cold `faults-smoke --seeds 2` passes at --jobs 1 and twice at --jobs 4
 # write byte-identical store files, and a --jobs above exp::kMaxJobs is
-# refused before anything runs.
+# refused before anything runs.  The "executed" line names the workers that
+# ran: `--jobs 8` over smoke's 2 jobs starts 2, and its warm pass none.
 foreach(var CLI WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_store_cli.cmake: -D${var}=... is required")
@@ -90,6 +91,14 @@ foreach(store j4 j4-again)
                         "(--jobs 1)")
   endif()
 endforeach()
+
+# Workers actually started: at most one per executed job.
+run(out err --scenario smoke --seeds 1 --jobs 8 --store w/)
+expect_match("--jobs 8, cold" "executed 2 jobs \\(0 cached\\) in [0-9.]+ s \\(2 workers\\)\n"
+             "${err}")
+run(out err --scenario smoke --seeds 1 --jobs 8 --store w/)
+expect_match("--jobs 8, warm" "executed 0 jobs \\(2 cached\\) in [0-9.]+ s \\(0 workers\\)\n"
+             "${err}")
 
 # --jobs above exp::kMaxJobs = 1024: a usage error, before any job runs or
 # the store directory is made.

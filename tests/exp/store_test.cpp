@@ -514,6 +514,7 @@ TEST_F(StoreTest, WarmRunExecutesNothingAndIsBitIdenticalAtAnyJobs) {
   const auto cold = BatchRunner{cold_opts}.run(spec);
   EXPECT_EQ(cold.executed(), 4u);
   EXPECT_EQ(cold.cached(), 0u);
+  EXPECT_EQ(cold.workers(), 4u);
   EXPECT_EQ(store.size(), 4u);
 
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
@@ -527,6 +528,7 @@ TEST_F(StoreTest, WarmRunExecutesNothingAndIsBitIdenticalAtAnyJobs) {
     const auto warm = BatchRunner{warm_opts}.run(spec);
     EXPECT_EQ(warm.executed(), 0u) << "jobs=" << jobs;
     EXPECT_EQ(warm.cached(), 4u);
+    EXPECT_EQ(warm.workers(), 0u) << "nothing executed, so no worker ran";
     EXPECT_EQ(callbacks, 0u) << "cache hits must not replay through on_result";
     ASSERT_EQ(warm.runs().size(), cold.runs().size());
     for (std::size_t i = 0; i < cold.runs().size(); ++i) {
@@ -562,6 +564,7 @@ TEST_F(StoreTest, PartialStoreRunsOnlyTheMissingCells) {
   const auto batch = BatchRunner{opts}.run(spec);
   EXPECT_EQ(batch.executed(), 2u);
   EXPECT_EQ(batch.cached(), 2u);
+  EXPECT_EQ(batch.workers(), 2u);
   EXPECT_EQ(reported_total, 2u) << "on_result totals must count executed jobs only";
   EXPECT_EQ(store.size(), 4u);
 }

@@ -55,7 +55,9 @@ TEST_P(JourneyCompleteness, DeliveredItemsChainBackToTheirPublish) {
     EXPECT_EQ(js.complete, js.delivered) << proto;
     EXPECT_EQ(js.orphaned, 0u) << proto;
     EXPECT_GE(js.completeness(), 0.99) << proto;
-    if (r.deliveries > 0) EXPECT_GE(js.max_depth, 1u) << proto;
+    if (r.deliveries > 0) {
+      EXPECT_GE(js.max_depth, 1u) << proto;
+    }
   }
 }
 
@@ -104,7 +106,9 @@ TEST(TraceReport, HopLatencyAndRelayEnergyAreCoherent) {
   // Every node that served a copy spent energy doing so.
   for (const auto& row : report.relays) {
     EXPECT_LT(row.node.v, r.nodes);
-    if (row.served > 0 || row.relayed_data > 0) EXPECT_GT(row.energy_uj, 0.0);
+    if (row.served > 0 || row.relayed_data > 0) {
+      EXPECT_GT(row.energy_uj, 0.0);
+    }
   }
 }
 

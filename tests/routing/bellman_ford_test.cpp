@@ -75,7 +75,9 @@ TEST(BellmanFordTest, RoutesAreSymmetricInCost) {
       const auto ab = routing.route(net::NodeId{a}, net::NodeId{b});
       const auto ba = routing.route(net::NodeId{b}, net::NodeId{a});
       ASSERT_EQ(ab.has_value(), ba.has_value());
-      if (ab) EXPECT_DOUBLE_EQ(ab->cost, ba->cost) << a << "->" << b;
+      if (ab) {
+        EXPECT_DOUBLE_EQ(ab->cost, ba->cost) << a << "->" << b;
+      }
     }
   }
 }
