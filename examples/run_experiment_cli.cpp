@@ -47,6 +47,7 @@
 
 #include "analysis/trace_report.hpp"
 #include "exp/batch.hpp"
+#include "exp/columns.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario_registry.hpp"
 #include "exp/store/result_store.hpp"
@@ -108,23 +109,14 @@ Format parse_format(const std::string& f, const char* argv0) {
   usage(argv0);
 }
 
-/// Gnuplot emission context (scenario mode only).
-struct PlotOptions {
-  std::string title;
-  std::string x_col;  ///< empty: auto (nodes if it varies, else radius_m)
-  std::string y_col;  ///< empty: mean_delay_ms
-};
-
-void print_formatted(const exp::Table& t, Format format, const PlotOptions& plot = {}) {
+/// `title` and `axes` only shape the gnuplot script.
+void print_formatted(const exp::Table& t, Format format, const std::string& title,
+                     const exp::PlotAxes& axes) {
   switch (format) {
     case Format::kTable: t.print(std::cout); break;
     case Format::kCsv: t.print_csv(std::cout); break;
     case Format::kJson: t.print_json(std::cout); break;
-    case Format::kGnuplot:
-      // The caller resolves the axis defaults (it knows which deployment
-      // axis the sweep varies); see run_scenario_mode.
-      t.print_gnuplot(std::cout, plot.title, plot.x_col, plot.y_col);
-      break;
+    case Format::kGnuplot: t.print_gnuplot(std::cout, title, axes.x, axes.y); break;
   }
 }
 
@@ -281,27 +273,13 @@ struct ScenarioOptions {
   bool use_cache = true;
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
-  std::string plot_x;  ///< --plot-x: gnuplot abscissa column (default: auto)
-  std::string plot_y;  ///< --plot-y: gnuplot ordinate column
+  std::string plot_x;  ///< --plot-x: gnuplot abscissa column (empty: exp::default_plot_axes)
+  std::string plot_y;  ///< --plot-y: gnuplot ordinate column (empty: likewise)
   std::string rollup_out;  ///< --rollup-out: per-cell metric rollup sidecar
   /// Never part of the config or the store key.  Only --trace-report sets
   /// telemetry.spans, and then the journey tables follow the row.
   exp::TelemetryOptions telemetry;
 };
-
-/// Table headers of scenario mode, shared by the table builders below and
-/// the pre-sweep --plot-x/--plot-y validation (a typo must fail before the
-/// sweep pays for itself, not after).
-const std::vector<std::string> kPerSeedHeaders = {
-    "protocol", "nodes", "radius_m", "variant", "seed", "delivery", "mean_delay_ms",
-    "p95_delay_ms", "max_delay_ms", "uj_per_pkt_proto", "uj_per_pkt_total", "failures",
-    "dead", "first_death_ms", "res_gini", "given_up", "events"};
-const std::vector<std::string> kAggregateHeaders = {
-    "protocol", "nodes", "radius_m", "variant", "seeds", "delivery", "mean_delay_ms",
-    "delay_sd", "p95_delay_ms", "uj_per_pkt_proto", "energy_sd", "uj_per_pkt_total",
-    "routing_uj", "frames", "epochs", "failures", "downtime_ms", "outage_dlv", "recovery_ms",
-    "dead", "first_death_ms", "t10pct_ms", "half_life_ms", "res_mean_uj", "res_sd_uj",
-    "res_gini", "given_up"};
 
 /// --trace-report: journey census, per-depth hop latencies, busiest relays.
 void print_trace_report(const exp::RunResult& r) {
@@ -338,8 +316,10 @@ int run_scenario_mode(const std::string& name, const ScenarioOptions& opt) {
     std::cerr << "unknown scenario '" << name << "'; --list shows the registry\n";
     return 2;
   }
+  // A --plot-x/--plot-y typo must fail before the sweep pays for itself.
+  const auto headers = exp::table_headers(opt.per_seed ? exp::TableKind::kPerSeed
+                                                        : exp::TableKind::kAggregate);
   if (opt.format == Format::kGnuplot) {
-    const auto& headers = opt.per_seed ? kPerSeedHeaders : kAggregateHeaders;
     for (const auto* col : {&opt.plot_x, &opt.plot_y}) {
       if (!col->empty() &&
           std::find(headers.begin(), headers.end(), *col) == headers.end()) {
@@ -423,65 +403,18 @@ int run_scenario_mode(const std::string& name, const ScenarioOptions& opt) {
               << " workers)\n";
   }
 
-  // Gnuplot axis defaults: x is whichever deployment axis the sweep varies
-  // (nodes, then radius); a variant-only sweep (the lifetime-* family's
-  // budget/heterogeneity axes) falls back to the variant as a category
-  // axis.  y is the paper's headline delay metric.
-  PlotOptions plot;
-  plot.title = name;
-  plot.x_col = opt.plot_x;
-  plot.y_col = opt.plot_y.empty() ? "mean_delay_ms" : opt.plot_y;
-  if (plot.x_col.empty()) {
-    bool nodes_vary = false;
-    bool radii_vary = false;
-    for (const auto& p : batch.points()) {  // empty batch (distant shard): any x works
-      const auto& first = batch.points().front();
-      if (p.node_count != first.node_count) nodes_vary = true;
-      if (p.zone_radius_m != first.zone_radius_m) radii_vary = true;
-    }
-    plot.x_col = nodes_vary ? "nodes" : radii_vary ? "radius_m" : "variant";
-  }
-
+  exp::Table t(headers);
   if (opt.per_seed) {
-    exp::Table t(kPerSeedHeaders);
     for (std::size_t i = 0; i < batch.runs().size(); ++i) {
-      const auto& job = batch.jobs()[i];
-      const auto& r = batch.runs()[i];
-      t.add_row({r.protocol, std::to_string(r.nodes), exp::fmt(r.zone_radius_m, 1),
-                 job.variant.empty() ? "-" : job.variant, std::to_string(job.seed),
-                 exp::fmt(r.delivery_ratio, 6), exp::fmt(r.mean_delay_ms, 6),
-                 exp::fmt(r.p95_delay_ms, 6), exp::fmt(r.max_delay_ms, 6),
-                 exp::fmt(r.protocol_energy_per_item_uj, 6), exp::fmt(r.energy_per_item_uj, 6),
-                 std::to_string(r.fault_stats.node_downs),
-                 std::to_string(r.fault_stats.permanent_deaths),
-                 exp::fmt(r.fault_stats.time_to_first_death_ms, 3),
-                 exp::fmt(r.battery.residual_gini, 6), std::to_string(r.given_up),
-                 std::to_string(r.events_executed)});
+      t.add_row(exp::run_row(batch.jobs()[i], batch.runs()[i]));
     }
-    print_formatted(t, opt.format, plot);
   } else {
-    exp::Table t(kAggregateHeaders);
-    for (const auto& p : batch.points()) {
-      const auto& s = p.stats;
-      t.add_row({s.protocol, std::to_string(s.nodes), exp::fmt(s.zone_radius_m, 1),
-                 p.variant.empty() ? "-" : p.variant, std::to_string(s.runs),
-                 exp::fmt(s.delivery_ratio.mean, 4), exp::fmt(s.mean_delay_ms.mean, 3),
-                 exp::fmt(s.mean_delay_ms.stddev, 3), exp::fmt(s.p95_delay_ms.mean, 3),
-                 exp::fmt(s.protocol_energy_per_item_uj.mean, 6),
-                 exp::fmt(s.protocol_energy_per_item_uj.stddev, 6),
-                 exp::fmt(s.energy_per_item_uj.mean, 6), exp::fmt(s.routing_energy_uj.mean, 3),
-                 exp::fmt(s.tx_frames.mean, 1), exp::fmt(s.mobility_epochs.mean, 1),
-                 exp::fmt(s.fault_node_downs.mean, 1), exp::fmt(s.fault_downtime_ms.mean, 3),
-                 exp::fmt(s.fault_outage_deliveries.mean, 1),
-                 exp::fmt(s.fault_recovery_latency_ms.mean, 3),
-                 exp::fmt(s.fault_permanent_deaths.mean, 1),
-                 exp::fmt(s.time_to_first_death_ms.mean, 3),
-                 exp::fmt(s.time_to_10pct_dead_ms.mean, 3), exp::fmt(s.half_life_ms.mean, 3),
-                 exp::fmt(s.residual_mean_uj.mean, 3), exp::fmt(s.residual_stddev_uj.mean, 3),
-                 exp::fmt(s.residual_gini.mean, 4), exp::fmt(s.given_up.mean, 1)});
-    }
-    print_formatted(t, opt.format, plot);
+    for (const auto& p : batch.points()) t.add_row(exp::point_row(p));
   }
+  auto axes = exp::default_plot_axes(batch);
+  if (!opt.plot_x.empty()) axes.x = opt.plot_x;
+  if (!opt.plot_y.empty()) axes.y = opt.plot_y;
+  print_formatted(t, opt.format, name, axes);
   if (opt.telemetry.spans && !batch.runs().empty() && batch.runs().front().spans != nullptr) {
     print_trace_report(batch.runs().front());
   }

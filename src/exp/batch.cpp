@@ -96,7 +96,6 @@ BatchResult::BatchResult(std::vector<SweepJob> jobs, std::vector<RunResult> runs
     }
     points_[it->second].runs.push_back(runs_[job.index]);
   }
-  for (auto& p : points_) p.stats = aggregate(p.runs);
 }
 
 const PointResult& BatchResult::point(ProtocolKind protocol, std::size_t node_count,

@@ -6,7 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "exp/aggregate.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
 
@@ -15,7 +14,7 @@
 /// executes the jobs on a worker pool; each job builds and runs its own
 /// private Simulation, so jobs share nothing and the per-seed RunResults are
 /// bit-identical whatever the worker count.  Results come back both flat (in
-/// expansion order) and grouped per grid point with cross-seed statistics.
+/// expansion order) and grouped per grid point.
 
 namespace spms::exp {
 
@@ -23,15 +22,14 @@ namespace store {
 class ResultStore;
 }
 
-/// Results of one grid point: the per-seed runs (in seed order) plus their
-/// cross-seed dispersion statistics.
+/// Results of one grid point: the per-seed runs, in seed order.  The
+/// aggregate table (exp/columns.hpp) folds them into cross-seed statistics.
 struct PointResult {
   ProtocolKind protocol = ProtocolKind::kSpms;
   std::size_t node_count = 0;
   double zone_radius_m = 0.0;
   std::string variant;
   std::vector<RunResult> runs;
-  AggregateResult stats;
 };
 
 /// Everything a batch produced.

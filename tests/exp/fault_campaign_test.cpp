@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "exp/batch.hpp"
+#include "exp/columns.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/scenario_registry.hpp"
@@ -177,11 +180,19 @@ TEST(FaultCampaignTest, FaultStatsAggregateAcrossSeeds) {
   BatchOptions opts;
   opts.jobs = 4;
   const auto batch = BatchRunner{opts}.run(spec);
+  // Read the cells the aggregate table prints.
+  const auto headers = table_headers(TableKind::kAggregate);
+  const auto cell = [&](const std::vector<std::string>& row, const std::string& column) {
+    const auto it = std::find(headers.begin(), headers.end(), column);
+    EXPECT_NE(it, headers.end()) << column;
+    return std::stod(row.at(static_cast<std::size_t>(it - headers.begin())));
+  };
   bool saw_faulty_point = false;
   for (const auto& p : batch.points()) {
-    if (p.stats.fault_node_downs.mean > 0.0 || p.stats.fault_permanent_deaths.mean > 0.0) {
+    const auto row = point_row(p);
+    if (cell(row, "failures") > 0.0 || cell(row, "dead") > 0.0) {
       saw_faulty_point = true;
-      EXPECT_GE(p.stats.fault_downtime_ms.mean, 0.0);
+      EXPECT_GE(cell(row, "downtime_ms"), 0.0);
     }
   }
   EXPECT_TRUE(saw_faulty_point);

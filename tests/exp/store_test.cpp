@@ -14,6 +14,7 @@
 #include <set>
 
 #include "exp/batch.hpp"
+#include "exp/columns.hpp"
 #include "exp/scenario_registry.hpp"
 #include "exp/store/canonical.hpp"
 #include "stored_fields.hpp"
@@ -534,13 +535,10 @@ TEST_F(StoreTest, WarmRunExecutesNothingAndIsBitIdenticalAtAnyJobs) {
     for (std::size_t i = 0; i < cold.runs().size(); ++i) {
       expect_bit_identical(cold.runs()[i], warm.runs()[i]);
     }
-    // Aggregates are recomputed from bit-identical inputs, so they match too.
+    // Aggregate rows fold bit-identical inputs, so they match too.
     ASSERT_EQ(warm.points().size(), cold.points().size());
     for (std::size_t p = 0; p < cold.points().size(); ++p) {
-      EXPECT_EQ(warm.points()[p].stats.mean_delay_ms.mean,
-                cold.points()[p].stats.mean_delay_ms.mean);
-      EXPECT_EQ(warm.points()[p].stats.protocol_energy_per_item_uj.stddev,
-                cold.points()[p].stats.protocol_energy_per_item_uj.stddev);
+      EXPECT_EQ(point_row(warm.points()[p]), point_row(cold.points()[p]));
     }
   }
 }

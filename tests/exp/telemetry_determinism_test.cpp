@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/aggregate.hpp"
 #include "exp/batch.hpp"
 #include "exp/scenario_registry.hpp"
 #include "exp/store/canonical.hpp"
@@ -20,7 +19,7 @@
 /// telemetry fully off.  Also the unknown_item_deliveries surfacing: the
 /// collector has counted deliveries of never-published items since the
 /// beginning, but the count used to die inside the collector — it now flows
-/// through RunResult, aggregate() and the store schema (v4).
+/// through RunResult and the store schema (v4).
 
 namespace spms::exp {
 namespace {
@@ -147,21 +146,12 @@ TEST(TelemetryBatch, StoreFilesAreByteIdenticalWithAndWithoutTelemetry) {
 
 // --- unknown_item_deliveries surfacing ---------------------------------------
 
-TEST(UnknownItemDeliveries, SurfacesThroughRunnerAverageAndAggregate) {
-  // A healthy run reports zero.
+TEST(UnknownItemDeliveries, HealthyRunReportsZero) {
   ExperimentConfig cfg;
   cfg.node_count = 9;
   cfg.zone_radius_m = 12.0;
   cfg.traffic.packets_per_node = 1;
-  const auto healthy = run_experiment(cfg);
-  EXPECT_EQ(healthy.unknown_item_deliveries, 0u);
-
-  RunResult a = healthy, b = healthy;
-  a.unknown_item_deliveries = 2;
-  b.unknown_item_deliveries = 3;
-  const auto agg = aggregate({a, b});
-  EXPECT_DOUBLE_EQ(agg.unknown_item_deliveries.mean, 2.5);
-  EXPECT_DOUBLE_EQ(agg.unknown_item_deliveries.max, 3.0);
+  EXPECT_EQ(run_experiment(cfg).unknown_item_deliveries, 0u);
 }
 
 TEST(UnknownItemDeliveries, RoundTripsThroughTheStoreSchema) {

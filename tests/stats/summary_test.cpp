@@ -54,5 +54,25 @@ TEST(SummaryTest, WelfordStableForLargeOffsets) {
   EXPECT_NEAR(s.variance(), 22.5, 1e-3);
 }
 
+TEST(SummaryDispersionTest, SampleStatsMatchHandComputation) {
+  Summary s;
+  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
+  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
+  // Population variance 4 (the classic example); sample variance 32/7.
+  EXPECT_DOUBLE_EQ(s.variance(), 4.0);
+  EXPECT_DOUBLE_EQ(s.sample_variance(), 32.0 / 7.0);
+  EXPECT_DOUBLE_EQ(s.sample_stddev(), std::sqrt(32.0 / 7.0));
+  EXPECT_DOUBLE_EQ(s.stderr_mean(), std::sqrt(32.0 / 7.0) / std::sqrt(8.0));
+}
+
+TEST(SummaryDispersionTest, DegenerateCountsAreZero) {
+  Summary s;
+  EXPECT_EQ(s.sample_variance(), 0.0);
+  EXPECT_EQ(s.stderr_mean(), 0.0);
+  s.add(3.0);
+  EXPECT_EQ(s.sample_variance(), 0.0);
+  EXPECT_EQ(s.stderr_mean(), 0.0);
+}
+
 }  // namespace
 }  // namespace spms::stats
