@@ -77,44 +77,18 @@ Network::Network(sim::Simulation& sim, RadioTable radio, MacParams mac, EnergyMo
 void Network::neighbors_within(NodeId center, double radius_m, bool include_down,
                                std::vector<NodeId>& out) const {
   out.clear();
-  const Point c = position(center);
-  const double r2 = radius_m * radius_m;
-  if (!use_grid_) {
-    // Tiny deployment: a linear pass over the contiguous position array
-    // beats the grid's cell walk, and it yields ascending ids for free.
-    for (std::uint32_t v = 0; v < pos_.size(); ++v) {
-      if (v == center.v) continue;
-      if (!include_down && up_[v] == 0) continue;
-      if (distance_sq(pos_[v], c) <= r2) out.push_back(NodeId{v});
-    }
-    return;
-  }
-  grid_disc(c, radius_m, [&](std::uint32_t v) {
-    if (v == center.v) return;
-    if (!include_down && up_[v] == 0) return;
-    // The exact inclusion test matches the historical brute-force scan
-    // bit-for-bit; the grid only pre-filters candidates.
-    if (distance_sq(pos_[v], c) <= r2) out.push_back(NodeId{v});
+  const bool walked_grid = walk_disc(center, radius_m, [&](std::uint32_t v) {
+    if (include_down || up_[v] != 0) out.push_back(NodeId{v});
   });
   // Cell visitation order is spatial, not by id: restore the ascending-id
   // contract every consumer (and every RNG draw sequence) depends on.
-  std::sort(out.begin(), out.end());
+  if (walked_grid) std::sort(out.begin(), out.end());
 }
 
 std::size_t Network::contention_count(NodeId center, double radius_m) const {
-  const Point c = position(center);
-  const double r2 = radius_m * radius_m;
   std::size_t count = 0;
-  if (!use_grid_) {
-    for (std::uint32_t v = 0; v < pos_.size(); ++v) {
-      if (v == center.v || up_[v] == 0) continue;
-      if (distance_sq(pos_[v], c) <= r2) ++count;
-    }
-    return count;
-  }
-  grid_disc(c, radius_m, [&](std::uint32_t v) {
-    if (v == center.v || up_[v] == 0) return;
-    if (distance_sq(pos_[v], c) <= r2) ++count;
+  walk_disc(center, radius_m, [&](std::uint32_t v) {
+    if (up_[v] != 0) ++count;
   });
   return count;
 }
@@ -275,23 +249,9 @@ void Network::mac_begin_tx(std::uint32_t v) {
     // Occupy the channel across the coverage disc (the transmitter included).
     // Visitation order is irrelevant: stamping a max is commutative.
     if (end > channel_busy_until_[v]) channel_busy_until_[v] = end;
-    const Point sender_pos = pos_[v];
-    const double r2 = f.coverage_m * f.coverage_m;
-    if (!use_grid_) {
-      for (std::uint32_t o = 0; o < pos_.size(); ++o) {
-        if (o == v) continue;
-        if (distance_sq(pos_[o], sender_pos) <= r2 && end > channel_busy_until_[o]) {
-          channel_busy_until_[o] = end;
-        }
-      }
-    } else {
-      grid_disc(sender_pos, f.coverage_m, [&](std::uint32_t o) {
-        if (o == v) return;
-        if (distance_sq(pos_[o], sender_pos) <= r2 && end > channel_busy_until_[o]) {
-          channel_busy_until_[o] = end;
-        }
-      });
-    }
+    walk_disc(NodeId{v}, f.coverage_m, [&](std::uint32_t o) {
+      if (end > channel_busy_until_[o]) channel_busy_until_[o] = end;
+    });
   }
   mac_event_[v] = sim_.at(end, [this, v] { mac_complete_tx(v); });
 }

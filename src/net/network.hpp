@@ -246,11 +246,26 @@ class Network {
   void mac_complete_tx(std::uint32_t v);
   /// A fresh random backoff duration.
   [[nodiscard]] sim::Duration draw_backoff();
-  /// A medium disc query on the grid, counted in grid_queries().
+  /// The medium's one disc walk: calls `visit(v)` for every node v other
+  /// than `center`, up or down, with d(v, center)^2 <= radius_m^2 (the
+  /// inclusive test of the historical brute-force scan).  Below
+  /// kGridMinNodes it scans the position array in ascending id; otherwise
+  /// the grid pre-filters candidates, one query counted in grid_queries().
+  /// Returns true after a grid walk, whose order is spatial, not by id.
   template <typename Visit>
-  void grid_disc(Point center, double radius_m, Visit&& visit) const {
+  bool walk_disc(NodeId center, double radius_m, Visit&& visit) const {
+    const Point c = position(center);
+    const double r2 = radius_m * radius_m;
+    const auto within = [&](std::uint32_t v) {
+      if (v != center.v && distance_sq(pos_[v], c) <= r2) visit(v);
+    };
+    if (!use_grid_) {
+      for (std::uint32_t v = 0; v < pos_.size(); ++v) within(v);
+      return false;
+    }
     ++grid_queries_;
-    grid_.visit_disc(center, radius_m, visit);
+    grid_.visit_disc(c, radius_m, within);
+    return true;
   }
 
   void count_tx(const Packet& p);
