@@ -118,17 +118,7 @@ void visit_result_fields(Result& r, Fn&& f) {
   f("battery.residual_stddev_uj", r.battery.residual_stddev_uj);
   f("battery.residual_min_uj", r.battery.residual_min_uj);
   f("battery.residual_gini", r.battery.residual_gini);
-  f("net.tx_adv", r.net_counters.tx_adv);
-  f("net.tx_req", r.net_counters.tx_req);
-  f("net.tx_data", r.net_counters.tx_data);
-  f("net.tx_route", r.net_counters.tx_route);
-  f("net.tx_bytes", r.net_counters.tx_bytes);
-  f("net.deliveries", r.net_counters.deliveries);
-  f("net.dropped_sender_down", r.net_counters.dropped_sender_down);
-  f("net.dropped_out_of_range", r.net_counters.dropped_out_of_range);
-  f("net.dropped_receiver_down", r.net_counters.dropped_receiver_down);
-  f("net.dropped_link_fault", r.net_counters.dropped_link_fault);
-  f("net.dropped_battery_dead", r.net_counters.dropped_battery_dead);
+  net::visit_counters(r.net_counters, f);
   f("dbf.rounds", r.dbf_total.rounds);
   f("dbf.messages", r.dbf_total.messages);
   f("dbf.message_bytes", r.dbf_total.message_bytes);

@@ -88,23 +88,11 @@ void TelemetrySession::register_catalog() {
   });
 
   auto* nw = &scenario_.network();
-  const auto net_counter = [this, nw](std::string_view name,
-                                      std::uint64_t net::NetCounters::*field) {
-    registry_.register_gauge(name, [nw, field] {
-      return static_cast<double>(nw->counters().*field);
-    });
-  };
-  net_counter("net.tx_adv", &net::NetCounters::tx_adv);
-  net_counter("net.tx_req", &net::NetCounters::tx_req);
-  net_counter("net.tx_data", &net::NetCounters::tx_data);
-  net_counter("net.tx_route", &net::NetCounters::tx_route);
-  net_counter("net.tx_bytes", &net::NetCounters::tx_bytes);
-  net_counter("net.deliveries", &net::NetCounters::deliveries);
-  net_counter("net.dropped_sender_down", &net::NetCounters::dropped_sender_down);
-  net_counter("net.dropped_out_of_range", &net::NetCounters::dropped_out_of_range);
-  net_counter("net.dropped_receiver_down", &net::NetCounters::dropped_receiver_down);
-  net_counter("net.dropped_link_fault", &net::NetCounters::dropped_link_fault);
-  net_counter("net.dropped_battery_dead", &net::NetCounters::dropped_battery_dead);
+  // counters() is a reference to the network's own counters, so each gauge
+  // reads its field in place.
+  net::visit_counters(nw->counters(), [this](std::string_view name, const std::uint64_t& field) {
+    registry_.register_gauge(name, [counter = &field] { return static_cast<double>(*counter); });
+  });
   registry_.register_gauge("net.mac_queue_depth_max", [nw] {
     return static_cast<double>(nw->max_mac_queue_depth());
   });

@@ -61,6 +61,24 @@ struct NetCounters {
   [[nodiscard]] std::uint64_t tx_total() const { return tx_adv + tx_req + tx_data + tx_route; }
 };
 
+/// The one list of NetCounters fields: calls `f(key, field)` for every
+/// field of `c` (const or not), in stored order, under the key both the
+/// result store (exp::visit_result_fields) and the telemetry gauges use.
+template <class Counters, class Fn>
+void visit_counters(Counters& c, Fn&& f) {
+  f("net.tx_adv", c.tx_adv);
+  f("net.tx_req", c.tx_req);
+  f("net.tx_data", c.tx_data);
+  f("net.tx_route", c.tx_route);
+  f("net.tx_bytes", c.tx_bytes);
+  f("net.deliveries", c.deliveries);
+  f("net.dropped_sender_down", c.dropped_sender_down);
+  f("net.dropped_out_of_range", c.dropped_out_of_range);
+  f("net.dropped_receiver_down", c.dropped_receiver_down);
+  f("net.dropped_link_fault", c.dropped_link_fault);
+  f("net.dropped_battery_dead", c.dropped_battery_dead);
+}
+
 /// Owns all nodes and simulates the shared wireless medium.
 class Network {
  public:
