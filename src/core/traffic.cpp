@@ -16,10 +16,6 @@ TrafficGenerator::TrafficGenerator(sim::Simulation& sim, net::Network& net,
       params_(params),
       rng_(sim.rng().fork(stream)) {}
 
-std::size_t TrafficGenerator::total_items() const {
-  return net_.size() * static_cast<std::size_t>(params_.packets_per_node);
-}
-
 void TrafficGenerator::start() {
   // All arrival instants are drawn up front (a renewal process per node), so
   // the schedule is independent of protocol behaviour — SPIN and SPMS see
@@ -31,7 +27,6 @@ void TrafficGenerator::start() {
     for (int k = 0; k < params_.packets_per_node; ++k) {
       t = t + node_rng.exponential(params_.mean_interarrival);
       const net::DataId item{node, static_cast<std::uint32_t>(k)};
-      if (t > last_publish_) last_publish_ = t;
       sim_.at(t, [this, node, item] {
         const std::size_t expected = interest_.expected_count(item);
         collector_.record_publish(item, sim_.now(), expected);

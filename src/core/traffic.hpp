@@ -33,12 +33,6 @@ class TrafficGenerator {
   /// Schedules every node's arrival process starting at the current time.
   void start();
 
-  /// Total items that will be published over the whole run.
-  [[nodiscard]] std::size_t total_items() const;
-
-  /// Time by which the last publish fires (known after start()).
-  [[nodiscard]] sim::TimePoint last_publish_at() const { return last_publish_; }
-
  private:
   sim::Simulation& sim_;
   net::Network& net_;
@@ -47,7 +41,6 @@ class TrafficGenerator {
   Collector& collector_;
   TrafficParams params_;
   sim::Rng rng_;
-  sim::TimePoint last_publish_;
 };
 
 }  // namespace spms::core

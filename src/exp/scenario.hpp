@@ -51,10 +51,6 @@ class Scenario {
   /// Side length of the deployed square field, metres.
   [[nodiscard]] double field_side_m() const { return field_side_m_; }
 
-  /// The node nearest the field centre: the sink of the kSink pattern and
-  /// the anchor of the sink-churn fault model.
-  [[nodiscard]] net::NodeId central_node() const { return central_node_; }
-
  private:
   ExperimentConfig config_;
   std::unique_ptr<sim::Simulation> sim_;
@@ -67,6 +63,8 @@ class Scenario {
   std::unique_ptr<faults::FaultController> faults_;
   std::unique_ptr<net::MobilityProcess> mobility_;
   double field_side_m_ = 0.0;
+  /// The node nearest the field centre: the sink of the kSink pattern and
+  /// the anchor of the sink-churn fault model.
   net::NodeId central_node_{0};
 };
 

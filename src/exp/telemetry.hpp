@@ -104,7 +104,6 @@ class TelemetrySession {
   TelemetrySession(const TelemetrySession&) = delete;
   TelemetrySession& operator=(const TelemetrySession&) = delete;
 
-  [[nodiscard]] bool active() const { return active_; }
   [[nodiscard]] const obs::MetricsRegistry& registry() const { return registry_; }
   [[nodiscard]] const obs::Sampler* sampler() const { return sampler_.get(); }
   /// The span assembly, or nullptr when span_assembly() was off.

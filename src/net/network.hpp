@@ -103,7 +103,6 @@ class Network {
   [[nodiscard]] bool is_up(NodeId id) const { return up_.at(id.v) != 0; }
   [[nodiscard]] double zone_radius() const { return zone_radius_m_; }
   [[nodiscard]] const RadioTable& radio() const { return radio_; }
-  [[nodiscard]] const MacParams& mac_params() const { return mac_; }
   [[nodiscard]] const EnergyModelParams& energy_params() const { return energy_; }
   [[nodiscard]] sim::Simulation& simulation() { return sim_; }
 

@@ -204,7 +204,6 @@ DbfStats RoutingService::rebuild() {
   // are maintained regardless (rebuilds are rare — mobility epochs — so the
   // diff never shows up on the event hot path).
   ++rebuilds_;
-  last_route_changes_ = 0;
   if (!old_tables.empty()) {
     auto& events = net_.simulation().events();
     for (std::size_t u = 0; u < n; ++u) {
@@ -219,14 +218,13 @@ DbfStats RoutingService::rebuild() {
       for (const auto& [dest, entry] : old_tables[u].entries()) {
         if (tables_[u].find(dest) == nullptr && entry.best.next_hop.valid()) ++changed;
       }
-      last_route_changes_ += changed;
+      route_changes_ += changed;
       if (changed > 0 && events.enabled()) {
         events.emit({.at = net_.simulation().now(), .kind = obs::TraceKind::kRouteChange,
                      .node = net::NodeId{static_cast<std::uint32_t>(u)},
                      .value = static_cast<double>(changed)});
       }
     }
-    route_changes_ += last_route_changes_;
   }
   return stats;
 }

@@ -69,9 +69,6 @@ class RoutingService {
   /// previous table, was lost, or appeared.
   [[nodiscard]] std::uint64_t route_changes() const { return route_changes_; }
 
-  /// Churn of the most recent rebuild only.
-  [[nodiscard]] std::uint64_t last_route_changes() const { return last_route_changes_; }
-
   [[nodiscard]] const ZoneMap& zones() const { return *zones_; }
   [[nodiscard]] const RoutingTable& table(net::NodeId id) const { return tables_.at(id.v); }
 
@@ -100,7 +97,6 @@ class RoutingService {
   DbfStats total_stats_;
   std::uint64_t rebuilds_ = 0;
   std::uint64_t route_changes_ = 0;
-  std::uint64_t last_route_changes_ = 0;
 };
 
 /// Reference shortest path for tests: Dijkstra over the same constrained

@@ -45,7 +45,6 @@ class Duration {
   [[nodiscard]] constexpr std::int64_t count_nanos() const { return ns_; }
   [[nodiscard]] constexpr double to_ms() const { return static_cast<double>(ns_) / 1e6; }
   [[nodiscard]] constexpr double to_us() const { return static_cast<double>(ns_) / 1e3; }
-  [[nodiscard]] constexpr double to_seconds() const { return static_cast<double>(ns_) / 1e9; }
 
   constexpr auto operator<=>(const Duration&) const = default;
 

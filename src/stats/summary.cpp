@@ -8,13 +8,4 @@ double Summary::stddev() const { return std::sqrt(variance()); }
 
 double Summary::sample_stddev() const { return std::sqrt(sample_variance()); }
 
-double Summary::stderr_mean() const {
-  return n_ > 1 ? sample_stddev() / std::sqrt(static_cast<double>(n_)) : 0.0;
-}
-
-std::ostream& operator<<(std::ostream& os, const Summary& s) {
-  return os << "n=" << s.count() << " mean=" << s.mean() << " sd=" << s.stddev()
-            << " min=" << s.min() << " max=" << s.max();
-}
-
 }  // namespace spms::stats

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <ostream>
 
 /// \file summary.hpp
 /// Streaming scalar statistics (Welford's algorithm).
@@ -35,8 +34,6 @@ class Summary {
     return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
   }
   [[nodiscard]] double sample_stddev() const;
-  /// Standard error of the mean (sample stddev / sqrt(n)); 0 below two.
-  [[nodiscard]] double stderr_mean() const;
   [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
 
@@ -48,7 +45,5 @@ class Summary {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-std::ostream& operator<<(std::ostream& os, const Summary& s);
 
 }  // namespace spms::stats

@@ -62,16 +62,15 @@ TEST(SummaryDispersionTest, SampleStatsMatchHandComputation) {
   EXPECT_DOUBLE_EQ(s.variance(), 4.0);
   EXPECT_DOUBLE_EQ(s.sample_variance(), 32.0 / 7.0);
   EXPECT_DOUBLE_EQ(s.sample_stddev(), std::sqrt(32.0 / 7.0));
-  EXPECT_DOUBLE_EQ(s.stderr_mean(), std::sqrt(32.0 / 7.0) / std::sqrt(8.0));
 }
 
 TEST(SummaryDispersionTest, DegenerateCountsAreZero) {
   Summary s;
   EXPECT_EQ(s.sample_variance(), 0.0);
-  EXPECT_EQ(s.stderr_mean(), 0.0);
+  EXPECT_EQ(s.sample_stddev(), 0.0);
   s.add(3.0);
   EXPECT_EQ(s.sample_variance(), 0.0);
-  EXPECT_EQ(s.stderr_mean(), 0.0);
+  EXPECT_EQ(s.sample_stddev(), 0.0);
 }
 
 }  // namespace
