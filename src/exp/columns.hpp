@@ -14,8 +14,7 @@
 /// reads and the decimals each table prints it with; the aggregate table
 /// prints the mean or the sample standard deviation of that value over the
 /// point's runs.  Headers, rows and the CLI's --plot-x/--plot-y check all
-/// walk that list, so whoever reads a point's numbers reads the ones the
-/// table prints.
+/// walk that list, so each metric is named in one place.
 
 namespace spms::exp {
 
