@@ -316,19 +316,22 @@ int run_scenario_mode(const std::string& name, const ScenarioOptions& opt) {
     std::cerr << "unknown scenario '" << name << "'; --list shows the registry\n";
     return 2;
   }
-  // A --plot-x/--plot-y typo must fail before the sweep pays for itself.
+  // --plot-x/--plot-y shape only a gnuplot script, and a typo in one must
+  // fail before the sweep pays for itself.
   const auto headers = exp::table_headers(opt.per_seed ? exp::TableKind::kPerSeed
                                                         : exp::TableKind::kAggregate);
-  if (opt.format == Format::kGnuplot) {
-    for (const auto* col : {&opt.plot_x, &opt.plot_y}) {
-      if (!col->empty() &&
-          std::find(headers.begin(), headers.end(), *col) == headers.end()) {
-        std::cerr << "--plot-" << (col == &opt.plot_x ? 'x' : 'y') << ' ' << *col
-                  << ": no such column; available:";
-        for (const auto& h : headers) std::cerr << ' ' << h;
-        std::cerr << "\n";
-        return 2;
-      }
+  for (const auto* col : {&opt.plot_x, &opt.plot_y}) {
+    if (col->empty()) continue;
+    const char axis = col == &opt.plot_x ? 'x' : 'y';
+    if (opt.format != Format::kGnuplot) {
+      std::cerr << "--plot-" << axis << ": only --format gnuplot plots\n";
+      return 2;
+    }
+    if (std::find(headers.begin(), headers.end(), *col) == headers.end()) {
+      std::cerr << "--plot-" << axis << ' ' << *col << ": no such column; available:";
+      for (const auto& h : headers) std::cerr << ' ' << h;
+      std::cerr << "\n";
+      return 2;
     }
   }
 

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <string_view>
+#include <vector>
 
 #include "core/interest.hpp"
 #include "core/item_table.hpp"
@@ -59,7 +60,8 @@ struct ProtocolParams {
   /// audible traffic, not lost).  This keeps Table 1's 1.0/2.5 ms timers
   /// meaningful under load while preserving fast failure detection on a
   /// quiet channel.  The limit bounds deferrals per item as a deadlock
-  /// valve.
+  /// valve; every deferral counts, the ones a parked timer makes at its
+  /// virtual wakes included (DisseminationProtocol::park_while_audible).
   int timer_defer_limit = 4000;
 };
 
@@ -91,6 +93,17 @@ inline const std::array<double, 64> kDeferGrowth = [] {
 [[nodiscard]] inline sim::Duration defer_window(sim::Duration base, int deferrals) {
   return base * defer_growth(deferrals);
 }
+
+/// The deferral state of an item's channel-gated timers, kept in the
+/// item's protocol state (ItemTable states never move, so a parked timer
+/// needs no closure).  SPMS's tau_ADV and tau_DAT share one.
+struct Deferral {
+  static constexpr std::uint32_t kNotParked = 0xffffffffu;
+
+  int count = 0;                      ///< deferrals so far, virtual wakes included
+  std::uint32_t parked = kNotParked;  ///< the parked timer's record, while one is parked
+  net::DataId item;                   ///< the item, recorded when a timer parks
+};
 
 /// Invoked exactly once per (interested node, item) when the data arrives.
 using DeliveryCallback =
@@ -146,27 +159,46 @@ class DisseminationProtocol : public net::Agent {
   /// queued behind other frames.
   [[nodiscard]] sim::Duration retry_wait(int attempts) const;
 
+  /// The handle a parked timer holds: valid, and matched by no scheduler
+  /// slot.
+  static constexpr sim::EventHandle kParked{~std::uint64_t{0}};
+  [[nodiscard]] static bool is_parked(sim::EventHandle timer) { return timer.id == kParked.id; }
+
   /// Channel-gated timer deferral (ProtocolParams::timer_defer_limit).  Call
-  /// it when a gated timer of `self` expires.  While `self` has heard the
-  /// channel busy within the window of deferral number `deferrals`, and the
-  /// limit is not reached, it increments `deferrals`, re-arms `timer` to
-  /// call `wake` when the grown window has been quiet, and returns true: the
-  /// reply is plainly queued behind audible traffic, not lost.  Otherwise it
-  /// returns false and the caller acts on the expiry.  Checking with the
-  /// current window and waking with the grown one lets a quiet channel fire
-  /// the timer on schedule.
-  template <class Fn>
-  [[nodiscard]] bool defer_while_audible(net::NodeId self, int& deferrals,
-                                         sim::EventHandle& timer, Fn&& wake) {
-    if (net_.channel_quiet_at(self, defer_window(params_.tout_dat, deferrals)) <= sim_.now() ||
-        deferrals >= params_.timer_defer_limit) {
-      return false;
-    }
-    ++deferrals;
-    timer = sim_.at(net_.channel_quiet_at(self, defer_window(params_.tout_dat, deferrals)),
-                    std::forward<Fn>(wake));
-    return true;
-  }
+  /// it when the gated `timer` of `self` for `item` expires.  With B the
+  /// end of the last transmission `self` heard and W(d) =
+  /// defer_window(tout_dat, d), the timer defers iff B + W(deferral.count)
+  /// is still ahead and the limit is not reached.  A deferring timer
+  /// counts one deferral, parks in `self`'s wake heap (`timer` becomes
+  /// kParked) and returns true: the reply is plainly queued behind audible
+  /// traffic, not lost.  Otherwise it returns false and the caller acts on
+  /// the expiry.
+  ///
+  /// A parked timer is (count d, stamp S it last saw, wake w = S + W(d)).
+  /// Its virtual wake at w fires it iff the stamp is still S or d reached
+  /// the limit; otherwise d grows by one and it wakes again at B(w) +
+  /// W(d), where B(w) is the stamp as it was just before instant w.  Each
+  /// wake is decided as if the timer had woken at it, but no scheduler
+  /// event is spent on it: it is decided at the first stamp rise at or
+  /// after it (before_stamp), at the node's one scheduler event, at the
+  /// node's next park, or when the timer is cancelled.  A firing timer runs
+  /// on_wake(self, item).
+  [[nodiscard]] bool park_while_audible(net::NodeId self, net::DataId item, Deferral& deferral,
+                                        sim::EventHandle& timer);
+
+  /// Stops a gated `timer` of `self`, scheduled or parked, and clears it.  A
+  /// parked timer first takes the deferral of a wake at or before now that
+  /// was still undecided: those wakes ran before a cancel at their instant,
+  /// so the item's next timer starts from the same count.
+  void cancel_timer(net::NodeId self, sim::EventHandle& timer, Deferral& deferral);
+
+  /// A parked timer of `self` for `item` fires: the protocol runs the
+  /// expiry handler of the timer it parked, whose park_while_audible call
+  /// then returns false.  Protocols that park timers override it.
+  virtual void on_wake(net::NodeId /*self*/, net::DataId /*item*/) {}
+
+  /// Decides `self`'s wakes up to this instant before its stamp rises.
+  void before_stamp(net::NodeId self) override;
 
   /// Holder-side service guard: `holder` serves (`item`, `requester`) at
   /// most once per service_guard window.  Returns true, and records the
@@ -200,10 +232,106 @@ class DisseminationProtocol : public net::Agent {
     }
   };
 
+  /// One parked timer in its node's wake heap.  Ties on `at` go to the
+  /// earlier check, as the scheduler's FIFO order would run events that
+  /// each check had scheduled.
+  struct Wake {
+    sim::TimePoint at;     ///< the next virtual wake
+    sim::TimePoint seen;   ///< the node's busy stamp at the last check
+    std::uint32_t order;   ///< the node's check count at that check
+    std::uint32_t timer;   ///< its record in parked_
+  };
+  /// A parked timer's record: its deferral state and its heap position.
+  /// Sifts write positions here, into one dense array, not into the
+  /// scattered item states.
+  struct Parked {
+    Deferral* deferral;
+    std::uint32_t slot;  ///< heap position; the next free record while unused
+  };
+  [[nodiscard]] static bool wakes_before(const Wake& a, const Wake& b) {
+    return a.at != b.at ? a.at < b.at : a.order < b.order;
+  }
+
+  /// The parked timers of a node that holds more than kScanMax, by
+  /// min(count, 64): W depends only on that.  `current` holds the timers
+  /// that saw the node's present stamp (taken at `stamp`), `stale` those
+  /// that saw an older one.  A node with fewer timers scans them instead.
+  struct WakeCounts {
+    std::array<std::uint32_t, 65> current{};
+    std::array<std::uint32_t, 65> stale{};
+    std::uint64_t current_bits = 0;  ///< non-empty buckets below 64
+    std::uint64_t stale_bits = 0;
+    sim::TimePoint stamp;
+    std::uint32_t at_limit = 0;      ///< timers whose count reached the limit
+    std::uint32_t next_free = 0;     ///< free-list link while unused
+  };
+  /// Counts cost about 550 bytes a node; where most nodes park a few
+  /// timers (cluster traffic on 1,024 nodes) a scan is cheaper in memory.
+  static constexpr std::uint32_t kScanMax = 8;
+
+  /// A node's wake heap (a run of wakes_), its counts and its one event.
+  struct NodeWakes {
+    std::uint32_t base = 0;
+    std::uint32_t capacity = 0;
+    std::uint32_t size = 0;
+    std::uint32_t counts = kNone;  ///< its WakeCounts while it holds more than kScanMax
+    std::uint32_t checks = 0;      ///< orders the node's checks
+    sim::EventHandle event;
+    sim::TimePoint event_at;
+  };
+
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  /// defer_window(tout_dat, deferrals), read from windows_.
+  [[nodiscard]] sim::Duration window(int deferrals) const {
+    return windows_[static_cast<std::size_t>(std::min(deferrals, 64))];
+  }
+  [[nodiscard]] Wake* heap(std::uint32_t v) { return wakes_.data() + nodes_[v].base; }
+  void heap_set(std::uint32_t v, std::uint32_t pos, const Wake& w);
+  /// Frees the record of `deferral`'s parked timer.
+  void unpark(Deferral& deferral);
+  void sift_up(std::uint32_t v, std::uint32_t pos);
+  void sift_down(std::uint32_t v, std::uint32_t pos);
+  void heap_push(std::uint32_t v, const Wake& w);
+  void heap_remove(std::uint32_t v, std::uint32_t pos);
+
+  /// `v`'s counts, with `current` moved to `stale` if the stamp rose
+  /// since; nullptr while the node scans instead.
+  WakeCounts* counts_of(std::uint32_t v);
+  /// Gives `v`, past kScanMax timers, counts taken from its heap.
+  void start_counts(std::uint32_t v);
+  /// Adds `delta` timers with `count` deferrals that saw stamp `seen`.
+  void tally(WakeCounts& c, sim::TimePoint seen, int count, int delta) const;
+
+  /// Decides `v`'s wakes before now (`and_now`: at now too, which may fire).
+  void run_wakes(std::uint32_t v, bool and_now);
+  /// The earliest instant any parked timer of `v` fires if no more traffic
+  /// is heard.
+  [[nodiscard]] sim::TimePoint earliest_fire(std::uint32_t v);
+  /// After `v`'s heap changed: points its stamp watch at the first wake,
+  /// or, with the last timer gone, drops its event and storage.
+  void rewatch(std::uint32_t v);
+  /// Moves `v`'s event to `at` unless it is due no later.  The event may
+  /// sit early (a stamp moved every bound later); it then only decides
+  /// wakes and reschedules itself.
+  void wake_node_by(std::uint32_t v, sim::TimePoint at);
+  void on_node_event(std::uint32_t v);
+
   DeliveryCallback deliver_;
   std::uint64_t given_up_ = 0;
   /// When each (holder, item, requester) pair was last served.
   FlatMap<ServiceKey, sim::TimePoint, ServiceKeyHash> served_;
+
+  std::array<sim::Duration, 65> windows_;  ///< W(0..64); W stays at W(64) beyond
+  std::vector<NodeWakes> nodes_;
+  std::vector<Parked> parked_;
+  std::uint32_t free_parked_ = kNone;
+  /// Every node's wake heap, each in a run of power-of-two length; free
+  /// runs chain through their first wake's `order`, by log2 length.
+  std::vector<Wake> wakes_;
+  std::array<std::uint32_t, 32> free_runs_;
+  std::vector<WakeCounts> counts_;
+  std::uint32_t free_counts_ = kNone;
 };
 
 }  // namespace spms::core

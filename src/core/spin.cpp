@@ -38,7 +38,7 @@ void SpinProtocol::send_req(net::NodeId self, net::DataId item, net::NodeId to) 
       sim_.events().emit(
           {.at = sim_.now(), .kind = obs::TraceKind::kSpinReq, .node = self, .peer = to, .item = item});
     }
-    sim_.cancel(st.retry);
+    cancel_timer(self, st.retry, st.deferral);
     st.retry =
         sim_.after(retry_wait(st.attempts), [this, self, item] { on_retry_timeout(self, item); });
   }
@@ -49,10 +49,7 @@ void SpinProtocol::on_retry_timeout(net::NodeId self, net::DataId item) {
   st.retry = sim::EventHandle{};
   if (st.has) return;
   // Audible traffic: the DATA is queued somewhere we can hear; keep waiting.
-  if (defer_while_audible(self, st.deferrals, st.retry,
-                          [this, self, item] { on_retry_timeout(self, item); })) {
-    return;
-  }
+  if (park_while_audible(self, item, st.deferral, st.retry)) return;
   st.pending = false;
   if (out_of_retries(self, item, st.attempts, st.gave_up)) return;
   // Re-request from the advertiser we last heard; it may have been down
@@ -96,8 +93,7 @@ void SpinProtocol::handle_data(net::NodeId self, const net::Packet& p) {
   if (st.has) return;  // duplicate
   st.has = true;
   st.pending = false;
-  sim_.cancel(st.retry);
-  st.retry = sim::EventHandle{};
+  cancel_timer(self, st.retry, st.deferral);
   if (sim_.events().enabled()) {
     sim_.events().emit({.at = sim_.now(), .kind = obs::TraceKind::kSpinData, .node = self,
                         .peer = p.src, .parent = p.holder, .item = p.item});
@@ -109,9 +105,8 @@ void SpinProtocol::handle_data(net::NodeId self, const net::Packet& p) {
 void SpinProtocol::on_down(net::NodeId self) {
   // "Any scheduled packet transfer is cancelled": the network cleared the
   // MAC queue; we additionally stop our timers and forget in-flight REQs.
-  items_.for_each(self, [this](net::DataId, ItemState& st) {
-    sim_.cancel(st.retry);
-    st.retry = sim::EventHandle{};
+  items_.for_each(self, [this, self](net::DataId, ItemState& st) {
+    cancel_timer(self, st.retry, st.deferral);
     st.pending = false;
   });
 }

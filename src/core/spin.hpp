@@ -41,10 +41,10 @@ class SpinProtocol final : public DisseminationProtocol {
     bool advertised = false;     ///< ADV successfully handed to the MAC
     bool pending = false;        ///< REQ outstanding
     net::NodeId advertiser;      ///< who we last heard an ADV from
-    sim::EventHandle retry;      ///< re-request timer (failure liveness)
+    sim::EventHandle retry;      ///< re-request timer (kParked while it defers)
     int attempts = 0;
     bool gave_up = false;        ///< retry budget exhausted (counted once)
-    int deferrals = 0;           ///< timer expiries deferred by channel activity
+    Deferral deferral;           ///< the re-request timer's deferrals
   };
 
   void on_receive(net::NodeId self, const net::Packet& p) override;
@@ -56,6 +56,8 @@ class SpinProtocol final : public DisseminationProtocol {
 
   void send_req(net::NodeId self, net::DataId item, net::NodeId to);
   void on_retry_timeout(net::NodeId self, net::DataId item);
+  /// A parked re-request timer fires: runs its expiry handler.
+  void on_wake(net::NodeId self, net::DataId item) override { on_retry_timeout(self, item); }
 
   ItemTable<ItemState> items_;
 };

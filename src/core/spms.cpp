@@ -30,7 +30,7 @@ void SpmsProtocol::publish(net::NodeId source, net::DataId item) {
 
 void SpmsProtocol::arm_dat_timer(net::NodeId self, net::DataId item) {
   ItemState& st = items_(self, item);
-  sim_.cancel(st.dat_timer);
+  cancel_timer(self, st.dat_timer, st.deferral);
   st.dat_timer =
       sim_.after(retry_wait(st.attempts), [this, self, item] { on_dat_timeout(self, item); });
   st.awaiting = true;
@@ -144,8 +144,7 @@ void SpmsProtocol::handle_adv(net::NodeId self, const net::Packet& p) {
   const bool adv_armed = st.adv_timer.valid();
   if (routing_.is_next_hop_neighbor(self, prone_of(st))) {
     // The holder is one hop along the shortest path: request immediately.
-    sim_.cancel(st.adv_timer);
-    st.adv_timer = sim::EventHandle{};
+    cancel_timer(self, st.adv_timer, st.deferral);
     send_req_direct(self, p.item, prone_of(st));
     return;
   }
@@ -153,7 +152,7 @@ void SpmsProtocol::handle_adv(net::NodeId self, const net::Packet& p) {
   // Multi-hop territory: wait for a relay to re-advertise (tau_ADV).  A
   // PRONE change restarts the countdown ("C … resets its timer tau_ADV").
   if (!adv_armed || prone_changed) {
-    sim_.cancel(st.adv_timer);
+    cancel_timer(self, st.adv_timer, st.deferral);
     const auto item = p.item;
     st.adv_timer = sim_.after(params_.tout_adv, [this, self, item] { on_adv_timeout(self, item); });
   }
@@ -165,10 +164,7 @@ void SpmsProtocol::on_adv_timeout(net::NodeId self, net::DataId item) {
   if (st.has || st.awaiting) return;  // raced with a delivery or a request
   // Audible traffic means relays are still working through their queues;
   // defer the verdict instead of prematurely pulling from a distant PRONE.
-  if (defer_while_audible(self, st.deferrals, st.adv_timer,
-                          [this, self, item] { on_adv_timeout(self, item); })) {
-    return;
-  }
+  if (park_while_audible(self, item, st.deferral, st.adv_timer)) return;
   // No relay re-advertised in time: request from the PRONE through the
   // shortest path.
   send_req_via_route(self, item, prone_of(st));
@@ -183,10 +179,7 @@ void SpmsProtocol::on_dat_timeout(net::NodeId self, net::DataId item) {
   }
   // The reply is plainly queued behind traffic we can hear; keep waiting.
   // tau_ADV and tau_DAT share the item's deferral count.
-  if (defer_while_audible(self, st.deferrals, st.dat_timer,
-                          [this, self, item] { on_dat_timeout(self, item); })) {
-    return;
-  }
+  if (park_while_audible(self, item, st.deferral, st.dat_timer)) return;
   st.awaiting = false;
   if (out_of_retries(self, item, st.attempts, st.gave_up)) return;
 
@@ -232,6 +225,14 @@ void SpmsProtocol::on_dat_timeout(net::NodeId self, net::DataId item) {
     }
   }
   send_req_direct(self, item, target);
+}
+
+void SpmsProtocol::on_wake(net::NodeId self, net::DataId item) {
+  if (is_parked(items_(self, item).adv_timer)) {
+    on_adv_timeout(self, item);
+  } else {
+    on_dat_timeout(self, item);
+  }
 }
 
 void SpmsProtocol::handle_forwarded_adv(net::NodeId self, const net::Packet& p) {
@@ -399,9 +400,8 @@ void SpmsProtocol::take_first_copy(net::NodeId self, const net::Packet& data) {
   if (st.has) return;  // duplicate (e.g. an escalated retry raced the original)
   st.has = true;
   st.awaiting = false;
-  sim_.cancel(st.adv_timer);
-  sim_.cancel(st.dat_timer);
-  st.adv_timer = st.dat_timer = sim::EventHandle{};
+  cancel_timer(self, st.adv_timer, st.deferral);
+  cancel_timer(self, st.dat_timer, st.deferral);
   if (sim_.events().enabled()) {
     // A caching relay becomes a holder in its own right; its span needs a
     // data record so downstream journeys it later serves chain through it
@@ -417,10 +417,9 @@ void SpmsProtocol::take_first_copy(net::NodeId self, const net::Packet& data) {
 void SpmsProtocol::on_down(net::NodeId self) {
   // The MAC queue is already gone; stop every timer so the crashed node
   // takes no autonomous action until repair.
-  items_.for_each(self, [this](net::DataId, ItemState& st) {
-    sim_.cancel(st.adv_timer);
-    sim_.cancel(st.dat_timer);
-    st.adv_timer = st.dat_timer = sim::EventHandle{};
+  items_.for_each(self, [this, self](net::DataId, ItemState& st) {
+    cancel_timer(self, st.adv_timer, st.deferral);
+    cancel_timer(self, st.dat_timer, st.deferral);
     st.awaiting = false;
   });
 }
@@ -441,7 +440,7 @@ void SpmsProtocol::on_up(net::NodeId self) {
     }
     // Resume the acquisition: give relays a tau_ADV window to re-advertise
     // (our state may be stale), then fall back to the shortest path.
-    sim_.cancel(st.adv_timer);
+    cancel_timer(self, st.adv_timer, st.deferral);
     st.adv_timer =
         sim_.after(params_.tout_adv, [this, self, item] { on_adv_timeout(self, item); });
   });

@@ -79,8 +79,8 @@ class SpmsProtocol final : public DisseminationProtocol {
     /// the default config never heap-allocates per item).
     InlineVec<net::NodeId, 4> originators;
 
-    sim::EventHandle adv_timer;  ///< tau_ADV
-    sim::EventHandle dat_timer;  ///< tau_DAT
+    sim::EventHandle adv_timer;  ///< tau_ADV (kParked while it defers)
+    sim::EventHandle dat_timer;  ///< tau_DAT (kParked while it defers)
     bool awaiting = false;       ///< a REQ is outstanding
 
     bool last_direct = false;   ///< last REQ was one direct transmission
@@ -88,7 +88,7 @@ class SpmsProtocol final : public DisseminationProtocol {
     int attempts = 0;           ///< REQs sent for this item
     bool multihop_retried = false;  ///< the ladder's multi-hop re-REQ fired
     bool gave_up = false;           ///< retry budget exhausted (counted once)
-    int deferrals = 0;              ///< timer expiries deferred by channel activity
+    Deferral deferral;              ///< tau_ADV and tau_DAT defer on one count
 
     // Cross-zone extension state.
     bool adv_forwarded = false;        ///< this node couriered the metadata once
@@ -117,6 +117,8 @@ class SpmsProtocol final : public DisseminationProtocol {
 
   void on_adv_timeout(net::NodeId self, net::DataId item);
   void on_dat_timeout(net::NodeId self, net::DataId item);
+  /// A parked tau_ADV or tau_DAT fires: runs its expiry handler.
+  void on_wake(net::NodeId self, net::DataId item) override;
 
   /// Takes the first copy of DATA at `self` (a requester, or a caching
   /// relay): stops its timers, records the delivery and advertises the item.

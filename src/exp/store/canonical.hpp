@@ -55,13 +55,18 @@ namespace spms::exp::store {
 /// schema v6 → v7").
 /// v8: results lost failures_injected, a second copy of faults.node_downs.
 /// No golden moved (EXPERIMENTS.md "Store schema v7 → v8").
-inline constexpr int kSchemaVersion = 8;
+/// v9: channel-gated timers park in their node's wake heap instead of
+/// re-arming a scheduler event per deferral.  Every defer/fire decision
+/// is the same, but timers at different nodes that fire at one instant run
+/// in another order, and `events` no longer counts re-arms; every golden
+/// re-pinned (EXPERIMENTS.md "Store schema v8 → v9").
+inline constexpr int kSchemaVersion = 9;
 
 /// 64-bit FNV-1a over every tests/golden/*.csv in file-name order (each
 /// file's name, then its bytes).  A test recomputes it, so a re-pinned
 /// golden cannot land without touching this line — and the change that
 /// re-pins a golden bumps kSchemaVersion with it.
-inline constexpr std::uint64_t kGoldenDigest = 0x5db8f25d498f3685ULL;
+inline constexpr std::uint64_t kGoldenDigest = 0x83677e7cd3cefc21ULL;
 
 /// Stable field-ordered JSON object describing `config` completely.
 [[nodiscard]] std::string canonical_config_json(const ExperimentConfig& config);

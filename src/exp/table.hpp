@@ -43,13 +43,12 @@ class Table {
                      const std::string& y_col) const;
 
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
-  [[nodiscard]] const std::vector<std::string>& headers() const { return headers_; }
 
+ private:
   /// True when every row's cell in `column` parses as a bare JSON number —
   /// the same test the JSON emitter applies (used to pick plottable axes).
   [[nodiscard]] bool column_is_numeric(const std::string& column) const;
 
- private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };

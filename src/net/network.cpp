@@ -45,6 +45,7 @@ Network::Network(sim::Simulation& sim, RadioTable radio, MacParams mac, EnergyMo
   pos_ = std::move(positions);
   up_.assign(n, 1);
   channel_busy_until_.assign(n, sim::TimePoint::zero() - sim::Duration::seconds(3600));
+  stamp_watch_.assign(n, sim::TimePoint::max());
   battery_state_.resize(n);
   battery_bucket_.assign(n, 0);
   agent_.assign(n, nullptr);
@@ -241,17 +242,37 @@ void Network::mac_begin_tx(std::uint32_t v) {
     mac_event_[v] = sim::EventHandle{};
     return;
   }
+  const sim::TimePoint now = sim_.now();
+  const sim::TimePoint end = now + airtime(mac_queue_[v].front().packet.size_bytes);
+  // Raises o's stamp to `end`, first letting a watching agent decide the
+  // wakes that fall at or before this instant.
+  const auto raise = [&](std::uint32_t o) {
+    if (end <= channel_busy_until_[o]) return;
+    if (stamp_watch_[o] <= now && agent_[o] != nullptr) agent_[o]->before_stamp(NodeId{o});
+    channel_busy_until_[o] = end;
+  };
+  // The transmitter's own stamp rises before anything else happens at this
+  // instant, so a timer deciding at it sees the channel as it was (and may
+  // queue frames behind this one).
+  if (mac_.carrier_sense) raise(v);
   const OutgoingFrame& f = mac_queue_[v].front();
   charge_node_tx(v, tx_energy_uj(f.packet.size_bytes, f.level), f.use);
   count_tx(f.packet);
-  const auto end = sim_.now() + airtime(f.packet.size_bytes);
   if (mac_.carrier_sense) {
-    // Occupy the channel across the coverage disc (the transmitter included).
-    // Visitation order is irrelevant: stamping a max is commutative.
-    if (end > channel_busy_until_[v]) channel_busy_until_[v] = end;
+    // Occupy the channel across the coverage disc.  The walk only stamps;
+    // watched nodes rise after it, each once its agent has decided.  An
+    // agent acts on its own node alone, so this order changes nothing but
+    // the order of timers that fire at this instant.
     walk_disc(NodeId{v}, f.coverage_m, [&](std::uint32_t o) {
-      if (end > channel_busy_until_[o]) channel_busy_until_[o] = end;
+      if (end <= channel_busy_until_[o]) return;
+      if (stamp_watch_[o] <= now) {
+        watched_.push_back(o);
+      } else {
+        channel_busy_until_[o] = end;
+      }
     });
+    for (const std::uint32_t o : watched_) raise(o);
+    watched_.clear();
   }
   mac_event_[v] = sim_.at(end, [this, v] { mac_complete_tx(v); });
 }

@@ -148,12 +148,15 @@ class Network {
     return sim_.now() - channel_busy_until_.at(id.v) >= window;
   }
 
-  /// Earliest instant at which channel_quiet_for(id, window) could become
-  /// true given what has been heard so far; deferring timers sleep until
-  /// this instant instead of polling.
-  [[nodiscard]] sim::TimePoint channel_quiet_at(NodeId id, sim::Duration window) const {
-    return channel_busy_until_.at(id.v) + window;
+  /// The node's carrier-sense stamp: the end of the last transmission it
+  /// heard (or made).  It only ever rises.
+  [[nodiscard]] sim::TimePoint channel_busy_until(NodeId id) const {
+    return channel_busy_until_.at(id.v);
   }
+
+  /// Asks for the agent's before_stamp(id) ahead of every rise of `id`'s
+  /// stamp at or after `from`; TimePoint::max(), the default, asks for none.
+  void set_stamp_watch(NodeId id, sim::TimePoint from) { stamp_watch_.at(id.v) = from; }
 
   // --- wiring ----------------------------------------------------------------
   /// Installs the agent that handles `id`'s callbacks (non-owning; nullptr
@@ -341,6 +344,7 @@ class Network {
   std::vector<Point> pos_;                      ///< positions (mirrors grid_)
   std::vector<std::uint8_t> up_;                ///< liveness flags (1 = up)
   std::vector<sim::TimePoint> channel_busy_until_;  ///< carrier-sense horizon
+  std::vector<sim::TimePoint> stamp_watch_;     ///< see set_stamp_watch
   std::vector<Battery> battery_state_;          ///< charge meters + depletion
   std::vector<std::uint8_t> battery_bucket_;    ///< last traced residual bucket
   std::vector<Agent*> agent_;                   ///< non-owning per-node agents
@@ -363,6 +367,8 @@ class Network {
   /// delivery is non-reentrant: nothing inside the hearer loop queries
   /// neighbors (agents only run later, on the t_proc event).
   mutable std::vector<NodeId> scratch_hearers_;
+  /// Scratch list of the watched nodes a transmission stamps, reused.
+  std::vector<std::uint32_t> watched_;
   std::vector<std::unique_ptr<DeliveryCtx>> delivery_store_;
   std::vector<DeliveryCtx*> delivery_free_;
   std::vector<std::unique_ptr<FrameCtx>> frame_store_;

@@ -31,6 +31,11 @@ class Agent {
 
   /// `self` just recovered.
   virtual void on_up(NodeId /*self*/) {}
+
+  /// `self`'s carrier-sense stamp is about to rise, at or after the instant
+  /// the agent named through Network::set_stamp_watch.  The stamp still
+  /// reads as it was just before this instant.
+  virtual void before_stamp(NodeId /*self*/) {}
 };
 
 }  // namespace spms::net

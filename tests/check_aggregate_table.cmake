@@ -7,7 +7,9 @@
 # aggregate CSV (one row per grid point) carries exactly the pinned columns,
 # and on smoke, faults-smoke and lifetime-smoke every cell except protocol
 # and variant is a plain number: a `nan` or any other word in a numeric
-# column would turn that column into a gnuplot series key.
+# column would turn that column into a gnuplot series key.  --plot-x and
+# --plot-y shape only a gnuplot script: with any other format the CLI
+# refuses them before a job runs.
 if(NOT DEFINED CLI)
   message(FATAL_ERROR "check_aggregate_table.cmake: -DCLI=... is required")
 endif()
@@ -19,6 +21,14 @@ endif()
 if(NOT listing MATCHES "\nfig06 [^\n]*SPMS saves 26-43%; gap widens with the field")
   message(FATAL_ERROR "--list: fig06's row lacks its paper claim\n${listing}")
 endif()
+
+foreach(flags "--format;csv;--plot-y;bogus" "--plot-x;seeds")
+  execute_process(COMMAND "${CLI}" --scenario smoke --seeds 1 ${flags} --quiet
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 2 OR NOT out STREQUAL "" OR NOT err MATCHES "only --format gnuplot")
+    message(FATAL_ERROR "${flags}: exit ${rc}, not a refusal\n${out}${err}")
+  endif()
+endforeach()
 
 set(columns
     protocol nodes radius_m variant seeds delivery mean_delay_ms delay_sd p95_delay_ms

@@ -287,7 +287,7 @@ TEST(CanonicalTest, ConfigBytesArePinned) {
   std::snprintf(hex, sizeof hex, "0x%016llx", static_cast<unsigned long long>(h));
   const std::string key = config_key(ExperimentConfig{});
   EXPECT_EQ(jobs, 472u);
-  EXPECT_EQ(key, "8ff0e6d0c268ea76")
+  EXPECT_EQ(key, "932f752db4527c41")
       << "default config key is now " << key
       << "; a kSchemaVersion bump moves it, so re-record it in the same change.  If the "
          "schema did not change, the canonical config bytes moved (see the registry hash)";
