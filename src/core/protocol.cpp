@@ -27,7 +27,7 @@ DisseminationProtocol::DisseminationProtocol(sim::Simulation& sim, net::Network&
 DisseminationProtocol::~DisseminationProtocol() {
   for (std::uint32_t i = 0; i < net_.size(); ++i) {
     net_.set_agent(net::NodeId{i}, nullptr);
-    net_.set_stamp_watch(net::NodeId{i}, sim::TimePoint::max());
+    net_.set_watch(net::NodeId{i}, sim::TimePoint::max());
   }
 }
 
@@ -64,6 +64,7 @@ bool DisseminationProtocol::admit_service(net::NodeId holder, net::DataId item,
 
 bool DisseminationProtocol::park_while_audible(net::NodeId self, net::DataId item,
                                                Deferral& deferral, sim::EventHandle& timer) {
+  assert(deferral.parked == Deferral::kNotParked);
   const sim::TimePoint busy = net_.channel_busy_until(self);
   if (busy + window(deferral.count) <= sim_.now() ||
       deferral.count >= params_.timer_defer_limit) {
@@ -97,29 +98,23 @@ bool DisseminationProtocol::park_while_audible(net::NodeId self, net::DataId ite
 
 void DisseminationProtocol::cancel_timer(net::NodeId self, sim::EventHandle& timer,
                                          Deferral& deferral) {
-  if (!is_parked(timer)) {
-    sim_.cancel(timer);
-    timer = sim::EventHandle{};
-    return;
+  if (is_parked(timer)) {
+    const std::uint32_t v = self.v;
+    run_wakes(v, true);  // may fire this timer, whose handler re-arms `timer`
+    if (is_parked(timer)) {
+      const std::uint32_t slot = parked_[deferral.parked].slot;
+      if (WakeCounts* c = counts_of(v)) tally(*c, heap(v)[slot].seen, deferral.count, -1);
+      heap_remove(v, slot);
+      unpark(deferral);
+      timer = sim::EventHandle{};
+    }
+    rewatch(v);
   }
+  sim_.cancel(timer);
   timer = sim::EventHandle{};
-  const std::uint32_t v = self.v;
-  const std::uint32_t slot = parked_[deferral.parked].slot;
-  const Wake w = heap(v)[slot];
-  if (WakeCounts* c = counts_of(v)) tally(*c, w.seen, deferral.count, -1);
-  // Every wake before this one was decided; a stale timer's wake at or
-  // before now defers once.  (A wake of a timer that saw the present stamp
-  // would fire, and no wake fires later than its instant.)
-  if (w.at <= sim_.now() && w.seen != net_.channel_busy_until(self) &&
-      deferral.count < params_.timer_defer_limit) {
-    ++deferral.count;
-  }
-  heap_remove(v, slot);
-  unpark(deferral);
-  rewatch(v);
 }
 
-void DisseminationProtocol::before_stamp(net::NodeId self) {
+void DisseminationProtocol::on_watch(net::NodeId self) {
   run_wakes(self.v, true);
   rewatch(self.v);
 }
@@ -195,12 +190,12 @@ sim::TimePoint DisseminationProtocol::earliest_fire(std::uint32_t v) {
 void DisseminationProtocol::rewatch(std::uint32_t v) {
   NodeWakes& n = nodes_[v];
   if (n.size > 0) {
-    net_.set_stamp_watch(net::NodeId{v}, heap(v)[0].at);
+    net_.set_watch(net::NodeId{v}, heap(v)[0].at);
     return;
   }
   sim_.cancel(n.event);
   n.event = sim::EventHandle{};
-  net_.set_stamp_watch(net::NodeId{v}, sim::TimePoint::max());
+  net_.set_watch(net::NodeId{v}, sim::TimePoint::max());
   if (n.capacity > 0) {
     const auto log = std::countr_zero(n.capacity);
     wakes_[n.base].order = free_runs_[log];

@@ -165,7 +165,8 @@ class DisseminationProtocol : public net::Agent {
   [[nodiscard]] static bool is_parked(sim::EventHandle timer) { return timer.id == kParked.id; }
 
   /// Channel-gated timer deferral (ProtocolParams::timer_defer_limit).  Call
-  /// it when the gated `timer` of `self` for `item` expires.  With B the
+  /// it when the gated `timer` of `self` for `item` expires; `deferral` must
+  /// have no timer parked (timers that share one park in turn).  With B the
   /// end of the last transmission `self` heard and W(d) =
   /// defer_window(tout_dat, d), the timer defers iff B + W(deferral.count)
   /// is still ahead and the limit is not reached.  A deferring timer
@@ -179,17 +180,20 @@ class DisseminationProtocol : public net::Agent {
   /// the limit; otherwise d grows by one and it wakes again at B(w) +
   /// W(d), where B(w) is the stamp as it was just before instant w.  Each
   /// wake is decided as if the timer had woken at it, but no scheduler
-  /// event is spent on it: it is decided at the first stamp rise at or
-  /// after it (before_stamp), at the node's one scheduler event, at the
-  /// node's next park, or when the timer is cancelled.  A firing timer runs
-  /// on_wake(self, item).
+  /// event is spent on it: it is decided at the first of the node's one
+  /// scheduler event, the node's next park or cancel, and the network's
+  /// next stamp rise, delivery, crash or recovery at the node at or after
+  /// it (on_watch).  A firing timer runs on_wake(self, item).  So a wake
+  /// runs before whatever else happens at the node at its instant, except
+  /// a park.
   [[nodiscard]] bool park_while_audible(net::NodeId self, net::DataId item, Deferral& deferral,
                                         sim::EventHandle& timer);
 
-  /// Stops a gated `timer` of `self`, scheduled or parked, and clears it.  A
-  /// parked timer first takes the deferral of a wake at or before now that
-  /// was still undecided: those wakes ran before a cancel at their instant,
-  /// so the item's next timer starts from the same count.
+  /// Stops a gated `timer` of `self`, scheduled or parked, and clears it.  If
+  /// it is parked, `self`'s wakes at or before now are decided first, as
+  /// they ran before a cancel at their instant: a due wake of this timer
+  /// defers it, so the item's next timer starts from the same count, or
+  /// fires it, and the timer its handler arms is the one cancelled.
   void cancel_timer(net::NodeId self, sim::EventHandle& timer, Deferral& deferral);
 
   /// A parked timer of `self` for `item` fires: the protocol runs the
@@ -197,8 +201,9 @@ class DisseminationProtocol : public net::Agent {
   /// then returns false.  Protocols that park timers override it.
   virtual void on_wake(net::NodeId /*self*/, net::DataId /*item*/) {}
 
-  /// Decides `self`'s wakes up to this instant before its stamp rises.
-  void before_stamp(net::NodeId self) override;
+  /// Decides `self`'s wakes up to this instant before the network acts on
+  /// the node.
+  void on_watch(net::NodeId self) override;
 
   /// Holder-side service guard: `holder` serves (`item`, `requester`) at
   /// most once per service_guard window.  Returns true, and records the
@@ -243,7 +248,11 @@ class DisseminationProtocol : public net::Agent {
   };
   /// A parked timer's record: its deferral state and its heap position.
   /// Sifts write positions here, into one dense array, not into the
-  /// scattered item states.
+  /// scattered item states.  Keeping the position in the Deferral, with a
+  /// 32-byte Wake that points at it, made the macro benchmark's dense
+  /// run_s 8% higher (150 against 138 ms, four alternating pairs) and
+  /// faults' 7%, in a build that also computed W at each use, which
+  /// accounts for 2.6 points of it (see window()).
   struct Parked {
     Deferral* deferral;
     std::uint32_t slot;  ///< heap position; the next free record while unused
@@ -265,8 +274,12 @@ class DisseminationProtocol : public net::Agent {
     std::uint32_t at_limit = 0;      ///< timers whose count reached the limit
     std::uint32_t next_free = 0;     ///< free-list link while unused
   };
-  /// Counts cost about 550 bytes a node; where most nodes park a few
-  /// timers (cluster traffic on 1,024 nodes) a scan is cheaper in memory.
+  /// A count block is 552 bytes.  On the macro benchmark's cluster workload
+  /// no node holds more than 8 parked timers, but up to 543 of its 1,024
+  /// hold some at once: counts at every node raised its peak RSS from
+  /// 6.56-6.61 to 6.80-6.82 MB and its run_s from 27.5-28.7 to 29.7-29.8 ms.
+  /// A scan at every node took fig12 (--seeds 2 --jobs 4) from 47 to 79 s,
+  /// its nodes holding up to 1,382 timers (EXPERIMENTS.md, "Performance").
   static constexpr std::uint32_t kScanMax = 8;
 
   /// A node's wake heap (a run of wakes_), its counts and its one event.
@@ -282,7 +295,10 @@ class DisseminationProtocol : public net::Agent {
 
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
-  /// defer_window(tout_dat, deferrals), read from windows_.
+  /// defer_window(tout_dat, deferrals), read from windows_.  Calling
+  /// defer_window, whose multiply rounds through llround, at each use made
+  /// the macro benchmark's dense run_s 2.6% higher (142 against 138 ms,
+  /// six alternating pairs, six wins for the table).
   [[nodiscard]] sim::Duration window(int deferrals) const {
     return windows_[static_cast<std::size_t>(std::min(deferrals, 64))];
   }
@@ -308,8 +324,8 @@ class DisseminationProtocol : public net::Agent {
   /// The earliest instant any parked timer of `v` fires if no more traffic
   /// is heard.
   [[nodiscard]] sim::TimePoint earliest_fire(std::uint32_t v);
-  /// After `v`'s heap changed: points its stamp watch at the first wake,
-  /// or, with the last timer gone, drops its event and storage.
+  /// After `v`'s heap changed: points its watch at the first wake, or, with
+  /// the last timer gone, drops its event and storage.
   void rewatch(std::uint32_t v);
   /// Moves `v`'s event to `at` unless it is due no later.  The event may
   /// sit early (a stamp moved every bound later); it then only decides

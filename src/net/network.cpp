@@ -45,7 +45,7 @@ Network::Network(sim::Simulation& sim, RadioTable radio, MacParams mac, EnergyMo
   pos_ = std::move(positions);
   up_.assign(n, 1);
   channel_busy_until_.assign(n, sim::TimePoint::zero() - sim::Duration::seconds(3600));
-  stamp_watch_.assign(n, sim::TimePoint::max());
+  watch_.assign(n, sim::TimePoint::max());
   battery_state_.resize(n);
   battery_bucket_.assign(n, 0);
   agent_.assign(n, nullptr);
@@ -244,11 +244,10 @@ void Network::mac_begin_tx(std::uint32_t v) {
   }
   const sim::TimePoint now = sim_.now();
   const sim::TimePoint end = now + airtime(mac_queue_[v].front().packet.size_bytes);
-  // Raises o's stamp to `end`, first letting a watching agent decide the
-  // wakes that fall at or before this instant.
+  // Raises o's stamp to `end`, letting a watching agent act first.
   const auto raise = [&](std::uint32_t o) {
     if (end <= channel_busy_until_[o]) return;
-    if (stamp_watch_[o] <= now && agent_[o] != nullptr) agent_[o]->before_stamp(NodeId{o});
+    settle(o);
     channel_busy_until_[o] = end;
   };
   // The transmitter's own stamp rises before anything else happens at this
@@ -265,7 +264,7 @@ void Network::mac_begin_tx(std::uint32_t v) {
     // the order of timers that fire at this instant.
     walk_disc(NodeId{v}, f.coverage_m, [&](std::uint32_t o) {
       if (end <= channel_busy_until_[o]) return;
-      if (stamp_watch_[o] <= now) {
+      if (watch_[o] <= now) {
         watched_.push_back(o);
       } else {
         channel_busy_until_[o] = end;
@@ -353,6 +352,7 @@ void Network::deliver_frame(std::uint32_t sender, const OutgoingFrame& frame) {
   ctx->pkt = frame.packet;
   sim_.after(mac_.t_proc, [this, ctx] {
     for (NodeId h : ctx->processors) {
+      settle(h.v);
       if (battery_state_[h.v].depleted()) {
         ++counters_.dropped_battery_dead;  // drained between rx and t_proc
         if (sim_.events().enabled()) {
@@ -395,6 +395,7 @@ void Network::set_up(NodeId id, bool up) {
   const std::uint32_t v = id.v;
   if (v >= pos_.size()) throw std::out_of_range{"Network::set_up: bad node id"};
   if ((up_[v] != 0) == up) return;
+  settle(v);
   up_[v] = up ? 1 : 0;
   if (!up) {
     // Crash: lose the MAC queue and whatever phase was in progress.

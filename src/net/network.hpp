@@ -154,9 +154,10 @@ class Network {
     return channel_busy_until_.at(id.v);
   }
 
-  /// Asks for the agent's before_stamp(id) ahead of every rise of `id`'s
-  /// stamp at or after `from`; TimePoint::max(), the default, asks for none.
-  void set_stamp_watch(NodeId id, sim::TimePoint from) { stamp_watch_.at(id.v) = from; }
+  /// Asks for the agent's on_watch(id) before the network raises `id`'s
+  /// stamp, delivers a frame to it, or takes it down or up, at any instant
+  /// at or after `from`; TimePoint::max(), the default, asks for none.
+  void set_watch(NodeId id, sim::TimePoint from) { watch_.at(id.v) = from; }
 
   // --- wiring ----------------------------------------------------------------
   /// Installs the agent that handles `id`'s callbacks (non-owning; nullptr
@@ -308,6 +309,11 @@ class Network {
   /// One idle-drain tick: charge every non-depleted node, reschedule.
   void idle_drain_tick();
 
+  /// Calls v's agent's on_watch(v) when the instant it named has come.
+  void settle(std::uint32_t v) {
+    if (watch_[v] <= sim_.now() && agent_[v] != nullptr) agent_[v]->on_watch(NodeId{v});
+  }
+
   /// Pooled delivery context: the receiver list plus the packet a t_proc
   /// event processes.  The event captures only the context pointer (so the
   /// callback fits the scheduler's inline buffer) and copy-assignment into
@@ -344,7 +350,7 @@ class Network {
   std::vector<Point> pos_;                      ///< positions (mirrors grid_)
   std::vector<std::uint8_t> up_;                ///< liveness flags (1 = up)
   std::vector<sim::TimePoint> channel_busy_until_;  ///< carrier-sense horizon
-  std::vector<sim::TimePoint> stamp_watch_;     ///< see set_stamp_watch
+  std::vector<sim::TimePoint> watch_;           ///< see set_watch
   std::vector<Battery> battery_state_;          ///< charge meters + depletion
   std::vector<std::uint8_t> battery_bucket_;    ///< last traced residual bucket
   std::vector<Agent*> agent_;                   ///< non-owning per-node agents

@@ -32,10 +32,11 @@ class Agent {
   /// `self` just recovered.
   virtual void on_up(NodeId /*self*/) {}
 
-  /// `self`'s carrier-sense stamp is about to rise, at or after the instant
-  /// the agent named through Network::set_stamp_watch.  The stamp still
-  /// reads as it was just before this instant.
-  virtual void before_stamp(NodeId /*self*/) {}
+  /// The network is about to raise `self`'s carrier-sense stamp, deliver a
+  /// frame to it, or take it down or up, at or after the instant the agent
+  /// named through Network::set_watch.  The stamp still reads as it was
+  /// just before this instant.
+  virtual void on_watch(NodeId /*self*/) {}
 };
 
 }  // namespace spms::net

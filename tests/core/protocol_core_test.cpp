@@ -27,7 +27,7 @@ class ProbeProtocol final : public DisseminationProtocol {
 
   [[nodiscard]] std::string_view name() const override { return "PROBE"; }
   void publish(net::NodeId, net::DataId) override {}
-  void on_receive(net::NodeId, const net::Packet&) override {}
+  void on_receive(net::NodeId, const net::Packet&) override { fires_seen.push_back(fires.size()); }
 
   /// One expiry of the gated timer of `seq` at `self`; true when it parked.
   bool expire(net::NodeId self, std::uint32_t seq = 0) {
@@ -47,12 +47,14 @@ class ProbeProtocol final : public DisseminationProtocol {
   }
   /// Crash: stops every timer of the node, as SPMS and SPIN do.
   void on_down(net::NodeId self) override {
+    fires_seen.push_back(fires.size());
     for (std::uint32_t seq = 0; seq < timers.size(); ++seq) cancel(self, seq);
   }
 
   std::array<Deferral, 4> deferrals{};
   std::array<sim::EventHandle, 4> timers{};
   std::vector<std::pair<sim::TimePoint, std::uint32_t>> fires;
+  std::vector<std::size_t> fires_seen;  ///< fires.size() at each delivery or crash
 };
 
 net::MacParams quiet_mac() {
@@ -271,6 +273,60 @@ TEST_F(ProtocolCoreTest, CancelMidChainTakesTheDueWakesDeferral) {
   hear_traffic();
   ASSERT_TRUE(proto.expire(self, 0));
   EXPECT_EQ(proto.deferrals[0].count, after.count + 1);
+}
+
+TEST_F(ProtocolCoreTest, CancelAtAFiringWakeFiresTheTimerFirst) {
+  ProbeProtocol proto{sim, net, interest, params};
+  // Item 0 parks at 0.5 ms on the stamp of a frame at 0 and hears nothing
+  // more, so its wake fires.  The cancel at that instant was scheduled
+  // before the park, so it runs before the node's event: the wake still
+  // runs first, and the cancel finds the timer gone.
+  const std::vector<sim::TimePoint> starts{at_ms(0.0)};
+  script_traffic(starts);
+  const sim::TimePoint parked = at_ms(0.5);
+  const Chain want = reference(starts, parked, 0);
+  sim.at(want.fire, [&] { proto.cancel(self, 0); });
+  sim.at(parked, [&] { ASSERT_TRUE(proto.expire(self, 0)); });
+  sim.run();
+  ASSERT_EQ(proto.fires.size(), 1u);
+  EXPECT_EQ(proto.fires[0], std::make_pair(want.fire, 0u));
+  EXPECT_EQ(proto.deferrals[0].count, want.count);
+  EXPECT_FALSE(proto.timers[0].valid());
+}
+
+TEST_F(ProtocolCoreTest, CrashAtAFiringWakeComesAfterTheFire) {
+  ProbeProtocol proto{sim, net, interest, params};
+  // As above, but the node crashes at the firing wake: the timer fires
+  // before the network takes the node down, not inside its crash handler.
+  const std::vector<sim::TimePoint> starts{at_ms(0.0)};
+  script_traffic(starts);
+  const sim::TimePoint parked = at_ms(0.5);
+  const Chain want = reference(starts, parked, 0);
+  sim.at(want.fire, [&] { net.set_up(self, false); });
+  sim.at(parked, [&] { ASSERT_TRUE(proto.expire(self, 0)); });
+  sim.run();
+  ASSERT_EQ(proto.fires.size(), 1u);
+  EXPECT_EQ(proto.fires[0].first, want.fire);
+  EXPECT_EQ(proto.fires_seen.back(), 1u);
+}
+
+TEST_F(ProtocolCoreTest, DeliveryAtAFiringWakeComesAfterTheFire) {
+  // With tout_dat at half of t_proc, W(8) = t_proc: a timer with 8
+  // deferrals that saw a frame's stamp wakes, and fires, as the frame is
+  // delivered.  It parks after the frame ended, so the node's event at
+  // the wake was scheduled after the delivery's.
+  const net::MacParams mac = quiet_mac();
+  params.tout_dat = mac.t_proc * 0.5;
+  ProbeProtocol proto{sim, net, interest, params};
+  proto.deferrals[0].count = 7;
+  const sim::Duration airtime = mac.t_tx_per_byte * 2;
+  script_traffic({at_ms(0.0)});
+  sim.at(at_ms(0.0) + airtime + params.tout_dat, [&] { ASSERT_TRUE(proto.expire(self, 0)); });
+  sim.run();
+  ASSERT_EQ(proto.fires.size(), 1u);
+  EXPECT_EQ(proto.fires[0].first, at_ms(0.0) + airtime + mac.t_proc);
+  // Nodes 0 and 2 take the frame after the fire.
+  EXPECT_EQ(proto.fires_seen, (std::vector<std::size_t>{1, 1}));
 }
 
 TEST_F(ProtocolCoreTest, CrashDropsParkedTimers) {
