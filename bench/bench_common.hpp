@@ -9,10 +9,10 @@
 #include "obs/process_stats.hpp"
 
 /// \file bench_common.hpp
-/// Shared scaffolding for the bench binaries (the closed-form tables and the
-/// perf harnesses) and the macro benchmark's driver: an optional counting
-/// allocation hook, peak RSS, and the standard header line.  Registry
-/// scenarios have no bench binary of their own: run_experiment_cli runs them.
+/// Shared scaffolding for the perf benches (bench_scale, bench_micro_core)
+/// and the macro benchmark's driver: an optional counting allocation hook
+/// and peak RSS.  Registry scenarios have no bench binary of their own:
+/// run_experiment_cli runs them.
 
 // --- memory / allocation instrumentation -------------------------------------
 //
@@ -84,12 +84,5 @@ inline std::size_t alloc_count() {
 /// Peak resident set size, in bytes — the shared utility the telemetry
 /// gauge `process.peak_rss_bytes` also reads (obs/process_stats.hpp).
 inline std::size_t peak_rss_bytes() { return obs::peak_rss_bytes(); }
-
-/// Standard bench header.
-inline void print_header(const std::string& id, const std::string& title,
-                         const std::string& paper_claim) {
-  std::cout << "==== " << id << ": " << title << " ====\n";
-  std::cout << "paper: " << paper_claim << "\n\n";
-}
 
 }  // namespace spms::bench

@@ -184,7 +184,7 @@ void BM_MacBroadcastGrid(benchmark::State& state) {
   // frame, then the run drains to quiescence.  Every frame pays contention
   // counting, carrier-sense disc occupation and disc delivery — the three
   // per-frame topology scans this rewrite moves onto the spatial grid.
-  // items_per_second == scheduler events/sec (the repo's headline metric).
+  // items_per_second == scheduler events/sec.
   const auto side = static_cast<std::size_t>(state.range(0));
   sim::Simulation sim{1};
   net::Network net(sim, net::RadioTable::mica2(), {}, {}, net::grid_deployment(side, 5.0), 20.0);

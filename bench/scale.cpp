@@ -37,8 +37,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) sizes.emplace_back(argv[i]);
   if (sizes.empty()) sizes = {"1k", "10k", "100k"};
 
-  bench::print_header("scale", "events/sec, peak RSS and bytes-per-node vs network size",
-                      "throughput harness, not a paper figure (EXPERIMENTS.md \"Scaling\")");
+  std::cout << "==== scale: events/sec, peak RSS and bytes-per-node vs network size ====\n"
+            << "paper: throughput harness, not a paper figure (EXPERIMENTS.md \"Scaling\")\n\n";
 
   exp::Table t({"scenario", "nodes", "events", "wall s", "events/s", "peak RSS MB",
                 "bytes/node", "allocs/run", "delivery"});

@@ -1,7 +1,7 @@
 /// \file run_experiment_cli.cpp
 /// Command-line experiment driver.
 ///
-/// Three modes:
+/// Four modes:
 ///
 ///  * Scenario mode — run a named registry scenario on the parallel batch
 ///    engine, optionally narrowed to part of its grid:
@@ -27,6 +27,11 @@
 ///      run_experiment_cli store ls DIR
 ///    Prints the scenarios present (with entry counts), the schema versions
 ///    on disk, and how many corrupt lines a load would skip.
+///
+///  * Store garbage collection — evict stale lines:
+///      run_experiment_cli store gc DIR [--dry-run] [--max-age-days N]
+///    Drops lines of another schema version, lines older than N days and
+///    corrupt lines; --dry-run only reports what it would evict.
 ///
 /// Output formats: table (default), csv, json, gnuplot.
 

@@ -87,9 +87,10 @@ struct DelayParams {
 /// At the paper's sample values (n1=45, ns=5) this returns 2.7865.
 [[nodiscard]] double spin_to_spms_delay_ratio(const DelayParams& p, double n1, double ns);
 
-/// Number of grid points (pitch `pitch_m`) strictly within distance `r_m`
-/// of a grid point, excluding the point itself — the paper's "uniform
-/// density of nodes on the grid" station count n(r) for Fig. 3.
+/// Number of grid points (pitch `pitch_m`) within distance `r_m` of a grid
+/// point, the boundary included and the point itself excluded — the
+/// paper's "uniform density of nodes on the grid" station count n(r) for
+/// Fig. 3.
 [[nodiscard]] std::size_t grid_disc_count(double r_m, double pitch_m);
 
 }  // namespace spms::analysis

@@ -363,7 +363,6 @@ void SpmsProtocol::forward_req(net::NodeId self, net::Packet req) {
     if (net_.distance_between(self, req.target) <= net_.radio().max_range()) {
       next = req.target;
     } else {
-      ++unroutable_;
       return;
     }
   }

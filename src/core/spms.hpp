@@ -64,10 +64,6 @@ class SpmsProtocol final : public DisseminationProtocol {
   [[nodiscard]] std::string_view name() const override { return "SPMS"; }
   void publish(net::NodeId source, net::DataId item) override;
 
-  /// Drops of multi-hop frames at relays that had no route to the target
-  /// (rare geometric corner; the requester's tau_DAT recovers).
-  [[nodiscard]] std::uint64_t unroutable_forwards() const { return unroutable_; }
-
  private:
   /// Per (node, item) acquisition state machine.
   struct ItemState {
@@ -150,7 +146,6 @@ class SpmsProtocol final : public DisseminationProtocol {
   routing::RoutingService& routing_;
   SpmsExtensions ext_;
   ItemTable<ItemState> items_;
-  std::uint64_t unroutable_ = 0;
 };
 
 }  // namespace spms::core

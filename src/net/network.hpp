@@ -139,15 +139,6 @@ class Network {
     return distance(position(a), position(b));
   }
 
-  /// True when the node's local channel is idle and has been idle for at
-  /// least `window`.  Protocol timers use this to distinguish "my reply is
-  /// stuck behind traffic I can hear" from "my counterpart is dead": a
-  /// timeout on a channel that has been quiet for a full window indicates
-  /// loss, one during audible traffic merely indicates queueing.
-  [[nodiscard]] bool channel_quiet_for(NodeId id, sim::Duration window) const {
-    return sim_.now() - channel_busy_until_.at(id.v) >= window;
-  }
-
   /// The node's carrier-sense stamp: the end of the last transmission it
   /// heard (or made).  It only ever rises.
   [[nodiscard]] sim::TimePoint channel_busy_until(NodeId id) const {

@@ -4,90 +4,6 @@
 
 namespace spms::obs {
 
-namespace {
-
-using net::append_item;
-using net::append_node;
-
-/// message = "<verb> <node> <item>" + optional suffix pieces.
-std::string verb_line(const char* verb, const TraceRecord& r) {
-  std::string m{verb};
-  m += ' ';
-  append_node(m, r.node);
-  m += ' ';
-  append_item(m, r.item);
-  return m;
-}
-
-}  // namespace
-
-std::optional<LegacyLine> format_legacy(const TraceRecord& r) {
-  switch (r.kind) {
-    case TraceKind::kSpmsAdv:
-      return LegacyLine{"spms", verb_line("adv", r)};
-    case TraceKind::kSpmsReqDirect: {
-      auto m = verb_line("req-direct", r);
-      m += " to ";
-      append_node(m, r.peer);
-      return LegacyLine{"spms", std::move(m)};
-    }
-    case TraceKind::kSpmsReqMultihop: {
-      auto m = verb_line("req-multihop", r);
-      m += " to ";
-      append_node(m, r.peer);
-      m += " via ";
-      append_node(m, r.via);
-      return LegacyLine{"spms", std::move(m)};
-    }
-    case TraceKind::kSpmsReqCrosszone: {
-      auto m = verb_line("req-crosszone", r);
-      m += " to ";
-      append_node(m, r.peer);
-      m += " via ";
-      append_node(m, r.via);
-      return LegacyLine{"spms", std::move(m)};
-    }
-    case TraceKind::kSpmsCourierAdv:
-      return LegacyLine{"spms", verb_line("courier-adv", r)};
-    case TraceKind::kSpmsRelayReq: {
-      auto m = verb_line("relay-req", r);
-      m += " for ";
-      append_node(m, r.peer);
-      m += " to ";
-      append_node(m, r.via);
-      return LegacyLine{"spms", std::move(m)};
-    }
-    case TraceKind::kSpmsRelayData: {
-      auto m = verb_line("relay-data", r);
-      m += " for ";
-      append_node(m, r.peer);
-      return LegacyLine{"spms", std::move(m)};
-    }
-    case TraceKind::kSpmsData: {
-      auto m = verb_line("data", r);
-      m += " from ";
-      append_node(m, r.peer);
-      return LegacyLine{"spms", std::move(m)};
-    }
-    case TraceKind::kSpinAdv:
-      return LegacyLine{"spin", verb_line("adv", r)};
-    case TraceKind::kSpinReq: {
-      auto m = verb_line("req", r);
-      m += " to ";
-      append_node(m, r.peer);
-      return LegacyLine{"spin", std::move(m)};
-    }
-    case TraceKind::kSpinData: {
-      auto m = verb_line("data", r);
-      m += " from ";
-      append_node(m, r.peer);
-      return LegacyLine{"spin", std::move(m)};
-    }
-    default:
-      return std::nullopt;
-  }
-}
-
 const char* trace_kind_name(TraceKind k) {
   switch (k) {
     case TraceKind::kPublish: return "publish";

@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "net/ids.hpp"
@@ -18,8 +16,7 @@
 ///
 ///  * a bounded ring buffer keeps the last N records in memory (post-mortem
 ///    of long runs without unbounded growth);
-///  * a sink streams records (e.g. to a JSONL file, or through
-///    format_legacy() for the string-era rendering).
+///  * a sink streams records (e.g. to a JSONL file).
 ///
 /// When no consumer is installed, enabled() is false and every emit site is
 /// a single branch — records are never even constructed.  Emission never
@@ -42,7 +39,7 @@ enum class TraceKind : std::uint8_t {
   kFaultTransition,       ///< node went down / was repaired / died; cause = FaultPhase
   kBatteryThreshold,      ///< residual crossed a bucket; cause = BatteryBucket
   kRouteChange,           ///< DBF rebuild changed `value` entries at `node`
-  // Protocol verbs (the records format_legacy renders).
+  // Protocol verbs.
   kSpmsAdv,               ///< zone-wide ADV of `item` by `node`
   kSpmsReqDirect,         ///< REQ to `peer` (single hop)
   kSpmsReqMultihop,       ///< REQ to `peer` via `via`
@@ -107,16 +104,6 @@ struct TraceRecord {
   net::DataId item{};
   double value = 0.0;  ///< delay ms, residual fraction, changed entries…
 };
-
-/// A legacy (category, message) rendering of a typed record.
-struct LegacyLine {
-  std::string category;
-  std::string message;
-};
-
-/// Renders `r` exactly as the string-based trace used to (e.g. kSpmsAdv ->
-/// ("spms", "adv n3 n0#1")), or nullopt for kinds the string era never had.
-[[nodiscard]] std::optional<LegacyLine> format_legacy(const TraceRecord& r);
 
 /// Stable kind name used in the JSONL rendering ("frame-drop", …).
 [[nodiscard]] const char* trace_kind_name(TraceKind k);

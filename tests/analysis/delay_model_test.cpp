@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <vector>
+
 namespace spms::analysis {
 namespace {
 
@@ -68,6 +71,8 @@ TEST(DelayModelTest, RelayNoRequestAddsTimeoutAndExtraHops) {
 
 TEST(DelayModelTest, KRelayWorstCaseGrowsLinearly) {
   DelayParams p;
+  // One relay is case a.b: 20.25 + 4 * 0.25 + 63 * 0.05 + 4 * 0.02 + 1.0 ms.
+  EXPECT_NEAR(spms_k_relay_worst_delay(p, 1, 45, 5), 25.48, 1e-9);
   const double k2 = spms_k_relay_worst_delay(p, 2, 45, 5);
   const double k3 = spms_k_relay_worst_delay(p, 3, 45, 5);
   const double k4 = spms_k_relay_worst_delay(p, 4, 45, 5);
@@ -109,6 +114,30 @@ TEST(DelayModelTest, GridDiscCountMatchesPaperDensities) {
   // Unit grid: r=1 -> 4 neighbors, r=sqrt(2) -> 8.
   EXPECT_EQ(grid_disc_count(1.0, 1.0), 4u);
   EXPECT_EQ(grid_disc_count(1.5, 1.0), 8u);
+}
+
+TEST(DelayModelTest, Fig3GridRatioRisesFromOneTowardThree) {
+  // Fig. 3 on the 5 m grid: n1 = grid_disc_count(r) for r = 5, 7.5, ... 30 m
+  // and ns = grid_disc_count(5.48) = 4, the weakest level's station count.
+  const DelayParams p;
+  const std::size_t ns = grid_disc_count(5.48, 5.0);
+  ASSERT_EQ(ns, 4u);
+  const std::size_t n1_at[] = {4, 8, 12, 20, 28, 36, 48, 68, 80, 96, 112};
+  std::vector<double> ratios;
+  for (std::size_t i = 0; i < std::size(n1_at); ++i) {
+    const double r = 5.0 + 2.5 * static_cast<double>(i);
+    const std::size_t n1 = grid_disc_count(r, 5.0);
+    EXPECT_EQ(n1, n1_at[i]) << "r=" << r;
+    ratios.push_back(spin_pair_delay(p, static_cast<double>(n1)) /
+                     spms_pair_delay(p, static_cast<double>(n1), static_cast<double>(ns)));
+  }
+  // At 5 m n1 = ns: both protocols pay the same three accesses.
+  EXPECT_NEAR(ratios.front(), 1.0, 1e-12);
+  for (std::size_t i = 1; i < ratios.size(); ++i) {
+    EXPECT_GT(ratios[i], ratios[i - 1]) << "r=" << 5.0 + 2.5 * static_cast<double>(i);
+  }
+  EXPECT_LT(ratios.back(), 3.0);
+  EXPECT_NEAR(ratios.back(), 2.9667, 5e-5);
 }
 
 TEST(DelayModelTest, GridDiscCountApproachesContinuum) {

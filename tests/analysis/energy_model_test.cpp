@@ -59,6 +59,9 @@ TEST(EnergyModelTest, RatioRisesThenFallsWithRadius) {
   EXPECT_LT(peak_k, 16.0);
   const double at_peak = spin_to_spms_energy_ratio(peak_k, p);
   EXPECT_GT(at_peak, 3.0);
+  // The peak on the 0.01 scan: k = 4.28, ratio 5.656.
+  EXPECT_NEAR(peak_k, 4.28, 0.005);
+  EXPECT_NEAR(at_peak, 5.656, 5e-4);
   EXPECT_GT(at_peak, spin_to_spms_energy_ratio(1.0, p));
   EXPECT_GT(at_peak, spin_to_spms_energy_ratio(64.0, p));
 }

@@ -7,8 +7,8 @@
 
 #include "core/collector.hpp"
 #include "net/topology.hpp"
-#include "obs/event_trace.hpp"
 #include "sim/simulation.hpp"
+#include "trace_log.hpp"
 
 namespace spms::core {
 namespace {
@@ -30,9 +30,6 @@ struct Rig {
       collector.record_delivery(node, item, at);
       delivered.push_back(node);
     });
-    sim.events().set_sink([this](const obs::TraceRecord& r) {
-      if (auto line = obs::format_legacy(r)) trace.push_back(*line);
-    });
   }
 
   net::DataId publish(net::NodeId source) {
@@ -42,21 +39,13 @@ struct Rig {
     return item;
   }
 
-  [[nodiscard]] std::size_t trace_count(const std::string& prefix) const {
-    std::size_t n = 0;
-    for (const auto& e : trace) {
-      if (e.category == "spin" && e.message.rfind(prefix, 0) == 0) ++n;
-    }
-    return n;
-  }
-
   sim::Simulation sim;
   net::Network net;
   AllToAllInterest interest;
   SpinProtocol proto;
   Collector collector;
   std::vector<net::NodeId> delivered;
-  std::vector<obs::LegacyLine> trace;
+  TraceLog trace{sim};
 };
 
 constexpr net::NodeId kA{0}, kB{1}, kC{2};
@@ -138,9 +127,9 @@ TEST(SpinProtocolTest, AdvertisesAtMostOncePerItem) {
   Rig rig({{0, 0}, {5, 0}, {10, 0}}, 22.0, 3);
   rig.publish(kA);
   rig.sim.run();
-  EXPECT_EQ(rig.trace_count("adv n0"), 1u);
-  EXPECT_EQ(rig.trace_count("adv n1"), 1u);
-  EXPECT_EQ(rig.trace_count("adv n2"), 1u);
+  EXPECT_EQ(rig.trace.count({.kind = obs::TraceKind::kSpinAdv, .node = kA}), 1u);
+  EXPECT_EQ(rig.trace.count({.kind = obs::TraceKind::kSpinAdv, .node = kB}), 1u);
+  EXPECT_EQ(rig.trace.count({.kind = obs::TraceKind::kSpinAdv, .node = kC}), 1u);
 }
 
 TEST(SpinProtocolTest, DeterministicForSameSeed) {

@@ -6,14 +6,16 @@
 #include "core/collector.hpp"
 #include "core/spms.hpp"
 #include "net/topology.hpp"
-#include "obs/event_trace.hpp"
 #include "sim/simulation.hpp"
+#include "trace_log.hpp"
 
 /// Tests for the paper's flagged extensions (Sections 3.4 and 6): multiple
 /// SCONEs and relay data caching.
 
 namespace spms::core {
 namespace {
+
+using enum obs::TraceKind;
 
 net::MacParams quiet_mac() {
   net::MacParams mac;
@@ -33,12 +35,6 @@ struct Rig {
       collector.record_delivery(node, item, at);
       delivered.push_back(node);
     });
-    sim.events().set_sink([this](const obs::TraceRecord& r) {
-      if (auto line = obs::format_legacy(r)) {
-        trace.push_back(*line);
-        if (on_trace) on_trace(*line);
-      }
-    });
   }
 
   net::DataId publish(net::NodeId source) {
@@ -52,14 +48,6 @@ struct Rig {
     return std::find(delivered.begin(), delivered.end(), id) != delivered.end();
   }
 
-  [[nodiscard]] std::size_t trace_count(const std::string& prefix) const {
-    std::size_t n = 0;
-    for (const auto& e : trace) {
-      if (e.category == "spms" && e.message.rfind(prefix, 0) == 0) ++n;
-    }
-    return n;
-  }
-
   sim::Simulation sim;
   net::Network net;
   routing::RoutingService routing;
@@ -67,8 +55,7 @@ struct Rig {
   SpmsProtocol proto;
   Collector collector;
   std::vector<net::NodeId> delivered;
-  std::vector<obs::LegacyLine> trace;
-  std::function<void(const obs::LegacyLine&)> on_trace;
+  TraceLog trace{sim};
 };
 
 // A -- r1 -- r2 -- r3 -- C in a line, 5 m pitch, one shared 21 m zone.
@@ -76,6 +63,22 @@ std::vector<net::Point> five_line() {
   return {{0, 0}, {5, 0}, {10, 0}, {15, 0}, {20, 0}};
 }
 constexpr net::NodeId kA{0}, kR1{1}, kR2{2}, kR3{3}, kC{4};
+
+/// C's direct REQ for A's item to `peer`.
+TraceMatch c_requests(net::NodeId peer) {
+  return {.kind = kSpmsReqDirect, .node = kC, .peer = peer, .item = {kA, 0}};
+}
+
+/// Crashes r3, then r2, 0.05 ms after C's REQ to it goes out.
+void crash_relays_on_request(Rig& rig) {
+  rig.trace.on_record = [&rig](const obs::TraceRecord& r) {
+    for (const net::NodeId relay : {kR3, kR2}) {
+      if (c_requests(relay)(r) && rig.net.is_up(relay)) {
+        rig.sim.after(sim::Duration::ms(0.05), [&rig, relay] { rig.net.set_up(relay, false); });
+      }
+    }
+  };
+}
 
 TEST(SpmsMultiScone, LadderWalksAllRememberedOriginators) {
   // C promotes holders as they advertise: r3 (closest), then r2, then r1 are
@@ -85,22 +88,15 @@ TEST(SpmsMultiScone, LadderWalksAllRememberedOriginators) {
   SpmsExtensions ext;
   ext.num_scones = 2;
   Rig rig(five_line(), 21.0, ext);
-  rig.on_trace = [&](const obs::LegacyLine& e) {
-    // Crash each relay right after C's REQ to it goes out.
-    if (e.message.rfind("req-direct n4 n0#0 to n3", 0) == 0 && rig.net.is_up(kR3)) {
-      rig.sim.after(sim::Duration::ms(0.05), [&] { rig.net.set_up(kR3, false); });
-    }
-    if (e.message.rfind("req-direct n4 n0#0 to n2", 0) == 0 && rig.net.is_up(kR2)) {
-      rig.sim.after(sim::Duration::ms(0.05), [&] { rig.net.set_up(kR2, false); });
-    }
-  };
+  crash_relays_on_request(rig);
   rig.publish(kA);
   rig.sim.run();
 
   EXPECT_TRUE(rig.node_delivered(kC));
-  // The ladder reached r1 (the second SCONE) directly.
-  EXPECT_GE(rig.trace_count("req-direct n4 n0#0 to n1"), 1u);
-  EXPECT_GE(rig.trace_count("data n4"), 1u);
+  // The ladder reached r1 (the second SCONE) directly, never the source.
+  EXPECT_GE(rig.trace.count(c_requests(kR1)), 1u);
+  EXPECT_EQ(rig.trace.count(c_requests(kA)), 0u);
+  EXPECT_GE(rig.trace.count({.kind = kSpmsData, .node = kC}), 1u);
 }
 
 TEST(SpmsMultiScone, SingleSconeFallsBackToSourceInstead) {
@@ -109,19 +105,13 @@ TEST(SpmsMultiScone, SingleSconeFallsBackToSourceInstead) {
   SpmsExtensions ext;
   ext.num_scones = 1;
   Rig rig(five_line(), 21.0, ext);
-  rig.on_trace = [&](const obs::LegacyLine& e) {
-    if (e.message.rfind("req-direct n4 n0#0 to n3", 0) == 0 && rig.net.is_up(kR3)) {
-      rig.sim.after(sim::Duration::ms(0.05), [&] { rig.net.set_up(kR3, false); });
-    }
-    if (e.message.rfind("req-direct n4 n0#0 to n2", 0) == 0 && rig.net.is_up(kR2)) {
-      rig.sim.after(sim::Duration::ms(0.05), [&] { rig.net.set_up(kR2, false); });
-    }
-  };
+  crash_relays_on_request(rig);
   rig.publish(kA);
   rig.sim.run();
 
   EXPECT_TRUE(rig.node_delivered(kC));
-  EXPECT_GE(rig.trace_count("req-direct n4 n0#0 to n0"), 1u);  // the source
+  EXPECT_GE(rig.trace.count(c_requests(kA)), 1u);  // the source
+  EXPECT_EQ(rig.trace.count(c_requests(kR1)), 0u);  // forgotten
 }
 
 TEST(SpmsMultiScone, PromotionKeepsListBounded) {
@@ -149,7 +139,8 @@ TEST(SpmsRelayCaching, RelaysCacheAndAdvertise) {
     rig.publish(net::NodeId{0});
     rig.sim.run();
     EXPECT_TRUE(rig.collector.all_delivered());
-    EXPECT_GE(rig.trace_count("adv n1"), 1u);  // B holds the data either way here
+    // B holds the data either way here.
+    EXPECT_GE(rig.trace.count({.kind = kSpmsAdv, .node = kR1}), 1u);
   }
 }
 
@@ -171,15 +162,10 @@ TEST(SpmsRelayCaching, UninterestedRelayCachesOnlyWithExtension) {
     SpmsExtensions ext;
     ext.relay_caching = caching;
     SpmsProtocol proto(sim, net, routing, interest, ProtocolParams{}, ext);
-    std::size_t relay_advs = 0;
-    sim.events().set_sink([&](const obs::TraceRecord& r) {
-      const auto line = obs::format_legacy(r);
-      if (line && line->category == "spms" && line->message.rfind("adv n1", 0) == 0) {
-        ++relay_advs;
-      }
-    });
+    TraceLog trace(sim);
     proto.publish(net::NodeId{0}, {net::NodeId{0}, 0});
     sim.run();
+    const std::size_t relay_advs = trace.count({.kind = kSpmsAdv, .node = net::NodeId{1}});
     if (caching) {
       EXPECT_EQ(relay_advs, 1u) << "cached relay must re-advertise once";
     } else {
@@ -201,11 +187,13 @@ TEST(SpmsRelayCaching, ImprovesRecoveryPath) {
   // Everyone ends up holding (receivers by request, relays by caching), and
   // each holder advertised exactly once.
   for (std::uint32_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(rig.trace_count("adv n" + std::to_string(i) + " "), 1u) << "node " << i;
+    EXPECT_EQ(rig.trace.count({.kind = kSpmsAdv, .node = net::NodeId{i}}), 1u) << "node " << i;
   }
 }
 
 // --- Cross-zone dissemination (Section 6 future work) -----------------------
+
+constexpr net::NodeId kFar{8};
 
 /// Only the far end of a long line is interested; everyone in between is a
 /// bystander.  0..8 at 5 m pitch with a 12 m zone: node 8 sits three zones
@@ -213,7 +201,7 @@ TEST(SpmsRelayCaching, ImprovesRecoveryPath) {
 class FarEndOnly final : public Interest {
  public:
   [[nodiscard]] bool wants(net::NodeId node, net::DataId item) const override {
-    return node == net::NodeId{8} && node != item.origin;
+    return node == kFar && node != item.origin;
   }
   [[nodiscard]] std::size_t expected_count(net::DataId) const override { return 1; }
 };
@@ -227,12 +215,6 @@ struct CrossZoneRig {
     proto.set_delivery_callback([this](net::NodeId node, net::DataId item, sim::TimePoint at) {
       collector.record_delivery(node, item, at);
     });
-    sim.events().set_sink([this](const obs::TraceRecord& r) {
-      if (auto line = obs::format_legacy(r)) {
-        trace.push_back(*line);
-        if (on_trace) on_trace(*line);
-      }
-    });
   }
   static std::vector<net::Point> line9() {
     std::vector<net::Point> pts;
@@ -244,21 +226,13 @@ struct CrossZoneRig {
     collector.record_publish(item, sim.now(), interest.expected_count(item));
     proto.publish(net::NodeId{0}, item);
   }
-  [[nodiscard]] std::size_t trace_count(const std::string& prefix) const {
-    std::size_t n = 0;
-    for (const auto& e : trace) {
-      if (e.category == "spms" && e.message.rfind(prefix, 0) == 0) ++n;
-    }
-    return n;
-  }
   sim::Simulation sim;
   net::Network net;
   routing::RoutingService routing;
   FarEndOnly interest;
   SpmsProtocol proto;
   Collector collector;
-  std::vector<obs::LegacyLine> trace;
-  std::function<void(const obs::LegacyLine&)> on_trace;
+  TraceLog trace{sim};
 };
 
 TEST(SpmsCrossZone, PublishedProtocolCannotReachSeparateZones) {
@@ -266,7 +240,7 @@ TEST(SpmsCrossZone, PublishedProtocolCannotReachSeparateZones) {
   rig.publish();
   rig.sim.run();
   EXPECT_EQ(rig.collector.deliveries(), 0u);
-  EXPECT_EQ(rig.trace_count("courier-adv"), 0u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsCourierAdv}), 0u);
 }
 
 TEST(SpmsCrossZone, MetadataCourierReachesTheFarZone) {
@@ -277,9 +251,10 @@ TEST(SpmsCrossZone, MetadataCourierReachesTheFarZone) {
   rig.sim.run();
   EXPECT_TRUE(rig.collector.all_delivered())
       << rig.collector.deliveries() << "/" << rig.collector.expected_deliveries();
-  EXPECT_GE(rig.trace_count("courier-adv"), 2u);      // at least two zone crossings
-  EXPECT_GE(rig.trace_count("req-crosszone n8"), 1u); // the far node pulled
-  EXPECT_GE(rig.trace_count("data n8"), 1u);
+  // At least two zone crossings, and the far node pulled.
+  EXPECT_GE(rig.trace.count({.kind = kSpmsCourierAdv}), 2u);
+  EXPECT_GE(rig.trace.count({.kind = kSpmsReqCrosszone, .node = kFar}), 1u);
+  EXPECT_GE(rig.trace.count({.kind = kSpmsData, .node = kFar}), 1u);
 }
 
 TEST(SpmsCrossZone, TtlBoundsThePropagation) {
@@ -289,7 +264,7 @@ TEST(SpmsCrossZone, TtlBoundsThePropagation) {
   rig.publish();
   rig.sim.run();
   EXPECT_EQ(rig.collector.deliveries(), 0u);
-  EXPECT_GE(rig.trace_count("courier-adv"), 1u);
+  EXPECT_GE(rig.trace.count({.kind = kSpmsCourierAdv}), 1u);
 }
 
 TEST(SpmsCrossZone, SurvivesTransientRelayFailureOnTheRequestPath) {
@@ -300,8 +275,8 @@ TEST(SpmsCrossZone, SurvivesTransientRelayFailureOnTheRequestPath) {
   // moment the far node's first REQ goes out; it recovers 30 ms later and
   // the requester's bounded re-send along the same trail completes the pull.
   bool crashed = false;
-  rig.on_trace = [&](const obs::LegacyLine& e) {
-    if (!crashed && e.message.rfind("req-crosszone n8", 0) == 0) {
+  rig.trace.on_record = [&](const obs::TraceRecord& r) {
+    if (!crashed && TraceMatch{.kind = kSpmsReqCrosszone, .node = kFar}(r)) {
       crashed = true;
       rig.net.set_up(net::NodeId{4}, false);
       rig.sim.after(sim::Duration::ms(30.0), [&] { rig.net.set_up(net::NodeId{4}, true); });
@@ -310,7 +285,8 @@ TEST(SpmsCrossZone, SurvivesTransientRelayFailureOnTheRequestPath) {
   rig.publish();
   rig.sim.run();
   EXPECT_TRUE(rig.collector.all_delivered());
-  EXPECT_GE(rig.trace_count("req-crosszone n8"), 2u);  // original + re-send
+  // The original REQ and its re-send.
+  EXPECT_GE(rig.trace.count({.kind = kSpmsReqCrosszone, .node = kFar}), 2u);
 }
 
 TEST(SpmsCrossZone, InZoneNodesStillUseNormalOperation) {

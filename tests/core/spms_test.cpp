@@ -4,13 +4,12 @@
 
 #include <algorithm>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/collector.hpp"
 #include "net/topology.hpp"
-#include "obs/event_trace.hpp"
 #include "sim/simulation.hpp"
+#include "trace_log.hpp"
 
 /// SPMS protocol-conformance tests.  The scenarios mirror the paper's worked
 /// examples: Section 3.3 (failure-free cases I and II on the A/B/C line) and
@@ -19,6 +18,8 @@
 
 namespace spms::core {
 namespace {
+
+using enum obs::TraceKind;
 
 net::MacParams quiet_mac() {
   net::MacParams mac;
@@ -57,12 +58,6 @@ struct Rig {
       collector.record_delivery(node, item, at);
       delivered.emplace_back(node, item);
     });
-    sim.events().set_sink([this](const obs::TraceRecord& r) {
-      if (auto line = obs::format_legacy(r)) {
-        trace.push_back(*line);
-        if (on_trace) on_trace(*line);
-      }
-    });
   }
 
   /// Publishes item 0 from `source` and records it with the collector.
@@ -78,20 +73,6 @@ struct Rig {
                        [&](const auto& d) { return d.first == id; });
   }
 
-  /// Count of trace lines in category "spms" whose message starts with
-  /// `prefix` and (optionally) contains `substr`.
-  [[nodiscard]] std::size_t trace_count(const std::string& prefix,
-                                        const std::string& substr = {}) const {
-    std::size_t n = 0;
-    for (const auto& e : trace) {
-      if (e.category != "spms") continue;
-      if (e.message.rfind(prefix, 0) != 0) continue;
-      if (!substr.empty() && e.message.find(substr) == std::string::npos) continue;
-      ++n;
-    }
-    return n;
-  }
-
   sim::Simulation sim;
   net::Network net;
   routing::RoutingService routing;
@@ -99,8 +80,7 @@ struct Rig {
   SpmsProtocol proto;
   Collector collector;
   std::vector<std::pair<net::NodeId, net::DataId>> delivered;
-  std::vector<obs::LegacyLine> trace;
-  std::function<void(const obs::LegacyLine&)> on_trace;
+  TraceLog trace{sim};
 };
 
 constexpr net::NodeId kA{0}, kB{1}, kC{2};
@@ -121,15 +101,15 @@ TEST(SpmsPaperExamples, CaseI_BothRelayAndDestinationRequest) {
   EXPECT_TRUE(rig.collector.all_delivered());
 
   // B is A's next-hop neighbor: it requested directly from A.
-  EXPECT_EQ(rig.trace_count("req-direct n1", "to n0"), 1u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsReqDirect, .node = kB, .peer = kA}), 1u);
   // C waited for B's re-advertisement and then requested B directly —
   // never the source through the long path.
-  EXPECT_EQ(rig.trace_count("req-direct n2", "to n1"), 1u);
-  EXPECT_EQ(rig.trace_count("req-multihop n2"), 0u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsReqDirect, .node = kC, .peer = kB}), 1u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsReqMultihop, .node = kC}), 0u);
   // C's data came from B.
-  EXPECT_EQ(rig.trace_count("data n2", "from n1"), 1u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsData, .node = kC, .peer = kB}), 1u);
   // Every receiver re-advertised exactly once (A, B, C each advertise).
-  EXPECT_EQ(rig.trace_count("adv"), 3u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsAdv}), 3u);
 }
 
 // --- Section 3.3, Case II: B does not request -------------------------------
@@ -143,15 +123,15 @@ TEST(SpmsPaperExamples, CaseII_RelayNotInterestedMultiHopPull) {
   EXPECT_FALSE(rig.node_delivered(kB));
 
   // C timed out on tau_ADV and requested A through the shortest path (via B).
-  EXPECT_EQ(rig.trace_count("req-multihop n2", "to n0 via n1"), 1u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsReqMultihop, .node = kC, .peer = kA, .via = kB}), 1u);
   // B relayed the REQ and the DATA but never cached or advertised.
-  EXPECT_EQ(rig.trace_count("relay-req n1", "for n2 to n0"), 1u);
-  EXPECT_EQ(rig.trace_count("relay-data n1", "for n2"), 1u);
-  EXPECT_EQ(rig.trace_count("adv n1"), 0u);
-  EXPECT_EQ(rig.trace_count("data n1"), 0u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsRelayReq, .node = kB, .peer = kC, .via = kA}), 1u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsRelayData, .node = kB, .peer = kC}), 1u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsAdv, .node = kB}), 0u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsData, .node = kB}), 0u);
   // The DATA's final hop into C came from B ("sent in exactly the same
   // manner as the received request").
-  EXPECT_EQ(rig.trace_count("data n2", "from n1"), 1u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsData, .node = kC, .peer = kB}), 1u);
 }
 
 // --- Section 3.5 failure cases on A -- r1 -- r2 -- C ------------------------
@@ -173,19 +153,19 @@ TEST(SpmsPaperExamples, FailureCase1_RelayDiesBeforeAdvertising) {
   EXPECT_TRUE(rig.node_delivered(kR1));
   // …by eventually requesting the PRONE (r1) directly at a higher power
   // ("requests the data from the PRONE (r1) directly").
-  EXPECT_GE(rig.trace_count("req-direct n3", "to n1"), 1u);
-  EXPECT_EQ(rig.trace_count("data n3", "from n1"), 1u);
+  EXPECT_GE(rig.trace.count({.kind = kSpmsReqDirect, .node = kC4, .peer = kR1}), 1u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsData, .node = kC4, .peer = kR1}), 1u);
   // r2 never served anything.
-  EXPECT_EQ(rig.trace_count("adv n2"), 0u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsAdv, .node = kR2}), 0u);
 }
 
 TEST(SpmsPaperExamples, FailureCase2_RelayDiesAfterAdvertising) {
   Rig rig(ar1r2c_line(), 16.0, std::make_unique<AllToAllInterest>(4));
   // Crash r2 the moment C's direct REQ to it is in flight: r2's ADV is out,
   // but the REQ will land on a dead node.
-  rig.on_trace = [&](const obs::LegacyLine& e) {
-    if (e.category == "spms" && e.message.rfind("req-direct n3 n0#0 to n2", 0) == 0 &&
-        rig.net.is_up(kR2)) {
+  const TraceMatch req_to_r2{.kind = kSpmsReqDirect, .node = kC4, .peer = kR2, .item = {kA, 0}};
+  rig.trace.on_record = [&](const obs::TraceRecord& r) {
+    if (req_to_r2(r) && rig.net.is_up(kR2)) {
       rig.sim.after(sim::Duration::ms(0.05), [&] { rig.net.set_up(kR2, false); });
     }
   };
@@ -193,11 +173,11 @@ TEST(SpmsPaperExamples, FailureCase2_RelayDiesAfterAdvertising) {
   rig.sim.run();
 
   // C requested r2 (its promoted PRONE) first…
-  ASSERT_GE(rig.trace_count("req-direct n3", "to n2"), 1u);
+  ASSERT_GE(rig.trace.count(req_to_r2), 1u);
   // …then fell back to the SCONE (r1) directly, as in the paper's Case 2.
-  EXPECT_GE(rig.trace_count("req-direct n3", "to n1"), 1u);
+  EXPECT_GE(rig.trace.count({.kind = kSpmsReqDirect, .node = kC4, .peer = kR1}), 1u);
   EXPECT_TRUE(rig.node_delivered(kC4));
-  EXPECT_EQ(rig.trace_count("data n3", "from n1"), 1u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsData, .node = kC4, .peer = kR1}), 1u);
 }
 
 // --- Section 3.4 fault-tolerance claims --------------------------------------
@@ -206,8 +186,8 @@ TEST(SpmsClaims, SourceFailureAfterFirstDeliveryStillDisseminates) {
   // Claim 1: "Failure of the source node after its data has been received by
   // any of its zone neighbor nodes" is tolerated.
   Rig rig(abc_line(), 12.0, std::make_unique<AllToAllInterest>(3));
-  rig.on_trace = [&](const obs::LegacyLine& e) {
-    if (e.category == "spms" && e.message.rfind("data n1", 0) == 0 && rig.net.is_up(kA)) {
+  rig.trace.on_record = [&](const obs::TraceRecord& r) {
+    if (TraceMatch{.kind = kSpmsData, .node = kB}(r) && rig.net.is_up(kA)) {
       rig.sim.after(sim::Duration::ms(0.01), [&] { rig.net.set_up(kA, false); });
     }
   };
@@ -215,7 +195,7 @@ TEST(SpmsClaims, SourceFailureAfterFirstDeliveryStillDisseminates) {
   rig.sim.run();
   EXPECT_TRUE(rig.node_delivered(kB));
   EXPECT_TRUE(rig.node_delivered(kC));  // served by B, not the dead source
-  EXPECT_EQ(rig.trace_count("data n2", "from n1"), 1u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsData, .node = kC, .peer = kB}), 1u);
 }
 
 TEST(SpmsClaims, IntermediateFailureDuringRelayingIsTolerated) {
@@ -223,8 +203,8 @@ TEST(SpmsClaims, IntermediateFailureDuringRelayingIsTolerated) {
   // Kill r2 while it is relaying C's multi-hop REQ.
   Rig rig(ar1r2c_line(), 16.0,
           std::make_unique<FixedInterest>(std::vector<net::NodeId>{kC4}));
-  rig.on_trace = [&](const obs::LegacyLine& e) {
-    if (e.category == "spms" && e.message.rfind("relay-req n2", 0) == 0 && rig.net.is_up(kR2)) {
+  rig.trace.on_record = [&](const obs::TraceRecord& r) {
+    if (TraceMatch{.kind = kSpmsRelayReq, .node = kR2}(r) && rig.net.is_up(kR2)) {
       rig.net.set_up(kR2, false);  // queue (with the forwarded REQ) is wiped
     }
   };
@@ -242,7 +222,8 @@ TEST(SpmsClaims, TransientSourceFailureRecoversViaRetry) {
   rig.publish(kA);
   rig.sim.run();
   EXPECT_TRUE(rig.node_delivered(kB));
-  EXPECT_GE(rig.trace_count("req-direct n1"), 2u);  // original + at least one retry
+  // The original REQ and at least one retry.
+  EXPECT_GE(rig.trace.count({.kind = kSpmsReqDirect, .node = kB}), 2u);
 }
 
 // --- Dissemination properties -------------------------------------------------
@@ -266,7 +247,7 @@ TEST(SpmsDissemination, EveryReceiverAdvertisesExactlyOnce) {
   rig.sim.run();
   ASSERT_TRUE(rig.collector.all_delivered());
   for (std::uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(rig.trace_count("adv n" + std::to_string(i) + " "), 1u) << "node " << i;
+    EXPECT_EQ(rig.trace.count({.kind = kSpmsAdv, .node = net::NodeId{i}}), 1u) << "node " << i;
   }
 }
 
@@ -291,8 +272,8 @@ TEST(SpmsDissemination, UninterestedNodesNeverRequest) {
   rig.publish(kA);
   rig.sim.run();
   EXPECT_TRUE(rig.node_delivered(kB));
-  EXPECT_EQ(rig.trace_count("req-direct n2"), 0u);
-  EXPECT_EQ(rig.trace_count("req-multihop n2"), 0u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsReqDirect, .node = kC}), 0u);
+  EXPECT_EQ(rig.trace.count({.kind = kSpmsReqMultihop, .node = kC}), 0u);
 }
 
 TEST(SpmsDissemination, DeterministicForSameSeed) {

@@ -3,22 +3,60 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/runner.hpp"
 #include "exp/store/canonical.hpp"
+#include "net/radio.hpp"
 
-/// Registry-wide guarantees: every scenario expands to a usable,
-/// duplicate-free job list (distinct labels AND distinct store keys — the
-/// result cache depends on the latter), each scenario's smallest grid
-/// point actually runs end to end under a tight event budget, and
-/// --variant/--set narrow a scenario the way the CLI relies on.
+/// Registry-wide guarantees: the reference config is the paper's Table 1,
+/// every scenario expands to a usable, duplicate-free job list (distinct
+/// labels AND distinct store keys — the result cache depends on the
+/// latter), each scenario's smallest grid point actually runs end to end
+/// under a tight event budget, and --variant/--set narrow a scenario the
+/// way the CLI relies on.
 
 namespace spms::exp {
 namespace {
+
+TEST(ReferenceConfigTest, MatchesTable1) {
+  const auto cfg = reference_config();
+  // Poisson arrivals (exponential gaps) with a 1 ms mean.
+  EXPECT_EQ(cfg.traffic.mean_interarrival, sim::Duration::ms(1.0));
+  // Table 1 sends 10 packets per node; the reference config sends 2, and
+  // --set traffic.packets_per_node=10 runs the paper's load.
+  EXPECT_EQ(cfg.traffic.packets_per_node, 2);
+  EXPECT_EQ(cfg.mac.num_slots, 20);
+  EXPECT_EQ(cfg.mac.slot_time, sim::Duration::ms(0.1));
+  EXPECT_EQ(cfg.mac.t_tx_per_byte, sim::Duration::ms(0.05));
+  EXPECT_EQ(cfg.mac.t_proc, sim::Duration::ms(0.02));
+  EXPECT_EQ(cfg.proto.adv_bytes, 2u);
+  EXPECT_EQ(cfg.proto.req_bytes, 2u);
+  EXPECT_EQ(cfg.proto.data_bytes, 40u);
+  EXPECT_EQ(cfg.proto.tout_adv, sim::Duration::ms(1.0));
+  EXPECT_EQ(cfg.proto.tout_dat, sim::Duration::ms(2.5));
+  EXPECT_EQ(cfg.faults.crash.mean_time_between_failures, sim::Duration::ms(50.0));
+  EXPECT_EQ(cfg.faults.crash.repair_min, sim::Duration::ms(5.0));
+  EXPECT_EQ(cfg.faults.crash.repair_max, sim::Duration::ms(15.0));
+  // The deployment behind Figs. 6, 8 and 10 (EXPERIMENTS.md "Calibration notes").
+  EXPECT_EQ(cfg.grid_pitch_m, 5.0);
+  EXPECT_EQ(cfg.zone_radius_m, 20.0);
+
+  // The five MICA2 power levels, strongest first: (mW, range m).
+  const std::pair<double, double> mica2[] = {
+      {3.1622, 91.44}, {0.7943, 45.72}, {0.1995, 22.86}, {0.05, 11.28}, {0.0125, 5.48}};
+  const auto radio = net::RadioTable::mica2();
+  ASSERT_EQ(radio.num_levels(), std::size(mica2));
+  for (std::size_t i = 0; i < radio.num_levels(); ++i) {
+    EXPECT_DOUBLE_EQ(radio.level(i).power_mw, mica2[i].first) << "level " << i + 1;
+    EXPECT_DOUBLE_EQ(radio.level(i).range_m, mica2[i].second) << "level " << i + 1;
+  }
+}
 
 TEST(RegistryExpansionTest, EveryScenarioExpandsNonEmptyAndDuplicateFree) {
   for (const auto& info : scenario_registry()) {

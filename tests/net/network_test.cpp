@@ -308,18 +308,17 @@ TEST_F(NetworkTest, ChargeHelpersAccountRoutingEnergy) {
   EXPECT_DOUBLE_EQ(total.protocol_uj(), 0.0);
 }
 
-TEST_F(NetworkTest, ChannelQuietForReflectsActivity) {
+TEST_F(NetworkTest, ChannelBusyUntilReflectsActivity) {
   build_line(2, 5.0, 12.0);
-  EXPECT_TRUE(net->channel_quiet_for(NodeId{1}, sim::Duration::ms(1.0)));
+  EXPECT_LE(net->channel_busy_until(NodeId{1}) + sim::Duration::ms(1.0), sim.now());
   ASSERT_TRUE(net->send_to(NodeId{0}, adv_packet({NodeId{0}, 1}), NodeId{1}));
   sim.run_until(sim::TimePoint::at(sim::Duration::ms(0.05)));  // mid-airtime
-  EXPECT_FALSE(net->channel_quiet_for(NodeId{1}, sim::Duration::ms(0.0)));
+  // 2 B at 0.05 ms/B: the frame holds the channel until 0.1 ms.
+  const auto frame_end = sim::TimePoint::at(sim::Duration::ms(0.1));
+  EXPECT_EQ(net->channel_busy_until(NodeId{1}), frame_end);
   sim.run();
-  // Channel idle since 0.1 ms; quiet for 1 ms only once now >= 1.1 ms.
-  sim.run_until(sim::TimePoint::at(sim::Duration::ms(0.5)));
-  EXPECT_FALSE(net->channel_quiet_for(NodeId{1}, sim::Duration::ms(1.0)));
   sim.run_until(sim::TimePoint::at(sim::Duration::ms(1.2)));
-  EXPECT_TRUE(net->channel_quiet_for(NodeId{1}, sim::Duration::ms(1.0)));
+  EXPECT_EQ(net->channel_busy_until(NodeId{1}), frame_end);
 }
 
 TEST_F(NetworkTest, MobilityChangesDeliveryDisc) {

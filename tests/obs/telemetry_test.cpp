@@ -9,7 +9,7 @@
 #include "obs/sampler.hpp"
 
 /// Unit invariants of the obs layer: O(1) counter handles, pull gauges,
-/// histogram bucketing, the typed trace's ring/sink/legacy contracts, and
+/// histogram bucketing, the typed trace's ring/sink contracts, and
 /// the sampler's fixed-grid semantics.
 
 namespace spms::obs {
@@ -139,36 +139,6 @@ TEST(EventTrace, RingKeepsNewestRecordsOldestFirst) {
   t.enable_ring(0);
   EXPECT_FALSE(t.enabled());
   EXPECT_TRUE(t.ring_snapshot().empty());
-}
-
-TEST(FormatLegacy, ReproducesStringEraRenderings) {
-  TraceRecord adv = adv_record(3, 0, 1);
-  auto line = format_legacy(adv);
-  ASSERT_TRUE(line.has_value());
-  EXPECT_EQ(line->category, "spms");
-  EXPECT_EQ(line->message, "adv n3 n0#1");
-
-  TraceRecord req{.kind = TraceKind::kSpmsReqMultihop,
-                  .node = net::NodeId{7},
-                  .peer = net::NodeId{2},
-                  .via = net::NodeId{5},
-                  .item = net::DataId{net::NodeId{1}, 4}};
-  line = format_legacy(req);
-  ASSERT_TRUE(line.has_value());
-  EXPECT_EQ(line->message, "req-multihop n7 n1#4 to n2 via n5");
-
-  TraceRecord spin{.kind = TraceKind::kSpinData,
-                   .node = net::NodeId{2},
-                   .peer = net::NodeId{9},
-                   .item = net::DataId{net::NodeId{9}, 0}};
-  line = format_legacy(spin);
-  ASSERT_TRUE(line.has_value());
-  EXPECT_EQ(line->category, "spin");
-  EXPECT_EQ(line->message, "data n2 n9#0 from n9");
-
-  // Cross-layer records never had a string rendering.
-  EXPECT_FALSE(format_legacy(TraceRecord{.kind = TraceKind::kDelivery}).has_value());
-  EXPECT_FALSE(format_legacy(TraceRecord{.kind = TraceKind::kFrameDrop}).has_value());
 }
 
 TEST(AppendRecordJson, RendersOnlyPopulatedFields) {
