@@ -5,17 +5,11 @@
 #include <limits>
 #include <stdexcept>
 
+#include "sim/random.hpp"
+
 namespace spms::core {
 
 namespace {
-
-/// SplitMix64-style avalanche over the (seed, node, item) triple; gives a
-/// stable pseudo-random draw without consuming RNG state.
-std::uint64_t mix(std::uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// Candidate radius for the exact test distance(a, b) <= r.  The grid's
 /// superset covers distance_sq(a, b) <= r * r, and the square root can round
@@ -94,8 +88,10 @@ ClusterInterest::ClusterInterest(const net::Network& net, double head_spacing_m,
 }
 
 bool ClusterInterest::hash_wants(net::NodeId node, net::DataId item) const {
-  const std::uint64_t h = mix(seed_ ^ (static_cast<std::uint64_t>(node.v) << 40) ^
-                              (static_cast<std::uint64_t>(item.origin.v) << 20) ^ item.seq);
+  // An avalanche over the (seed, node, item) triple: a stable draw that
+  // consumes no RNG state.
+  const std::uint64_t h = sim::mix64(seed_ ^ (static_cast<std::uint64_t>(node.v) << 40) ^
+                                     (static_cast<std::uint64_t>(item.origin.v) << 20) ^ item.seq);
   return static_cast<double>(h >> 11) * 0x1.0p-53 < p_other_;
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "net/ids.hpp"
+#include "sim/random.hpp"
 
 /// \file item_table.hpp
 /// Flat per-(node, item) protocol state: the FlatMap hash map, the
@@ -22,17 +23,6 @@
 /// node's items in DataId order.
 
 namespace spms::core {
-
-namespace detail {
-/// splitmix64's finaliser.  FlatMap masks hashes to a power of two, and
-/// libstdc++'s std::hash<std::uint64_t> is the identity, so without the mix
-/// a DataId's slot would depend on its seq bits alone.
-[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-}  // namespace detail
 
 /// Insert-only open-addressing hash map: linear probing over a power-of-two
 /// slot array that doubles before the load passes 3/4.  It is looked up and
@@ -70,8 +60,11 @@ class FlatMap {
   /// The slot that holds `key`, or the free slot where it belongs; the load
   /// cap guarantees a free slot.
   [[nodiscard]] std::size_t probe(const Key& key) const {
+    // The mask keeps the low bits and libstdc++'s std::hash<std::uint64_t>
+    // is the identity, so without the mix a DataId's slot would depend on
+    // its seq bits alone.
     const std::size_t mask = slots_.size() - 1;
-    std::size_t i = detail::mix64(Hash{}(key)) & mask;
+    std::size_t i = sim::mix64(Hash{}(key)) & mask;
     while (used_[i] && !(slots_[i].key == key)) i = (i + 1) & mask;
     return i;
   }

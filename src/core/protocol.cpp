@@ -2,6 +2,8 @@
 
 #include <bit>
 
+#include "sim/heap4.hpp"
+
 namespace spms::core {
 
 DisseminationProtocol::DisseminationProtocol(sim::Simulation& sim, net::Network& net,
@@ -149,8 +151,8 @@ void DisseminationProtocol::run_wakes(std::uint32_t v, bool and_now) {
     w.at = busy + window(d.count);
     w.seen = busy;
     w.order = nodes_[v].checks++;
-    heap_set(v, 0, w);
-    sift_down(v, 0);
+    heap(v)[0] = w;
+    sim::heap4::sift_down(heap(v), nodes_[v].size, 0, wakes_before, placed());
     if (c != nullptr) tally(*c, w.seen, d.count, 1);
   }
 }
@@ -271,50 +273,10 @@ void DisseminationProtocol::tally(WakeCounts& c, sim::TimePoint seen, int count,
   if (count >= params_.timer_defer_limit) c.at_limit += static_cast<std::uint32_t>(delta);
 }
 
-void DisseminationProtocol::heap_set(std::uint32_t v, std::uint32_t pos, const Wake& w) {
-  heap(v)[pos] = w;
-  parked_[w.timer].slot = pos;
-}
-
 void DisseminationProtocol::unpark(Deferral& deferral) {
   parked_[deferral.parked].slot = free_parked_;
   free_parked_ = deferral.parked;
   deferral.parked = Deferral::kNotParked;
-}
-
-
-// The heap is 4-ary, as the scheduler's: parent of i is (i-1)/4, children
-// 4i+1..4i+4, so a sift moves each wake, and writes its slot, half as often.
-
-void DisseminationProtocol::sift_up(std::uint32_t v, std::uint32_t pos) {
-  Wake* h = heap(v);
-  const Wake w = h[pos];
-  while (pos > 0) {
-    const std::uint32_t parent = (pos - 1) / 4;
-    if (!wakes_before(w, h[parent])) break;
-    heap_set(v, pos, h[parent]);
-    pos = parent;
-  }
-  heap_set(v, pos, w);
-}
-
-void DisseminationProtocol::sift_down(std::uint32_t v, std::uint32_t pos) {
-  Wake* h = heap(v);
-  const std::uint32_t size = nodes_[v].size;
-  const Wake w = h[pos];
-  for (;;) {
-    const std::uint32_t first = 4 * pos + 1;
-    if (first >= size) break;
-    std::uint32_t best = first;
-    const std::uint32_t last = std::min(first + 4, size);
-    for (std::uint32_t c = first + 1; c < last; ++c) {
-      if (wakes_before(h[c], h[best])) best = c;
-    }
-    if (!wakes_before(h[best], w)) break;
-    heap_set(v, pos, h[best]);
-    pos = best;
-  }
-  heap_set(v, pos, w);
 }
 
 void DisseminationProtocol::heap_push(std::uint32_t v, const Wake& w) {
@@ -339,17 +301,14 @@ void DisseminationProtocol::heap_push(std::uint32_t v, const Wake& w) {
     n.base = base;
     n.capacity = capacity;
   }
-  heap_set(v, n.size++, w);
-  sift_up(v, n.size - 1);
+  heap(v)[n.size] = w;
+  sim::heap4::sift_up(heap(v), n.size, wakes_before, placed());
+  ++n.size;
 }
 
 void DisseminationProtocol::heap_remove(std::uint32_t v, std::uint32_t pos) {
-  NodeWakes& n = nodes_[v];
-  const std::uint32_t last = --n.size;
-  if (pos == last) return;
-  heap_set(v, pos, heap(v)[last]);
-  sift_down(v, pos);
-  sift_up(v, pos);
+  sim::heap4::erase(heap(v), nodes_[v].size, pos, wakes_before, placed());
+  --nodes_[v].size;
 }
 
 bool DisseminationProtocol::out_of_retries(net::NodeId self, net::DataId item, int attempts,

@@ -65,25 +65,14 @@ struct ProtocolParams {
   int timer_defer_limit = 4000;
 };
 
-namespace detail {
-/// min(2^(d/8), 256) for d = 0..63, computed once by the same std::pow call
-/// the formula makes at run time (the volatile exponent keeps the compiler
-/// from folding it into a differently rounded constant).
-inline const std::array<double, 64> kDeferGrowth = [] {
-  std::array<double, 64> growth{};
-  for (std::size_t d = 0; d < growth.size(); ++d) {
-    volatile double exponent = static_cast<double>(d) / 8.0;
-    growth[d] = std::min(std::pow(2.0, exponent), 256.0);
-  }
-  return growth;
-}();
-}  // namespace detail
-
 /// Growth factor of the quiet window after `deferrals` (>= 0) deferrals:
-/// min(2^(deferrals/8), 256), which reaches its cap at 64.
+/// min(2^(deferrals/8), 256), which reaches its cap at 64.  The volatile
+/// exponent keeps the compiler from folding std::pow into a differently
+/// rounded constant.
 [[nodiscard]] inline double defer_growth(int deferrals) {
   assert(deferrals >= 0);
-  return deferrals < 64 ? detail::kDeferGrowth[static_cast<std::size_t>(deferrals)] : 256.0;
+  volatile double exponent = static_cast<double>(deferrals) / 8.0;
+  return std::min(std::pow(2.0, exponent), 256.0);
 }
 
 /// Quiet window for a gated timer's deferral number `deferrals` (see
@@ -257,9 +246,10 @@ class DisseminationProtocol : public net::Agent {
     Deferral* deferral;
     std::uint32_t slot;  ///< heap position; the next free record while unused
   };
-  [[nodiscard]] static bool wakes_before(const Wake& a, const Wake& b) {
+  /// The wake heap's strict total order: wake, then check order.
+  static constexpr auto wakes_before = [](const Wake& a, const Wake& b) {
     return a.at != b.at ? a.at < b.at : a.order < b.order;
-  }
+  };
 
   /// The parked timers of a node that holds more than kScanMax, by
   /// min(count, 64): W depends only on that.  `current` holds the timers
@@ -303,11 +293,12 @@ class DisseminationProtocol : public net::Agent {
     return windows_[static_cast<std::size_t>(std::min(deferrals, 64))];
   }
   [[nodiscard]] Wake* heap(std::uint32_t v) { return wakes_.data() + nodes_[v].base; }
-  void heap_set(std::uint32_t v, std::uint32_t pos, const Wake& w);
+  /// The heap4 steps' callback: keeps parked_[*].slot on the wakes.
+  [[nodiscard]] auto placed() {
+    return [this](const Wake& w, std::uint32_t pos) { parked_[w.timer].slot = pos; };
+  }
   /// Frees the record of `deferral`'s parked timer.
   void unpark(Deferral& deferral);
-  void sift_up(std::uint32_t v, std::uint32_t pos);
-  void sift_down(std::uint32_t v, std::uint32_t pos);
   void heap_push(std::uint32_t v, const Wake& w);
   void heap_remove(std::uint32_t v, std::uint32_t pos);
 

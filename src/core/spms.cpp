@@ -36,56 +36,44 @@ void SpmsProtocol::arm_dat_timer(net::NodeId self, net::DataId item) {
   st.awaiting = true;
 }
 
-void SpmsProtocol::send_req_via_route(net::NodeId self, net::DataId item, net::NodeId target) {
+net::NodeId SpmsProtocol::first_hop(net::NodeId self, net::NodeId target) const {
+  // No table entry gives a direct request, as does a best path that IS the
+  // direct link (its next hop is the target).
   const net::NodeId next = routing_.next_hop(self, target);
-  if (!next.valid() || next == target) {
-    // Either the table has no multi-hop entry or the best path IS the direct
-    // link; both collapse to a direct request.
-    send_req_direct(self, item, target);
-    return;
-  }
-  net::Packet req;
-  req.type = net::PacketType::kReq;
-  req.item = item;
-  req.requester = self;
-  req.target = target;
-  req.direct = false;
-  req.size_bytes = params_.req_bytes;
-  ItemState& st = items_(self, item);
-  req.attempt = static_cast<std::uint16_t>(st.attempts + 1);
-  const bool sent = net_.send_to(self, std::move(req), next);
-  if (sent && sim_.events().enabled()) {
-    sim_.events().emit({.at = sim_.now(), .kind = obs::TraceKind::kSpmsReqMultihop, .node = self,
-                        .peer = target, .via = next, .item = item});
-  }
-  ++st.attempts;
-  st.last_direct = false;
-  st.last_target = target;
-  // Arm tau_DAT even when the send failed (e.g. the hop moved out of range):
-  // the timeout drives the escalation ladder to another originator.
-  arm_dat_timer(self, item);
+  return next.valid() ? next : target;
 }
 
-void SpmsProtocol::send_req_direct(net::NodeId self, net::DataId item, net::NodeId target) {
+void SpmsProtocol::send_req(net::NodeId self, net::DataId item, net::NodeId target,
+                            net::NodeId hop, std::vector<net::NodeId> plan) {
+  const bool cross_zone = !plan.empty();
+  const bool direct = !cross_zone && hop == target;
   net::Packet req;
   req.type = net::PacketType::kReq;
   req.item = item;
   req.requester = self;
   req.target = target;
-  req.direct = true;
-  req.size_bytes = params_.req_bytes;
+  req.direct = direct;
+  req.source_route = plan;
+  req.size_bytes = params_.req_bytes + 4 * plan.size();  // hop ids on the air
   ItemState& st = items_(self, item);
   req.attempt = static_cast<std::uint16_t>(st.attempts + 1);
-  const bool sent = net_.send_to(self, std::move(req), target);
-  if (sent && sim_.events().enabled()) {
-    sim_.events().emit({.at = sim_.now(), .kind = obs::TraceKind::kSpmsReqDirect, .node = self,
-                        .peer = target, .item = item});
+  if (net_.send_to(self, std::move(req), hop) && sim_.events().enabled()) {
+    const obs::TraceKind kind = cross_zone ? obs::TraceKind::kSpmsReqCrosszone
+                                : direct   ? obs::TraceKind::kSpmsReqDirect
+                                           : obs::TraceKind::kSpmsReqMultihop;
+    sim_.events().emit({.at = sim_.now(), .kind = kind, .node = self, .peer = target,
+                        .via = direct ? net::NodeId{} : hop, .item = item});
   }
   ++st.attempts;
-  st.last_direct = true;
+  st.last_direct = direct;
   st.last_target = target;
-  // A failed send (target out of range after mobility) still arms tau_DAT so
-  // the escalation ladder can move on instead of stranding the item.
+  if (cross_zone) {
+    st.cross_first_hop = hop;
+    st.cross_plan = std::move(plan);
+  }
+  // Arm tau_DAT even when the send failed (the hop or the target moved out
+  // of range): the timeout drives the escalation ladder on instead of
+  // stranding the item.
   arm_dat_timer(self, item);
 }
 
@@ -145,7 +133,7 @@ void SpmsProtocol::handle_adv(net::NodeId self, const net::Packet& p) {
   if (routing_.is_next_hop_neighbor(self, prone_of(st))) {
     // The holder is one hop along the shortest path: request immediately.
     cancel_timer(self, st.adv_timer, st.deferral);
-    send_req_direct(self, p.item, prone_of(st));
+    send_req(self, p.item, prone_of(st), prone_of(st));
     return;
   }
 
@@ -167,7 +155,7 @@ void SpmsProtocol::on_adv_timeout(net::NodeId self, net::DataId item) {
   if (park_while_audible(self, item, st.deferral, st.adv_timer)) return;
   // No relay re-advertised in time: request from the PRONE through the
   // shortest path.
-  send_req_via_route(self, item, prone_of(st));
+  send_req(self, item, prone_of(st), first_hop(self, prone_of(st)));
 }
 
 void SpmsProtocol::on_dat_timeout(net::NodeId self, net::DataId item) {
@@ -187,7 +175,7 @@ void SpmsProtocol::on_dat_timeout(net::NodeId self, net::DataId item) {
   // recovery is a bounded re-send along the same courier route (the holder
   // or a relay may have been down transiently).
   if (!st.cross_plan.empty()) {
-    send_req_cross_zone(self, item, st.cross_first_hop, st.cross_plan);
+    send_req(self, item, st.cross_plan.back(), st.cross_first_hop, st.cross_plan);
     return;
   }
 
@@ -207,7 +195,7 @@ void SpmsProtocol::on_dat_timeout(net::NodeId self, net::DataId item) {
   if (!st.last_direct) {
     if (!st.multihop_retried) {
       st.multihop_retried = true;
-      send_req_via_route(self, item, prone_of(st));
+      send_req(self, item, prone_of(st), first_hop(self, prone_of(st)));
       return;
     }
     target = prone_of(st);
@@ -224,7 +212,7 @@ void SpmsProtocol::on_dat_timeout(net::NodeId self, net::DataId item) {
       }
     }
   }
-  send_req_direct(self, item, target);
+  send_req(self, item, target, target);
 }
 
 void SpmsProtocol::on_wake(net::NodeId self, net::DataId item) {
@@ -253,7 +241,7 @@ void SpmsProtocol::handle_forwarded_adv(net::NodeId self, const net::Packet& p) 
     std::vector<net::NodeId> plan(p.route.rbegin(), p.route.rend());
     if (!plan.empty() && plan.front() == p.src) plan.erase(plan.begin());
     plan.push_back(holder);
-    send_req_cross_zone(self, p.item, p.src, std::move(plan));
+    send_req(self, p.item, holder, p.src, std::move(plan));
     return;
   }
   maybe_forward_metadata(self, p, holder);
@@ -283,32 +271,6 @@ void SpmsProtocol::maybe_forward_metadata(net::NodeId self, const net::Packet& p
           {.at = sim_.now(), .kind = obs::TraceKind::kSpmsCourierAdv, .node = self, .item = p.item});
     }
   }
-}
-
-void SpmsProtocol::send_req_cross_zone(net::NodeId self, net::DataId item,
-                                       net::NodeId first_hop, std::vector<net::NodeId> plan) {
-  net::Packet req;
-  req.type = net::PacketType::kReq;
-  req.item = item;
-  req.requester = self;
-  req.target = plan.empty() ? first_hop : plan.back();
-  req.direct = false;
-  req.source_route = plan;
-  req.size_bytes = params_.req_bytes + 4 * plan.size();
-  ItemState& st = items_(self, item);
-  req.attempt = static_cast<std::uint16_t>(st.attempts + 1);
-  const net::NodeId target = req.target;
-  const bool sent = net_.send_to(self, std::move(req), first_hop);
-  if (sent && sim_.events().enabled()) {
-    sim_.events().emit({.at = sim_.now(), .kind = obs::TraceKind::kSpmsReqCrosszone, .node = self,
-                        .peer = target, .via = first_hop, .item = item});
-  }
-  ++st.attempts;
-  st.last_direct = false;
-  st.last_target = target;
-  st.cross_first_hop = first_hop;
-  st.cross_plan = std::move(plan);
-  arm_dat_timer(self, item);
 }
 
 void SpmsProtocol::handle_req(net::NodeId self, const net::Packet& p) {

@@ -107,9 +107,6 @@ class SpmsProtocol final : public DisseminationProtocol {
   void handle_forwarded_adv(net::NodeId self, const net::Packet& p);
   /// Re-broadcasts metadata at the zone edge if the budget allows.
   void maybe_forward_metadata(net::NodeId self, const net::Packet& p, net::NodeId holder);
-  /// Sends a REQ source-routed along the ADV courier trail; arms tau_DAT.
-  void send_req_cross_zone(net::NodeId self, net::DataId item, net::NodeId first_hop,
-                           std::vector<net::NodeId> plan);
 
   void on_adv_timeout(net::NodeId self, net::DataId item);
   void on_dat_timeout(net::NodeId self, net::DataId item);
@@ -120,11 +117,16 @@ class SpmsProtocol final : public DisseminationProtocol {
   /// relay): stops its timers, records the delivery and advertises the item.
   /// Later copies are duplicates and ignored.
   void take_first_copy(net::NodeId self, const net::Packet& data);
-  /// Sends a REQ to `target` through the shortest path (or directly when
-  /// the target is the next hop); arms tau_DAT.
-  void send_req_via_route(net::NodeId self, net::DataId item, net::NodeId target);
-  /// Sends a REQ straight to `target` in one transmission; arms tau_DAT.
-  void send_req_direct(net::NodeId self, net::DataId item, net::NodeId target);
+  /// The first hop of a REQ from `self` to `target` through the shortest
+  /// path: `target` itself when the REQ goes in one transmission.
+  [[nodiscard]] net::NodeId first_hop(net::NodeId self, net::NodeId target) const;
+  /// Sends `self`'s REQ for `item` to `target` through `hop` and arms
+  /// tau_DAT.  The REQ is direct (one transmission) when `hop` is `target`,
+  /// multi-hop along the routing tables otherwise, and cross-zone when
+  /// `plan` holds the rest of a source route along an ADV courier trail
+  /// (ending at `target`); a cross-zone REQ records its route for re-sends.
+  void send_req(net::NodeId self, net::DataId item, net::NodeId target, net::NodeId hop,
+                std::vector<net::NodeId> plan = {});
   /// Answers a REQ that reached us (we hold the data).
   void answer_req(net::NodeId self, const net::Packet& req);
   /// Relays a REQ that is addressed to someone else.

@@ -10,18 +10,6 @@
 
 namespace spms::net {
 
-namespace {
-
-/// Typed frame-drop record; call only when sim.events().enabled().
-void emit_drop(sim::Simulation& sim, obs::DropCause cause, NodeId node, NodeId peer, DataId item,
-               double value = 0.0) {
-  sim.events().emit({.at = sim.now(), .kind = obs::TraceKind::kFrameDrop,
-                     .cause = static_cast<std::uint8_t>(cause), .node = node, .peer = peer,
-                     .item = item, .value = value});
-}
-
-}  // namespace
-
 Network::Network(sim::Simulation& sim, RadioTable radio, MacParams mac, EnergyModelParams energy,
                  std::vector<Point> positions, double zone_radius_m, BatteryParams battery)
     : sim_(sim),
@@ -109,22 +97,7 @@ double Network::rx_energy_uj(std::size_t bytes) const {
 bool Network::send(NodeId from, Packet packet, double coverage_m, EnergyUse use) {
   const std::uint32_t v = from.v;
   if (v >= pos_.size()) throw std::out_of_range{"Network::send: bad node id"};
-  if (battery_state_[v].depleted()) {
-    // A drained node cannot key its radio, even before the fault layer has
-    // processed the (zero-delay) depletion notification.
-    ++counters_.dropped_battery_dead;
-    if (sim_.events().enabled()) {
-      emit_drop(sim_, obs::DropCause::kBatteryDead, from, packet.dst, packet.item);
-    }
-    return false;
-  }
-  if (up_[v] == 0) {
-    ++counters_.dropped_sender_down;
-    if (sim_.events().enabled()) {
-      emit_drop(sim_, obs::DropCause::kSenderDown, from, packet.dst, packet.item);
-    }
-    return false;
-  }
+  if (!radio_alive(v, obs::DropCause::kSenderDown, packet.dst, packet.item)) return false;
   // Pad the engineered disc by a hair: unicast coverage is usually the
   // exact receiver distance (send_to), and the sqrt/square round trip of
   // that distance can land one ulp short of the delivery test, silently
@@ -132,10 +105,7 @@ bool Network::send(NodeId from, Packet packet, double coverage_m, EnergyUse use)
   coverage_m += 1e-6;
   const auto lvl = radio_.cheapest_level_for(coverage_m);
   if (!lvl) {
-    ++counters_.dropped_out_of_range;
-    if (sim_.events().enabled()) {
-      emit_drop(sim_, obs::DropCause::kOutOfRange, from, packet.dst, packet.item, coverage_m);
-    }
+    drop(obs::DropCause::kOutOfRange, from, packet.dst, packet.item, coverage_m);
     return false;
   }
   packet.src = from;
@@ -163,36 +133,21 @@ sim::Duration Network::access_delay(std::uint32_t v, const OutgoingFrame& f) {
 void Network::send_unqueued(std::uint32_t v, OutgoingFrame frame) {
   // Paper-style MAC: the frame neither waits for the node's earlier frames
   // nor occupies the channel; it simply takes access-delay + airtime.  The
-  // frame rides a pooled context so both events capture three words.
-  const NodeId id{v};
+  // frame is pooled so both events capture three words.
   const sim::Duration delay = access_delay(v, frame);
-  FrameCtx* ctx = acquire_frame_ctx();
-  ctx->frame = std::move(frame);
-  sim_.after(delay, [this, id, ctx] {
-    if (battery_state_[id.v].depleted()) {
-      ++counters_.dropped_battery_dead;  // drained during the backoff
-      if (sim_.events().enabled()) {
-        emit_drop(sim_, obs::DropCause::kBatteryDead, id, ctx->frame.packet.dst,
-                  ctx->frame.packet.item);
-      }
-      release_frame_ctx(ctx);
+  OutgoingFrame* f = frames_.acquire();
+  *f = std::move(frame);
+  sim_.after(delay, [this, v, f] {
+    // Drained or crashed during the backoff.
+    if (!radio_alive(v, obs::DropCause::kSenderDown, f->packet.dst, f->packet.item)) {
+      frames_.release(f);
       return;
     }
-    if (up_[id.v] == 0) {
-      ++counters_.dropped_sender_down;  // crashed during the backoff
-      if (sim_.events().enabled()) {
-        emit_drop(sim_, obs::DropCause::kSenderDown, id, ctx->frame.packet.dst,
-                  ctx->frame.packet.item);
-      }
-      release_frame_ctx(ctx);
-      return;
-    }
-    const OutgoingFrame& f = ctx->frame;
-    charge_node_tx(id.v, tx_energy_uj(f.packet.size_bytes, f.level), f.use);
-    count_tx(f.packet);
-    sim_.after(airtime(f.packet.size_bytes), [this, id, ctx] {
-      deliver_frame(id.v, ctx->frame);
-      release_frame_ctx(ctx);
+    charge_node_tx(v, tx_energy_uj(f->packet.size_bytes, f->level), f->use);
+    count_tx(f->packet);
+    sim_.after(airtime(f->packet.size_bytes), [this, v, f] {
+      deliver_frame(v, *f);
+      frames_.release(f);
     });
   });
 }
@@ -230,20 +185,17 @@ void Network::mac_try_send(std::uint32_t v) {
 void Network::mac_begin_tx(std::uint32_t v) {
   assert(mac_busy_[v] != 0 && !mac_queue_[v].empty());
   if (battery_state_[v].depleted()) {
-    // Drained while waiting for the channel: the queue dies with the radio.
-    counters_.dropped_battery_dead += mac_queue_[v].size();
-    if (sim_.events().enabled()) {
-      // One aggregate record; value carries how many queued frames died.
-      emit_drop(sim_, obs::DropCause::kBatteryDead, NodeId{v}, NodeId{}, DataId{},
-                static_cast<double>(mac_queue_[v].size()));
-    }
+    // Drained while waiting for the channel: the queue dies with the radio,
+    // in one record whose value carries how many queued frames died.
+    const std::size_t lost = mac_queue_[v].size();
+    drop(obs::DropCause::kBatteryDead, NodeId{v}, NodeId{}, DataId{}, static_cast<double>(lost),
+         lost);
     mac_queue_[v].clear();
     mac_busy_[v] = 0;
     mac_event_[v] = sim::EventHandle{};
     return;
   }
-  const sim::TimePoint now = sim_.now();
-  const sim::TimePoint end = now + airtime(mac_queue_[v].front().packet.size_bytes);
+  const sim::TimePoint end = sim_.now() + airtime(mac_queue_[v].front().packet.size_bytes);
   // Raises o's stamp to `end`, letting a watching agent act first.
   const auto raise = [&](std::uint32_t o) {
     if (end <= channel_busy_until_[o]) return;
@@ -258,50 +210,14 @@ void Network::mac_begin_tx(std::uint32_t v) {
   charge_node_tx(v, tx_energy_uj(f.packet.size_bytes, f.level), f.use);
   count_tx(f.packet);
   if (mac_.carrier_sense) {
-    // Occupy the channel across the coverage disc.  The walk only stamps;
-    // watched nodes rise after it, each once its agent has decided.  An
-    // agent acts on its own node alone, so this order changes nothing but
-    // the order of timers that fire at this instant.
-    walk_disc(NodeId{v}, f.coverage_m, [&](std::uint32_t o) {
-      if (end <= channel_busy_until_[o]) return;
-      if (watch_[o] <= now) {
-        watched_.push_back(o);
-      } else {
-        channel_busy_until_[o] = end;
-      }
-    });
-    for (const std::uint32_t o : watched_) raise(o);
-    watched_.clear();
+    // Occupy the channel across the coverage disc.  A watched node's agent
+    // acts as the walk reaches it; an agent acts on its own node alone (its
+    // frames queue behind this one, and no agent reads another node's
+    // stamp), so its calls and RNG draws follow the walk order.
+    walk_disc(NodeId{v}, f.coverage_m, raise);
   }
   mac_event_[v] = sim_.at(end, [this, v] { mac_complete_tx(v); });
 }
-
-Network::DeliveryCtx* Network::acquire_delivery_ctx() {
-  if (delivery_free_.empty()) {
-    delivery_store_.push_back(std::make_unique<DeliveryCtx>());
-    return delivery_store_.back().get();
-  }
-  DeliveryCtx* ctx = delivery_free_.back();
-  delivery_free_.pop_back();
-  return ctx;
-}
-
-void Network::release_delivery_ctx(DeliveryCtx* ctx) {
-  ctx->processors.clear();
-  delivery_free_.push_back(ctx);
-}
-
-Network::FrameCtx* Network::acquire_frame_ctx() {
-  if (frame_free_.empty()) {
-    frame_store_.push_back(std::make_unique<FrameCtx>());
-    return frame_store_.back().get();
-  }
-  FrameCtx* ctx = frame_free_.back();
-  frame_free_.pop_back();
-  return ctx;
-}
-
-void Network::release_frame_ctx(FrameCtx* ctx) { frame_free_.push_back(ctx); }
 
 void Network::deliver_frame(std::uint32_t sender, const OutgoingFrame& frame) {
   // Every alive node inside the engineered disc hears the frame.  The
@@ -311,28 +227,23 @@ void Network::deliver_frame(std::uint32_t sender, const OutgoingFrame& frame) {
   const NodeId sender_id{sender};
   neighbors_within(sender_id, frame.coverage_m, /*include_down=*/false, scratch_hearers_);
   const Packet& p = frame.packet;
-  DeliveryCtx* ctx = acquire_delivery_ctx();
+  DeliveryCtx* ctx = deliveries_.acquire();
   std::vector<NodeId>& processors = ctx->processors;
+  processors.clear();
   processors.reserve(scratch_hearers_.size());
   for (NodeId h : scratch_hearers_) {
     if (battery_state_[h.v].depleted()) {
       // A drained receiver cannot decode: no rx charge, no processing, and
       // no link-fault draw (keeping the fault stream's draw sequence a
       // function of the *live* hearer set).
-      ++counters_.dropped_battery_dead;
-      if (sim_.events().enabled()) {
-        emit_drop(sim_, obs::DropCause::kBatteryDead, h, sender_id, p.item);
-      }
+      drop(obs::DropCause::kBatteryDead, h, sender_id, p.item);
       continue;
     }
     if (link_fault_ && link_fault_(sender_id, h)) {
       // Faded below the decode threshold for this receiver: no rx charge,
       // no processing (ascending-id hearer order keeps the draws
       // deterministic).
-      ++counters_.dropped_link_fault;
-      if (sim_.events().enabled()) {
-        emit_drop(sim_, obs::DropCause::kLinkFault, h, sender_id, p.item);
-      }
+      drop(obs::DropCause::kLinkFault, h, sender_id, p.item);
       continue;
     }
     const bool addressed = p.is_broadcast() || p.dst == h;
@@ -342,7 +253,7 @@ void Network::deliver_frame(std::uint32_t sender, const OutgoingFrame& frame) {
     if (addressed) processors.push_back(h);
   }
   if (processors.empty()) {
-    release_delivery_ctx(ctx);
+    deliveries_.release(ctx);
     return;
   }
   // One event covers all receivers: t_proc is a constant, so their
@@ -353,26 +264,14 @@ void Network::deliver_frame(std::uint32_t sender, const OutgoingFrame& frame) {
   sim_.after(mac_.t_proc, [this, ctx] {
     for (NodeId h : ctx->processors) {
       settle(h.v);
-      if (battery_state_[h.v].depleted()) {
-        ++counters_.dropped_battery_dead;  // drained between rx and t_proc
-        if (sim_.events().enabled()) {
-          emit_drop(sim_, obs::DropCause::kBatteryDead, h, ctx->pkt.src, ctx->pkt.item);
-        }
-        continue;
-      }
-      if (up_[h.v] == 0) {
-        ++counters_.dropped_receiver_down;
-        if (sim_.events().enabled()) {
-          emit_drop(sim_, obs::DropCause::kReceiverDown, h, ctx->pkt.src, ctx->pkt.item);
-        }
-        continue;
-      }
+      // Drained or failed between rx and t_proc.
+      if (!radio_alive(h.v, obs::DropCause::kReceiverDown, ctx->pkt.src, ctx->pkt.item)) continue;
       if (agent_[h.v] != nullptr) {
         ++counters_.deliveries;
         agent_[h.v]->on_receive(h, ctx->pkt);
       }
     }
-    release_delivery_ctx(ctx);
+    deliveries_.release(ctx);
   });
 }
 
@@ -557,6 +456,34 @@ EnergyBreakdown Network::energy() const {
     total.idle_uj += b.idle_uj();
   }
   return total;
+}
+
+bool Network::radio_alive(std::uint32_t v, obs::DropCause down, NodeId peer, DataId item) {
+  if (battery_state_[v].depleted()) {
+    drop(obs::DropCause::kBatteryDead, NodeId{v}, peer, item);
+    return false;
+  }
+  if (up_[v] == 0) {
+    drop(down, NodeId{v}, peer, item);
+    return false;
+  }
+  return true;
+}
+
+void Network::drop(obs::DropCause cause, NodeId node, NodeId peer, DataId item, double value,
+                   std::uint64_t frames) {
+  switch (cause) {
+    case obs::DropCause::kSenderDown: counters_.dropped_sender_down += frames; break;
+    case obs::DropCause::kOutOfRange: counters_.dropped_out_of_range += frames; break;
+    case obs::DropCause::kReceiverDown: counters_.dropped_receiver_down += frames; break;
+    case obs::DropCause::kLinkFault: counters_.dropped_link_fault += frames; break;
+    case obs::DropCause::kBatteryDead: counters_.dropped_battery_dead += frames; break;
+  }
+  if (sim_.events().enabled()) {
+    sim_.events().emit({.at = sim_.now(), .kind = obs::TraceKind::kFrameDrop,
+                        .cause = static_cast<std::uint8_t>(cause), .node = node, .peer = peer,
+                        .item = item, .value = value});
+  }
 }
 
 void Network::count_tx(const Packet& p) {

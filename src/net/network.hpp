@@ -282,6 +282,17 @@ class Network {
 
   void count_tx(const Packet& p);
 
+  /// The medium's one drop path: adds `frames` to `cause`'s NetCounters
+  /// field and traces one kFrameDrop record of them at `node`, with `peer`
+  /// the frame's other end.
+  void drop(obs::DropCause cause, NodeId node, NodeId peer, DataId item, double value = 0.0,
+            std::uint64_t frames = 1);
+  /// True if `v`'s radio can send or decode.  Otherwise drops the frame: as
+  /// kBatteryDead if the battery is drained (a drained radio is dead even
+  /// before the fault layer processes the zero-delay depletion
+  /// notification), else as `down`, the node being down.
+  [[nodiscard]] bool radio_alive(std::uint32_t v, obs::DropCause down, NodeId peer, DataId item);
+
   /// Clamped battery charges.  Each checks for a fresh depletion and, when
   /// one happened, dispatches the on_depleted hook on a zero-delay event
   /// (never synchronously: the charge sites sit inside MAC/delivery
@@ -305,27 +316,31 @@ class Network {
     if (watch_[v] <= sim_.now() && agent_[v] != nullptr) agent_[v]->on_watch(NodeId{v});
   }
 
-  /// Pooled delivery context: the receiver list plus the packet a t_proc
-  /// event processes.  The event captures only the context pointer (so the
-  /// callback fits the scheduler's inline buffer) and copy-assignment into
-  /// the pooled packet reuses its route-vector capacity, so a settled run
-  /// delivers frames without allocating.  Pointers stay stable because the
-  /// pool owns contexts through unique_ptr.
+  /// A pool of objects that events capture by pointer, so the callbacks
+  /// fit the scheduler's inline buffer.  A reused object keeps its vectors'
+  /// capacity, so a settled run moves frames without allocating; pointers
+  /// stay stable because the pool owns its objects through unique_ptr.
+  template <class T>
+  class Pool {
+   public:
+    [[nodiscard]] T* acquire() {
+      if (free_.empty()) return store_.emplace_back(std::make_unique<T>()).get();
+      T* obj = free_.back();
+      free_.pop_back();
+      return obj;
+    }
+    void release(T* obj) { free_.push_back(obj); }
+
+   private:
+    std::vector<std::unique_ptr<T>> store_;
+    std::vector<T*> free_;
+  };
+
+  /// A t_proc event's receiver list and the packet they process.
   struct DeliveryCtx {
     std::vector<NodeId> processors;
     Packet pkt;
   };
-  [[nodiscard]] DeliveryCtx* acquire_delivery_ctx();
-  void release_delivery_ctx(DeliveryCtx* ctx);
-
-  /// Pooled in-flight frame for the infinite-parallelism MAC path, for the
-  /// same reason: the backoff and airtime events capture a pointer instead
-  /// of the frame itself.
-  struct FrameCtx {
-    OutgoingFrame frame;
-  };
-  [[nodiscard]] FrameCtx* acquire_frame_ctx();
-  void release_frame_ctx(FrameCtx* ctx);
 
   sim::Simulation& sim_;
   RadioTable radio_;
@@ -364,12 +379,8 @@ class Network {
   /// delivery is non-reentrant: nothing inside the hearer loop queries
   /// neighbors (agents only run later, on the t_proc event).
   mutable std::vector<NodeId> scratch_hearers_;
-  /// Scratch list of the watched nodes a transmission stamps, reused.
-  std::vector<std::uint32_t> watched_;
-  std::vector<std::unique_ptr<DeliveryCtx>> delivery_store_;
-  std::vector<DeliveryCtx*> delivery_free_;
-  std::vector<std::unique_ptr<FrameCtx>> frame_store_;
-  std::vector<FrameCtx*> frame_free_;
+  Pool<DeliveryCtx> deliveries_;
+  Pool<OutgoingFrame> frames_;  ///< in flight on the infinite-parallelism path
   NetCounters counters_;
   StateChangeFn on_state_change_;
   LinkFaultFn link_fault_;

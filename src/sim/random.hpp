@@ -16,6 +16,15 @@
 
 namespace spms::sim {
 
+/// SplitMix64's finalizer: a bijective avalanche of 64 bits.  It seeds and
+/// forks Rng, spreads FlatMap's hashes and draws ClusterInterest's
+/// bystanders without consuming RNG state.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// Deterministic random number generator with the distribution helpers the
 /// simulator needs (uniform, exponential, Bernoulli, permutations).
 class Rng {

@@ -1,8 +1,9 @@
 #include "sim/scheduler.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
+
+#include "sim/heap4.hpp"
 
 namespace spms::sim {
 
@@ -23,57 +24,9 @@ void Scheduler::release_slot(std::uint32_t s) {
   free_head_ = s;
 }
 
-// The heap is 4-ary: parent of i is (i-1)/4, children are 4i+1..4i+4.
-// Halving the depth (vs binary) halves the scattered slots_[].heap_pos
-// writes a sift performs, and the four children sit in adjacent memory, so
-// the extra compares are cheap.  Arity is invisible to callers: execution
-// order is fully determined by before()'s (at, seq) total order.
-
-std::uint32_t Scheduler::sift_up(std::uint32_t pos) {
-  HeapEntry e = heap_[pos];
-  while (pos > 0) {
-    const std::uint32_t parent = (pos - 1) / 4;
-    if (!before(e, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    slots_[heap_[pos].slot].heap_pos = pos;
-    pos = parent;
-  }
-  heap_[pos] = e;
-  slots_[e.slot].heap_pos = pos;
-  return pos;
-}
-
-std::uint32_t Scheduler::sift_down(std::uint32_t pos) {
-  const auto size = static_cast<std::uint32_t>(heap_.size());
-  HeapEntry e = heap_[pos];
-  for (;;) {
-    const std::uint32_t first = 4 * pos + 1;
-    if (first >= size) break;
-    std::uint32_t best = first;
-    const std::uint32_t last = std::min(first + 4, size);
-    for (std::uint32_t c = first + 1; c < last; ++c) {
-      if (before(heap_[c], heap_[best])) best = c;
-    }
-    if (!before(heap_[best], e)) break;
-    heap_[pos] = heap_[best];
-    slots_[heap_[pos].slot].heap_pos = pos;
-    pos = best;
-  }
-  heap_[pos] = e;
-  slots_[e.slot].heap_pos = pos;
-  return pos;
-}
-
 void Scheduler::remove_heap_at(std::uint32_t pos) {
-  const auto last = static_cast<std::uint32_t>(heap_.size() - 1);
-  if (pos != last) {
-    heap_[pos] = heap_[last];
-    heap_.pop_back();
-    slots_[heap_[pos].slot].heap_pos = pos;
-    if (sift_down(pos) == pos) sift_up(pos);
-  } else {
-    heap_.pop_back();
-  }
+  heap4::erase(heap_.data(), static_cast<std::uint32_t>(heap_.size()), pos, before, placed());
+  heap_.pop_back();
 }
 
 EventHandle Scheduler::schedule_at(TimePoint at, EventFn fn) {
@@ -83,8 +36,7 @@ EventHandle Scheduler::schedule_at(TimePoint at, EventFn fn) {
   Slot& slot = slots_[s];
   slot.fn = std::move(fn);
   heap_.push_back(HeapEntry{at, next_seq_++, s});
-  slot.heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
-  sift_up(slot.heap_pos);
+  heap4::sift_up(heap_.data(), static_cast<std::uint32_t>(heap_.size() - 1), before, placed());
   return EventHandle{(static_cast<std::uint64_t>(slot.gen) << 32) | (s + 1)};
 }
 

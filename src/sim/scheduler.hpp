@@ -12,7 +12,7 @@
 ///
 /// Events are callbacks ordered by (time, insertion sequence); ties on the
 /// clock break FIFO, which makes runs deterministic.  The queue is an
-/// intrusive, handle-indexed 4-ary min-heap:
+/// intrusive, handle-indexed 4-ary min-heap (the steps of heap4.hpp):
 ///
 ///  * heap_ holds 24-byte {time, seq, slot} entries — sift operations move
 ///    PODs, never callbacks;
@@ -128,20 +128,20 @@ class Scheduler {
     std::uint32_t heap_pos = 0;
   };
 
-  [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.seq < b.seq;
-  }
+  /// The queue's strict total order: time, then insertion sequence.
+  static constexpr auto before = [](const HeapEntry& a, const HeapEntry& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  };
 
   [[nodiscard]] std::uint32_t acquire_slot();
   void release_slot(std::uint32_t s);
 
-  /// Moves heap_[pos] up/down to restore the heap invariant, maintaining
-  /// slots_[*].heap_pos.  Returns the entry's final position.
-  std::uint32_t sift_up(std::uint32_t pos);
-  std::uint32_t sift_down(std::uint32_t pos);
+  /// The heap4 steps' callback: keeps slots_[*].heap_pos on the entries.
+  [[nodiscard]] auto placed() {
+    return [this](const HeapEntry& e, std::uint32_t pos) { slots_[e.slot].heap_pos = pos; };
+  }
 
-  /// Removes the entry at heap position `pos` (swap-with-last + re-sift).
+  /// Removes the entry at heap position `pos` (last entry into the hole).
   void remove_heap_at(std::uint32_t pos);
 
   std::vector<HeapEntry> heap_;

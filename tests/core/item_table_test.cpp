@@ -56,7 +56,7 @@ TEST(ItemTableTest, StatesStayPutWhileOthersAreAdded) {
 /// 2^16 slots, so every probe run wraps around the end of the array.
 std::uint64_t last_slot_hash() {
   std::uint64_t h = 0;
-  while ((detail::mix64(h) & 0xffffULL) != 0xffffULL) ++h;
+  while ((sim::mix64(h) & 0xffffULL) != 0xffffULL) ++h;
   return h;
 }
 
