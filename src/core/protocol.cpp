@@ -49,8 +49,8 @@ void DisseminationProtocol::advertise_once(net::NodeId self, net::DataId item, b
 }
 
 sim::Duration DisseminationProtocol::retry_wait(int attempts) const {
-  const int exp = std::min(std::max(attempts - 1, 0), params_.max_backoff_exp);
-  return params_.tout_dat * std::pow(params_.retry_backoff, exp);
+  const int exp = std::min(std::max(attempts - 1, 0), kMaxBackoffExp);
+  return params_.tout_dat * (std::int64_t{1} << exp);
 }
 
 bool DisseminationProtocol::admit_service(net::NodeId holder, net::DataId item,

@@ -39,15 +39,6 @@ struct ProtocolParams {
   /// Bound on REQ (re)tries per item per node before giving up.
   int max_retries = 16;
 
-  /// Retry timeouts back off exponentially: the k-th retry waits
-  /// tout_dat * retry_backoff^min(k, max_backoff_exp).  The paper assumes
-  /// timeouts are "adjusted properly" so they do not fire while the reply is
-  /// still queued; under bursty load a fixed 2.5 ms would fire spuriously
-  /// and spiral, so the backoff restores the paper's intent (EXPERIMENTS.md,
-  /// "Calibration notes": retry backoff).
-  double retry_backoff = 2.0;
-  int max_backoff_exp = 6;
-
   /// Holder-side service rate limit: a (item, requester) pair is served at
   /// most once per window.  Suppresses duplicate DATA when a retry races a
   /// reply that is still queued, while letting genuinely lost replies be
@@ -143,10 +134,13 @@ class DisseminationProtocol : public net::Agent {
   void advertise_once(net::NodeId self, net::DataId item, bool& advertised, obs::TraceKind kind);
 
   /// How long a requester waits for DATA after its `attempts`-th REQ:
-  /// tout_dat * retry_backoff^min(attempts - 1, max_backoff_exp).  A
-  /// spuriously short wait would re-request data whose reply is merely
-  /// queued behind other frames.
+  /// tout_dat * 2^min(attempts - 1, kMaxBackoffExp).  The paper assumes
+  /// timeouts are "adjusted properly" so they do not fire while the reply
+  /// is still queued; under bursty load a fixed 2.5 ms would fire
+  /// spuriously and spiral, so the doubling restores the paper's intent
+  /// (EXPERIMENTS.md, "Calibration notes": retry backoff).
   [[nodiscard]] sim::Duration retry_wait(int attempts) const;
+  static constexpr int kMaxBackoffExp = 6;
 
   /// The handle a parked timer holds: valid, and matched by no scheduler
   /// slot.

@@ -76,9 +76,9 @@ struct ExperimentConfig {
   net::MacParams mac;
   net::EnergyModelParams energy;
   /// Finite-budget battery model (net/energy.hpp).  Default: the historical
-  /// infinite battery.  With `battery.finite` and `faults.battery.enabled`,
-  /// nodes that spend their charge die permanently through the fault layer —
-  /// the lifetime-* scenario family's regime.
+  /// infinite battery.  With `battery.finite`, nodes that spend their charge
+  /// die permanently through the fault layer — the lifetime-* scenario
+  /// family's regime.
   net::BatteryParams battery;
   core::ProtocolParams proto;
   core::SpmsExtensions spms_ext;  ///< future-work extensions (off by default)
@@ -86,8 +86,8 @@ struct ExperimentConfig {
   routing::DbfParams dbf;
 
   // --- faults -----------------------------------------------------------------
-  /// Stacked fault processes (crash/repair renewal, region blackouts,
-  /// battery deaths, link degradation, sink churn); see faults/plan.hpp.
+  /// Stacked fault processes (crash/repair renewal, region blackouts, link
+  /// degradation, sink churn); see faults/plan.hpp.
   /// Every parameter feeds the store's config key.
   faults::FaultPlan faults;
 
@@ -142,8 +142,6 @@ void visit_fields(Config& c, Fn&& f) {
   f("proto.tout_adv_ns", c.proto.tout_adv);
   f("proto.tout_dat_ns", c.proto.tout_dat);
   f("proto.max_retries", c.proto.max_retries);
-  f("proto.retry_backoff", c.proto.retry_backoff);
-  f("proto.max_backoff_exp", c.proto.max_backoff_exp);
   f("proto.service_guard_ns", c.proto.service_guard);
   f("proto.timer_defer_limit", c.proto.timer_defer_limit);
   f("spms_ext.relay_caching", c.spms_ext.relay_caching);
@@ -164,7 +162,6 @@ void visit_fields(Config& c, Fn&& f) {
   f("faults.region.radius_m", c.faults.region.radius_m);
   f("faults.region.repair_min_ns", c.faults.region.repair_min);
   f("faults.region.repair_max_ns", c.faults.region.repair_max);
-  f("faults.battery.enabled", c.faults.battery.enabled);
   f("faults.link.enabled", c.faults.link.enabled);
   f("faults.link.drop_start", c.faults.link.drop_start);
   f("faults.link.drop_end", c.faults.link.drop_end);

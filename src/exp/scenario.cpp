@@ -81,7 +81,7 @@ Scenario::Scenario(const ExperimentConfig& config) : config_(config) {
   }
 
   collector_ = std::make_unique<core::Collector>();
-  if (config_.faults.any()) {
+  if (config_.faults.any() || config_.battery.finite) {
     faults_ = std::make_unique<faults::FaultController>(*sim_, *net_, config_.faults,
                                                         central_node_);
   }

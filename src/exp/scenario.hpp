@@ -44,7 +44,8 @@ class Scenario {
   [[nodiscard]] core::DisseminationProtocol& protocol() { return *protocol_; }
   [[nodiscard]] core::Collector& collector() { return *collector_; }
   [[nodiscard]] core::TrafficGenerator& traffic() { return *traffic_; }
-  /// Null unless the config's FaultPlan enables at least one model.
+  /// Null unless the config's FaultPlan enables a process or its battery is
+  /// finite.
   [[nodiscard]] faults::FaultController* faults() { return faults_.get(); }
   [[nodiscard]] net::MobilityProcess* mobility() { return mobility_.get(); }
 

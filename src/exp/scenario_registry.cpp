@@ -498,7 +498,6 @@ void energy_budget(ExperimentConfig& cfg, double capacity_uj, double heterogenei
   // clock too, small enough that traffic stays the dominant consumer.
   cfg.battery.idle_drain_mw = 0.01;
   cfg.battery.idle_tick = sim::Duration::ms(50.0);
-  cfg.faults.battery.enabled = true;
 }
 
 void scaled_stacked_faults(ExperimentConfig& cfg) {

@@ -43,9 +43,9 @@ struct ScenarioInfo {
 void scaled_failures(ExperimentConfig& cfg);
 
 /// Arms the energy-coupled death path: finite per-node budget of
-/// `capacity_uj` (optionally heterogeneous), a small idle/sleep drain, and
-/// the fault layer's battery model so depletions become permanent deaths
-/// with lifetime metrics.  The building block of the lifetime-* family.
+/// `capacity_uj` (optionally heterogeneous) and a small idle/sleep drain;
+/// the fault layer turns each depletion into a permanent death with
+/// lifetime metrics.  The building block of the lifetime-* family.
 void energy_budget(ExperimentConfig& cfg, double capacity_uj, double heterogeneity = 0.0);
 
 /// All five scaled fault regimes stacked — the worst-case composite plan

@@ -60,7 +60,13 @@ namespace spms::exp::store {
 /// is the same, but timers at different nodes that fire at one instant run
 /// in another order, and `events` no longer counts re-arms; every golden
 /// re-pinned (EXPERIMENTS.md "Store schema v8 → v9").
-inline constexpr int kSchemaVersion = 9;
+/// v10: configs lost three keys: the battery-death switch (a drained finite
+/// battery always dies) and the two retry-backoff knobs (retry waits
+/// double, up to 2^6).  net.dropped_sender_down and net.dropped_battery_dead
+/// count the queues a crash or a death cancels, and the unqueued MAC drops
+/// frames whose sender fails during their airtime.  No golden moved
+/// (EXPERIMENTS.md "Store schema v9 → v10").
+inline constexpr int kSchemaVersion = 10;
 
 /// 64-bit FNV-1a over every tests/golden/*.csv in file-name order (each
 /// file's name, then its bytes).  A test recomputes it, so a re-pinned

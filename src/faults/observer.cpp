@@ -12,7 +12,7 @@ void FaultObserver::record_event(std::string_view model, sim::TimePoint at,
 
 void FaultObserver::on_state_change(net::NodeId id, bool up, sim::TimePoint at) {
   NodeState& n = nodes_.at(id.v);
-  if (up == !n.down) return;  // no transition (defensive; the network filters)
+  if (up == !n.down) return;  // no transition (defensive; the controller filters)
   if (!up) {
     n.down = true;
     n.down_since = at;

@@ -11,8 +11,8 @@
 /// \file observer.hpp
 /// Recovery-metric bookkeeping for fault campaigns.
 ///
-/// The observer watches node up/down transitions (via the network's
-/// state-change hook), model-level fault events, and protocol deliveries,
+/// The observer watches node up/down transitions (reported by the
+/// FaultController), process-level fault events, and protocol deliveries,
 /// and condenses them into the FaultStats block that RunResult carries:
 /// downtime, outage-window delivery counts, and post-repair recovery
 /// latency (time from a node's repair to its next successful delivery).
@@ -23,9 +23,9 @@ namespace spms::faults {
 /// canonical result JSON, so fault campaigns resume from the store like any
 /// other sweep.
 struct FaultStats {
-  /// Model-level fault events initiated (one region blackout = one event).
-  /// Link-fade drops are not events — they are per-reception and counted in
-  /// NetCounters::dropped_link_fault / LinkDegradationModel::events_injected.
+  /// Process-level fault events initiated (one region blackout = one event,
+  /// one battery death = one event).  Link-fade drops are not events — they
+  /// are per-reception and counted in NetCounters::dropped_link_fault.
   std::uint64_t fault_events = 0;
   /// Node-level up->down transitions (a blackout over k nodes counts k).
   std::uint64_t node_downs = 0;
@@ -62,11 +62,11 @@ struct FaultStats {
   double half_life_ms = -1.0;
 };
 
-/// One model-level fault event, kept in memory for tests and diagnostics
+/// One process-level fault event, kept in memory for tests and diagnostics
 /// (not serialized — per-event logs are unbounded; FaultStats is the
 /// persistent summary).
 struct FaultEvent {
-  std::string model;
+  std::string model;  ///< the process: crash, region, battery, sink-churn
   sim::TimePoint at;
   std::size_t nodes_affected = 0;
 };
@@ -77,10 +77,10 @@ class FaultObserver {
  public:
   explicit FaultObserver(std::size_t node_count) : nodes_(node_count) {}
 
-  /// A fault model initiated one event touching `nodes_affected` nodes.
+  /// A fault process initiated one event touching `nodes_affected` nodes.
   void record_event(std::string_view model, sim::TimePoint at, std::size_t nodes_affected);
 
-  /// A node actually transitioned (wired to net::Network's state hook).
+  /// A node actually transitioned (the controller reports each one).
   void on_state_change(net::NodeId id, bool up, sim::TimePoint at);
 
   /// A node will never come back (battery depletion).  Death instants feed

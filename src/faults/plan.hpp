@@ -5,15 +5,16 @@
 #include "sim/time.hpp"
 
 /// \file plan.hpp
-/// Declarative fault configuration: one data-only struct per fault model
+/// Declarative fault configuration: one data-only struct per fault process
 /// plus the FaultPlan that stacks them.  A plan is part of ExperimentConfig,
 /// so it serializes into the canonical config (exp::store::canonical) and
 /// every parameter feeds the store's config key — fault campaigns are
 /// cacheable and shardable like any other sweep.
 ///
-/// The runtime counterparts (faults::FaultModel implementations, built by
-/// faults::FaultController) live in models.hpp; this header stays light so
-/// the experiment layer can describe faults without pulling in the network.
+/// faults::FaultController runs the processes (controller.hpp); this header
+/// stays light so the experiment layer can describe faults without pulling
+/// in the network.  Battery deaths have no entry: a finite battery
+/// (ExperimentConfig::battery) always dies when it runs dry.
 
 namespace spms::faults {
 
@@ -37,17 +38,6 @@ struct RegionOutageParams {
   double radius_m = 10.0;
   sim::Duration repair_min = sim::Duration::ms(10.0);
   sim::Duration repair_max = sim::Duration::ms(30.0);
-};
-
-/// Permanent battery-depletion deaths, driven by the energy layer: when a
-/// node's finite `net::Battery` (ExperimentConfig::battery) runs dry, the
-/// model turns the network's depletion notification into a permanent death
-/// through the controller.  Which nodes die, and when, is decided by actual
-/// consumption — radio airtime plus idle drain against the configured
-/// capacity — not by a configured fraction.  With an infinite battery the
-/// model is armed but can never fire.
-struct BatteryDepletionParams {
-  bool enabled = false;
 };
 
 /// Link-level degradation: every frame reception independently fails with a
@@ -74,19 +64,17 @@ struct SinkChurnParams {
   sim::Duration repair_max = sim::Duration::ms(15.0);
 };
 
-/// A stack of fault processes for one run.  Every enabled model runs
-/// concurrently on its own RNG sub-stream, so toggling one model never
-/// perturbs another's event timeline (tests/faults pin this).
+/// A stack of fault processes for one run.  Every enabled process runs
+/// concurrently on its own RNG sub-stream, so toggling one never perturbs
+/// another's event timeline (tests/faults pin this).
 struct FaultPlan {
   CrashRepairParams crash;
   RegionOutageParams region;
-  BatteryDepletionParams battery;
   LinkDegradationParams link;
   SinkChurnParams sink_churn;
 
   [[nodiscard]] bool any() const {
-    return crash.enabled || region.enabled || battery.enabled || link.enabled ||
-           sink_churn.enabled;
+    return crash.enabled || region.enabled || link.enabled || sink_churn.enabled;
   }
 };
 

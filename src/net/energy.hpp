@@ -23,7 +23,7 @@
 /// marks the battery depleted.  The Network consults that flag — a depleted
 /// node can neither transmit nor receive — and pushes a depletion
 /// notification up into the fault layer, which turns it into a permanent
-/// death (see faults/models.hpp).  Infinite batteries (the default) behave
+/// death (see faults/controller.hpp).  Infinite batteries (the default) behave
 /// exactly like the historical write-only meter.
 
 namespace spms::net {

@@ -146,7 +146,14 @@ void Network::send_unqueued(std::uint32_t v, OutgoingFrame frame) {
     charge_node_tx(v, tx_energy_uj(f->packet.size_bytes, f->level), f->use);
     count_tx(f->packet);
     sim_.after(airtime(f->packet.size_bytes), [this, v, f] {
-      deliver_frame(v, *f);
+      // Drained or crashed during the airtime: the transfer is cancelled.
+      // A sender that went down and came back within the airtime still
+      // delivers; every fault process repairs after at least 5 ms (Table
+      // 1's defaults and every registry scenario), longer than the longest
+      // default airtime (2 ms, a 40-byte DATA).
+      if (radio_alive(v, obs::DropCause::kSenderDown, f->packet.dst, f->packet.item)) {
+        deliver_frame(v, *f);
+      }
       frames_.release(f);
     });
   });
@@ -185,14 +192,8 @@ void Network::mac_try_send(std::uint32_t v) {
 void Network::mac_begin_tx(std::uint32_t v) {
   assert(mac_busy_[v] != 0 && !mac_queue_[v].empty());
   if (battery_state_[v].depleted()) {
-    // Drained while waiting for the channel: the queue dies with the radio,
-    // in one record whose value carries how many queued frames died.
-    const std::size_t lost = mac_queue_[v].size();
-    drop(obs::DropCause::kBatteryDead, NodeId{v}, NodeId{}, DataId{}, static_cast<double>(lost),
-         lost);
-    mac_queue_[v].clear();
-    mac_busy_[v] = 0;
-    mac_event_[v] = sim::EventHandle{};
+    // Drained while waiting for the channel: the queue dies with the radio.
+    drop_queue(v, obs::DropCause::kBatteryDead);
     return;
   }
   const sim::TimePoint end = sim_.now() + airtime(mac_queue_[v].front().packet.size_bytes);
@@ -290,23 +291,23 @@ void Network::mac_complete_tx(std::uint32_t v) {
   }
 }
 
-void Network::set_up(NodeId id, bool up) {
+bool Network::set_up(NodeId id, bool up) {
   const std::uint32_t v = id.v;
   if (v >= pos_.size()) throw std::out_of_range{"Network::set_up: bad node id"};
-  if ((up_[v] != 0) == up) return;
+  if ((up_[v] != 0) == up) return false;
   settle(v);
   up_[v] = up ? 1 : 0;
   if (!up) {
-    // Crash: lose the MAC queue and whatever phase was in progress.
+    // Crash: "any scheduled packet transfer is cancelled", whatever MAC
+    // phase was in progress.  A drained node's queue dies with its battery.
     sim_.cancel(mac_event_[v]);
-    mac_event_[v] = sim::EventHandle{};
-    mac_queue_[v].clear();
-    mac_busy_[v] = 0;
+    drop_queue(v, battery_state_[v].depleted() ? obs::DropCause::kBatteryDead
+                                               : obs::DropCause::kSenderDown);
     if (agent_[v] != nullptr) agent_[v]->on_down(id);
   } else {
     if (agent_[v] != nullptr) agent_[v]->on_up(id);
   }
-  if (on_state_change_) on_state_change_(id, up);
+  return true;
 }
 
 void Network::charge_tx(NodeId id, std::size_t bytes, double coverage_m, EnergyUse use) {
@@ -484,6 +485,15 @@ void Network::drop(obs::DropCause cause, NodeId node, NodeId peer, DataId item, 
                         .cause = static_cast<std::uint8_t>(cause), .node = node, .peer = peer,
                         .item = item, .value = value});
   }
+}
+
+void Network::drop_queue(std::uint32_t v, obs::DropCause cause) {
+  if (const std::size_t lost = mac_queue_[v].size(); lost > 0) {
+    drop(cause, NodeId{v}, NodeId{}, DataId{}, static_cast<double>(lost), lost);
+    mac_queue_[v].clear();
+  }
+  mac_busy_[v] = 0;
+  mac_event_[v] = sim::EventHandle{};
 }
 
 void Network::count_tx(const Packet& p) {

@@ -29,7 +29,8 @@
 ///  * Airtime = bytes * t_tx_per_byte; propagation delay is zero (paper
 ///    Section 4.1).  Receivers process a frame t_proc after it arrives.
 ///  * A down node transmits nothing, hears nothing, and loses its MAC queue
-///    the moment it fails ("any scheduled packet transfer is cancelled").
+///    the moment it fails ("any scheduled packet transfer is cancelled"),
+///    counted as dropped frames like every other loss.
 ///
 /// Hot-path notes: every disc query (neighbor lookup, contention count,
 /// carrier-sense occupation, frame delivery) runs over a SpatialGrid keyed
@@ -52,7 +53,7 @@ struct NetCounters {
   std::uint64_t tx_route = 0;
   std::uint64_t tx_bytes = 0;
   std::uint64_t deliveries = 0;           ///< agent on_receive invocations
-  std::uint64_t dropped_sender_down = 0;  ///< send() while the sender is down
+  std::uint64_t dropped_sender_down = 0;  ///< frame of a down or crashing sender
   std::uint64_t dropped_out_of_range = 0; ///< requested disc beyond max range
   std::uint64_t dropped_receiver_down = 0;///< receiver failed before processing
   std::uint64_t dropped_link_fault = 0;   ///< reception lost to a link fault
@@ -156,12 +157,6 @@ class Network {
   /// installs itself for every node and detaches when it dies.
   void set_agent(NodeId id, Agent* agent) { agent_.at(id.v) = agent; }
 
-  /// Invoked after every actual up/down transition (set_up no-ops excluded),
-  /// after the agent hooks ran.  The fault observer hangs here; pass nullptr
-  /// to detach.
-  using StateChangeFn = std::function<void(NodeId, bool up)>;
-  void set_on_state_change(StateChangeFn fn) { on_state_change_ = std::move(fn); }
-
   /// Per-reception fault draw (link degradation): consulted once per hearer
   /// of every delivered frame; returning true fades that reception — no
   /// receive energy is charged and no agent sees the packet (counted in
@@ -170,9 +165,9 @@ class Network {
   void set_link_fault(LinkFaultFn fn) { link_fault_ = std::move(fn); }
 
   /// Invoked (via a zero-delay event, so never from inside MAC bookkeeping)
-  /// when a node's finite battery runs dry.  The energy-driven death model
-  /// hangs here and turns the depletion into a permanent fault-layer death;
-  /// pass nullptr to detach.  Fires at most once per node.
+  /// when a node's finite battery runs dry.  The fault controller hangs here
+  /// and turns the depletion into a permanent death; pass nullptr to
+  /// detach.  Fires at most once per node.
   using DepletionFn = std::function<void(NodeId)>;
   void set_on_depleted(DepletionFn fn) { on_depleted_ = std::move(fn); }
 
@@ -188,8 +183,10 @@ class Network {
   bool send_to(NodeId from, Packet packet, NodeId to, EnergyUse use = EnergyUse::kProtocol);
 
   // --- failures & mobility -----------------------------------------------------
-  /// Crashes or repairs a node, firing the agent hooks.  Idempotent.
-  void set_up(NodeId id, bool up);
+  /// Crashes or repairs a node, firing the agent hooks.  A crash cancels
+  /// the node's MAC queue, the frame in its airtime included.  Returns
+  /// whether the node's state changed (false for a no-op).
+  bool set_up(NodeId id, bool up);
 
   /// Teleports a node (mobility model), keeping the spatial index coherent;
   /// routing rebuild is the caller's job.
@@ -287,6 +284,9 @@ class Network {
   /// the frame's other end.
   void drop(obs::DropCause cause, NodeId node, NodeId peer, DataId item, double value = 0.0,
             std::uint64_t frames = 1);
+  /// Drops `v`'s whole MAC queue, if it holds any frame, as one `cause`
+  /// record whose value is the frame count, and idles its MAC.
+  void drop_queue(std::uint32_t v, obs::DropCause cause);
   /// True if `v`'s radio can send or decode.  Otherwise drops the frame: as
   /// kBatteryDead if the battery is drained (a drained radio is dead even
   /// before the fault layer processes the zero-delay depletion
@@ -382,7 +382,6 @@ class Network {
   Pool<DeliveryCtx> deliveries_;
   Pool<OutgoingFrame> frames_;  ///< in flight on the infinite-parallelism path
   NetCounters counters_;
-  StateChangeFn on_state_change_;
   LinkFaultFn link_fault_;
   DepletionFn on_depleted_;
   sim::TimePoint idle_drain_until_;

@@ -68,8 +68,6 @@ ExperimentConfig all_changed() {
   c.proto.tout_adv = Duration::nanos(60'000'000);
   c.proto.tout_dat = Duration::nanos(120'000'000);
   c.proto.max_retries = 17;
-  c.proto.retry_backoff = 1.5;
-  c.proto.max_backoff_exp = 7;
   c.proto.service_guard = Duration::nanos(25'000'001);
   c.proto.timer_defer_limit = 4001;
   c.spms_ext.relay_caching = true;
@@ -91,7 +89,6 @@ ExperimentConfig all_changed() {
   f.region.radius_m = 12.0;
   f.region.repair_min = Duration::nanos(300'000'000);
   f.region.repair_max = Duration::nanos(700'000'000);
-  f.battery.enabled = true;
   f.link.enabled = true;
   f.link.drop_start = 0.05;
   f.link.drop_end = 0.25;
@@ -115,7 +112,7 @@ TEST(ConfigFieldsTest, SetFieldRebuildsEveryCanonicalKeyFromTheStoresSpelling) {
   const auto json = store::canonical_config_json(target);
   const auto written = members(json);
   const auto defaults = members(store::canonical_config_json(ExperimentConfig{}));
-  ASSERT_EQ(written.size(), 65u);
+  ASSERT_EQ(written.size(), 62u);
   ASSERT_EQ(defaults.size(), written.size());
 
   ExperimentConfig rebuilt;

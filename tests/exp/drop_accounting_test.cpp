@@ -10,8 +10,9 @@
 /// The medium's drop accounting, tied to its trace: on a run of either MAC
 /// path, every NetCounters::dropped_* field equals the number of frames in
 /// the kFrameDrop records of its cause.  A record counts one frame, except
-/// the drained-queue record (a battery-dead record with a positive value),
-/// which counts the queued frames its value carries.
+/// a cancelled-queue record (a sender-down or battery-dead record with a
+/// positive value: a crash or a drained battery took the queue), which
+/// counts the queued frames its value carries.
 
 namespace spms::exp {
 namespace {
@@ -22,7 +23,8 @@ using obs::DropCause;
 /// run's counters.
 struct DropTally {
   std::array<double, 5> traced{};
-  std::size_t drained_queues = 0;  ///< drained-queue records among them
+  std::size_t crashed_queues = 0;  ///< sender-down queue records among them
+  std::size_t drained_queues = 0;  ///< battery-dead queue records among them
   net::NetCounters counters;
 };
 
@@ -34,10 +36,11 @@ DropTally run_and_tally(const SweepSpec& spec, bool unqueued_mac) {
   Scenario s{jobs.at(0).config};
   s.simulation().events().set_sink([&](const obs::TraceRecord& r) {
     if (r.kind != obs::TraceKind::kFrameDrop) return;
-    const bool drained_queue = r.cause == static_cast<std::uint8_t>(DropCause::kBatteryDead) &&
-                               r.value > 0.0;
-    tally.traced.at(r.cause) += drained_queue ? r.value : 1.0;
-    if (drained_queue) ++tally.drained_queues;
+    const bool crashed = r.cause == static_cast<std::uint8_t>(DropCause::kSenderDown);
+    const bool drained = r.cause == static_cast<std::uint8_t>(DropCause::kBatteryDead);
+    const bool queue = (crashed || drained) && r.value > 0.0;
+    tally.traced.at(r.cause) += queue ? r.value : 1.0;
+    if (queue) ++(crashed ? tally.crashed_queues : tally.drained_queues);
   });
   s.start();
   s.run();
@@ -64,9 +67,11 @@ TEST(DropAccountingTest, QueuedMacWithStackedFaultsCountsWhatItTraces) {
   spec.set("protocol", "SPMS");
   const DropTally t = run_and_tally(spec, /*unqueued_mac=*/false);
   expect_counters_match_trace(t);
-  // The stacked plan drains batteries and fades links.
+  // The stacked plan drains batteries, fades links, and crashes nodes with
+  // frames queued.
   EXPECT_GT(t.counters.dropped_battery_dead, 0u);
   EXPECT_GT(t.counters.dropped_link_fault, 0u);
+  EXPECT_GT(t.crashed_queues, 0u);
 }
 
 TEST(DropAccountingTest, UnqueuedMacWithCrashesCountsWhatItTraces) {

@@ -42,7 +42,6 @@ TEST(LifetimeScenarioTest, LifetimeFamilyIsRegistered) {
   std::set<ProtocolKind> protos(race.protocols.begin(), race.protocols.end());
   EXPECT_EQ(protos.size(), 3u);
   EXPECT_TRUE(race.base.battery.finite);
-  EXPECT_TRUE(race.base.faults.battery.enabled);
 }
 
 TEST(LifetimeScenarioTest, EnergyDrivenDeathsFireAndSurfaceEverywhere) {
@@ -138,9 +137,9 @@ TEST(LifetimeScenarioTest, WarmStoreRerunIsByteIdenticalWithZeroExecutions) {
 }
 
 TEST(LifetimeScenarioTest, BatteryConfigNeverPerturbsOtherModelsTimelines) {
-  // Stream discipline: the energy-death model draws nothing and the initial
-  // charges come from a dedicated fork, so switching the whole battery
-  // subsystem on cannot move a single crash/region event.
+  // Stream discipline: battery deaths draw nothing and the initial charges
+  // come from a dedicated fork, so switching the whole battery subsystem on
+  // cannot move a single crash/region event.
   auto base = smoke_config();
   base.faults.crash.enabled = true;
   base.faults.crash.mean_time_between_failures = sim::Duration::ms(200.0);
@@ -160,7 +159,6 @@ TEST(LifetimeScenarioTest, BatteryConfigNeverPerturbsOtherModelsTimelines) {
 
   auto without_battery = base;
   without_battery.battery = net::BatteryParams{};  // infinite again
-  without_battery.faults.battery.enabled = false;
 
   ASSERT_FALSE(event_times(base, "crash").empty());
   EXPECT_EQ(event_times(base, "crash"), event_times(without_battery, "crash"));

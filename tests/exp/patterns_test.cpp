@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 
@@ -32,15 +36,21 @@ TEST(SinkPatternTest, InterestIsSinkOnly) {
   cfg.node_count = 25;
   cfg.zone_radius_m = 20.0;
   Scenario s{cfg};
-  const auto& interest = dynamic_cast<const core::SinkInterest&>(s.interest());
-  const auto sink = interest.sink();
-  EXPECT_TRUE(sink.valid());
-  std::size_t wanters = 0;
-  const net::DataId item{net::NodeId{0}, 0};
-  for (std::uint32_t i = 0; i < s.network().size(); ++i) {
-    wanters += interest.wants(net::NodeId{i}, item);
+  const core::Interest& interest = s.interest();
+  // One node, the sink, wants every other node's item; nobody wants the
+  // sink's own.
+  const std::uint32_t n = static_cast<std::uint32_t>(s.network().size());
+  std::vector<std::uint32_t> wanted(n, 0);
+  for (std::uint32_t origin = 0; origin < n; ++origin) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      wanted[i] += interest.wants(net::NodeId{i}, {net::NodeId{origin}, 0});
+    }
   }
-  EXPECT_EQ(wanters, sink == item.origin ? 0u : 1u);
+  const auto sink = static_cast<std::uint32_t>(
+      std::max_element(wanted.begin(), wanted.end()) - wanted.begin());
+  EXPECT_EQ(wanted[sink], n - 1);
+  EXPECT_EQ(std::accumulate(wanted.begin(), wanted.end(), 0u), n - 1);
+  EXPECT_EQ(interest.expected_count({net::NodeId{sink}, 0}), 0u);
 }
 
 TEST(SinkPatternTest, FarSourcesNeedTheCrossZoneExtension) {

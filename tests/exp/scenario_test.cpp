@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/scenario_registry.hpp"
+
 namespace spms::exp {
 namespace {
 
@@ -65,6 +67,33 @@ TEST(ScenarioTest, FaultControllerWiredWhenConfigured) {
   for (std::uint32_t i = 0; i < s.network().size(); ++i) {
     EXPECT_TRUE(s.network().is_up(net::NodeId{i}));
   }
+}
+
+TEST(ScenarioTest, FiniteBudgetAloneKillsDrainedNodes) {
+  // No plan entry: the finite budget is the run's only source of faults,
+  // and every battery that runs dry still dies for good.
+  auto cfg = tiny(ProtocolKind::kSpms);
+  energy_budget(cfg, 15.0);  // dries out more than half of the nine nodes
+  ASSERT_FALSE(cfg.faults.any());
+  Scenario s{cfg};
+  ASSERT_NE(s.faults(), nullptr);
+  s.start();
+  s.run();
+  s.faults()->finalize();
+  const auto& stats = s.faults()->stats();
+  const auto drained = s.network().depleted_count();
+  ASSERT_GT(drained, 0u);
+  EXPECT_EQ(stats.permanent_deaths, drained);
+  EXPECT_EQ(stats.node_repairs, 0u);
+  for (std::uint32_t i = 0; i < s.network().size(); ++i) {
+    const net::NodeId id{i};
+    const bool dry = s.network().battery(id).depleted();
+    EXPECT_EQ(s.faults()->permanently_dead(id), dry) << i;
+    EXPECT_EQ(s.network().is_up(id), !dry) << i;
+  }
+  EXPECT_GT(stats.time_to_first_death_ms, 0.0);
+  EXPECT_GE(stats.time_to_10pct_dead_ms, stats.time_to_first_death_ms);
+  EXPECT_GE(stats.half_life_ms, stats.time_to_10pct_dead_ms);
 }
 
 TEST(ScenarioTest, MobilityRebuildsRouting) {

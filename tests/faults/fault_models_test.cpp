@@ -1,19 +1,20 @@
-#include "faults/models.hpp"
+#include "faults/controller.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
-#include "faults/controller.hpp"
 #include "net/topology.hpp"
+#include "obs/event_trace.hpp"
 #include "sim/simulation.hpp"
 
 /// Fault-subsystem invariants: ref-counted composition of overlapping
-/// faults, permanent deaths beating repairs, model-specific targeting
-/// (disks, k-hop neighborhoods, victim fractions), per-model RNG sub-stream
-/// independence, and the at-or-after-horizon initiation boundary.
+/// faults, permanent deaths beating repairs, process-specific targeting
+/// (disks, k-hop neighborhoods), energy-driven deaths, per-process RNG
+/// sub-stream independence, and the at-or-after-horizon initiation boundary.
 
 namespace spms::faults {
 namespace {
@@ -77,6 +78,46 @@ TEST(FaultControllerTest, PermanentDeathWinsOverAnyRepair) {
   EXPECT_TRUE(ctrl.permanently_dead(id));
   EXPECT_EQ(ctrl.stats().permanent_deaths, 1u);
   EXPECT_EQ(ctrl.stats().node_repairs, 0u);
+}
+
+TEST(FaultControllerTest, RecordsEveryTransitionItCausesAndNoOther) {
+  // fail, fail, repair, repair, fail, kill, repair on one node, one step per
+  // millisecond: only the first fail, the last repair of the pair, the
+  // third fail and the kill change the node, and each change is one
+  // kFaultTransition record at its step's instant.
+  Harness h;
+  FaultController ctrl(h.sim, h.net, {}, net::NodeId{0});
+  std::vector<obs::TraceRecord> transitions;
+  h.sim.events().set_sink([&](const obs::TraceRecord& r) {
+    if (r.kind == obs::TraceKind::kFaultTransition) transitions.push_back(r);
+  });
+  const net::NodeId id{6};
+  const std::vector<void (FaultController::*)(net::NodeId)> steps{
+      &FaultController::fail,   &FaultController::fail, &FaultController::repair,
+      &FaultController::repair, &FaultController::fail, &FaultController::kill,
+      &FaultController::repair};
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    h.sim.at(sim::TimePoint::at(sim::Duration::ms(static_cast<double>(i + 1))),
+             [&, step = steps[i]] { (ctrl.*step)(id); });
+  }
+  h.sim.run();
+  ctrl.finalize();
+
+  const std::vector<std::pair<obs::FaultPhase, double>> expected{
+      {obs::FaultPhase::kDown, 1.0},
+      {obs::FaultPhase::kRepair, 4.0},
+      {obs::FaultPhase::kDown, 5.0},
+      {obs::FaultPhase::kPermanentDeath, 6.0}};
+  ASSERT_EQ(transitions.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(transitions[i].cause, static_cast<std::uint8_t>(expected[i].first)) << i;
+    EXPECT_DOUBLE_EQ(transitions[i].at.to_ms(), expected[i].second) << i;
+    EXPECT_EQ(transitions[i].node, id) << i;
+  }
+  EXPECT_FALSE(h.net.is_up(id));
+  EXPECT_EQ(ctrl.stats().node_downs, 2u);
+  EXPECT_EQ(ctrl.stats().node_repairs, 1u);
+  EXPECT_EQ(ctrl.stats().permanent_deaths, 1u);
 }
 
 struct CrashRun {
@@ -170,25 +211,23 @@ TEST(BatteryDepletionTest, DepletedBatteriesDiePermanentlyThroughTheController) 
   battery.idle_drain_mw = 1.0;
   battery.idle_tick = sim::Duration::ms(1.0);
   Harness h(4, 33, battery);  // 16 nodes
-  FaultPlan plan;
-  plan.battery.enabled = true;
-  FaultController ctrl(h.sim, h.net, plan, net::NodeId{0});
+  FaultController ctrl(h.sim, h.net, {}, net::NodeId{0});  // no process: deaths only
   ctrl.start(sim::TimePoint::at(sim::Duration::ms(100)));
   h.net.start_idle_drain(sim::TimePoint::at(sim::Duration::ms(100)));
   h.sim.run();
   ctrl.finalize();
 
   EXPECT_EQ(ctrl.stats().permanent_deaths, 16u);
+  EXPECT_EQ(ctrl.stats().fault_events, 16u);
   EXPECT_EQ(ctrl.stats().node_repairs, 0u);
   EXPECT_EQ(down_count(h.net), 16u);
   EXPECT_EQ(h.net.depleted_count(), 16u);
-  const auto* model = dynamic_cast<BatteryDepletionModel*>(ctrl.model("battery"));
-  ASSERT_NE(model, nullptr);
-  EXPECT_EQ(model->deaths().size(), 16u);
-  EXPECT_EQ(model->events_injected(), 16u);
-  for (const auto v : model->deaths()) {
-    EXPECT_FALSE(h.net.is_up(v));
-    EXPECT_TRUE(ctrl.permanently_dead(v));
+  for (const auto& e : ctrl.observer().events()) {
+    EXPECT_EQ(e.model, "battery");
+    EXPECT_EQ(e.nodes_affected, 1u);
+  }
+  for (std::uint32_t i = 0; i < h.net.size(); ++i) {
+    EXPECT_TRUE(ctrl.permanently_dead(net::NodeId{i})) << i;
   }
   // All budgets are equal and drain on the same tick, so everyone died at
   // the 5th tick; the lifetime milestones all sit there too.
@@ -198,10 +237,8 @@ TEST(BatteryDepletionTest, DepletedBatteriesDiePermanentlyThroughTheController) 
 }
 
 TEST(BatteryDepletionTest, InfiniteBatteriesNeverFireTheModel) {
-  Harness h;
-  FaultPlan plan;
-  plan.battery.enabled = true;  // armed, but nothing can deplete
-  FaultController ctrl(h.sim, h.net, plan, net::NodeId{0});
+  Harness h;  // nothing can deplete
+  FaultController ctrl(h.sim, h.net, {}, net::NodeId{0});
   ctrl.start(sim::TimePoint::at(sim::Duration::ms(100)));
   h.net.start_idle_drain(sim::TimePoint::at(sim::Duration::ms(100)));
   h.sim.run();
@@ -217,24 +254,26 @@ TEST(SinkChurnTest, TargetsExactlyTheKHopNeighborhood) {
   plan.sink_churn.hops = 1;
   const net::NodeId sink{12};  // grid centre
   FaultController ctrl(h.sim, h.net, plan, sink);
+  std::set<std::uint32_t> churned;
+  h.sim.events().set_sink([&](const obs::TraceRecord& r) {
+    if (r.kind == obs::TraceKind::kFaultTransition) churned.insert(r.node.v);
+  });
   ctrl.start(sim::TimePoint::at(sim::Duration::ms(200)));
 
-  const auto* churn = dynamic_cast<CrashRepairModel*>(ctrl.model("sink-churn"));
-  ASSERT_NE(churn, nullptr);
-  const auto expected = h.net.neighbors_within(sink, h.net.zone_radius());
-  const std::set<std::uint32_t> expected_ids = [&] {
-    std::set<std::uint32_t> s;
-    for (const auto id : expected) s.insert(id.v);
-    return s;
-  }();
-  ASSERT_FALSE(churn->targets().empty());
+  std::set<std::uint32_t> expected_ids;
+  for (const auto id : h.net.neighbors_within(sink, h.net.zone_radius())) {
+    expected_ids.insert(id.v);
+  }
   std::set<std::uint32_t> target_ids;
-  for (const auto id : churn->targets()) target_ids.insert(id.v);
+  for (const auto id : k_hop_neighborhood(h.net, sink, 1)) target_ids.insert(id.v);
+  ASSERT_FALSE(target_ids.empty());
   EXPECT_EQ(target_ids, expected_ids);
   EXPECT_EQ(target_ids.count(sink.v), 0u) << "the sink itself is never churned";
 
   h.sim.run();
   ctrl.finalize();
+  // Every target failed at least once by the horizon, and nothing else did.
+  EXPECT_EQ(churned, target_ids);
   EXPECT_GT(ctrl.stats().node_downs, 0u);
   EXPECT_TRUE(all_up(h.net));
 }
@@ -248,12 +287,10 @@ TEST(LinkDegradationTest, RampReachesDropEndAtHorizonAndHealsAfter) {
   FaultController ctrl(h.sim, h.net, plan, net::NodeId{0});
   const auto horizon = sim::TimePoint::at(sim::Duration::ms(100));
   ctrl.start(horizon);
-  const auto* link = dynamic_cast<LinkDegradationModel*>(ctrl.model("link"));
-  ASSERT_NE(link, nullptr);
-  EXPECT_DOUBLE_EQ(link->drop_probability(sim::TimePoint::zero()), 0.1);
-  EXPECT_DOUBLE_EQ(link->drop_probability(sim::TimePoint::at(sim::Duration::ms(50))), 0.3);
-  EXPECT_DOUBLE_EQ(link->drop_probability(horizon), 0.0) << "healed at the horizon";
-  EXPECT_DOUBLE_EQ(link->drop_probability(sim::TimePoint::at(sim::Duration::ms(150))), 0.0);
+  EXPECT_DOUBLE_EQ(ctrl.link_drop_probability(sim::TimePoint::zero()), 0.1);
+  EXPECT_DOUBLE_EQ(ctrl.link_drop_probability(sim::TimePoint::at(sim::Duration::ms(50))), 0.3);
+  EXPECT_DOUBLE_EQ(ctrl.link_drop_probability(horizon), 0.0) << "healed at the horizon";
+  EXPECT_DOUBLE_EQ(ctrl.link_drop_probability(sim::TimePoint::at(sim::Duration::ms(150))), 0.0);
 }
 
 /// Event times of one model, from the observer log.
@@ -286,7 +323,6 @@ TEST(StreamIndependenceTest, TogglingOneModelNeverPerturbsAnother) {
 
   FaultPlan stacked = region_only;
   stacked.crash.enabled = true;
-  stacked.battery.enabled = true;  // energy-driven: drawless, can't perturb anyone
 
   const auto region_alone = run_plan(region_only, "region");
   const auto region_stacked = run_plan(stacked, "region");
@@ -301,9 +337,9 @@ TEST(StreamIndependenceTest, TogglingOneModelNeverPerturbsAnother) {
   EXPECT_EQ(crash_alone, crash_stacked);
 
   // And the stream ids themselves are pairwise distinct.
-  const std::set<std::uint64_t> streams{kCrashStream, kRegionStream, kBatteryStream,
-                                        kLinkStream, kSinkChurnStream};
-  EXPECT_EQ(streams.size(), 5u);
+  const std::set<std::uint64_t> streams{kCrashStream, kRegionStream, kLinkStream,
+                                        kSinkChurnStream};
+  EXPECT_EQ(streams.size(), 4u);
 }
 
 /// Crash failures a crash-only plan injects on one node whose horizon lies

@@ -102,6 +102,19 @@ TEST(InfiniteParallelismTest, SenderCrashDuringBackoffDropsFrame) {
   EXPECT_EQ(rig.net.counters().dropped_sender_down, 1u);
 }
 
+TEST(InfiniteParallelismTest, SenderCrashDuringAirtimeDropsFrame) {
+  Rig rig(deterministic(true), {{0, 0}, {5, 0}});  // no backoff: on air 0-0.1 ms
+  Packet p = small_packet(0);
+  p.dst = NodeId{1};
+  ASSERT_TRUE(rig.net.send(NodeId{0}, p, 5.0));
+  rig.sim.at(sim::TimePoint::at(sim::Duration::ms(0.05)),
+             [&] { rig.net.set_up(NodeId{0}, false); });
+  rig.sim.run();
+  EXPECT_EQ(rig.net.counters().tx_adv, 1u);  // the frame went on the air
+  EXPECT_TRUE(rig.agents[1]->received.empty());
+  EXPECT_EQ(rig.net.counters().dropped_sender_down, 1u);
+}
+
 TEST(ContentionTermTest, QuadraticDelayApplied) {
   MacParams mac;
   mac.num_slots = 1;

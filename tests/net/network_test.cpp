@@ -263,10 +263,12 @@ TEST_F(NetworkTest, CrashClearsMacQueue) {
   build_line(2, 5.0, 12.0);
   ASSERT_TRUE(net->send_to(NodeId{0}, adv_packet({NodeId{0}, 1}), NodeId{1}));
   ASSERT_TRUE(net->send_to(NodeId{0}, adv_packet({NodeId{0}, 2}), NodeId{1}));
-  // Crash the sender mid-first-transmission: both frames must vanish.
+  // Crash the sender mid-first-transmission: both frames must vanish, and
+  // both count as sender-down drops.
   sim.at(sim::TimePoint::at(sim::Duration::ms(0.05)), [&] { net->set_up(NodeId{0}, false); });
   sim.run();
   EXPECT_TRUE(agents[1]->received.empty());
+  EXPECT_EQ(net->counters().dropped_sender_down, 2u);
 }
 
 TEST_F(NetworkTest, AgentHooksFireOnTransitions) {
